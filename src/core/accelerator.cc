@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/lease.h"
-#include "util/check.h"
 
 namespace webcc::core {
 
@@ -14,18 +13,25 @@ std::optional<net::Reply> Accelerator::HandleRequest(
   if (!reply.has_value()) return reply;
   ++stats_.requests;
 
+  // Resolve both names once; everything below keys on the ids. Interning
+  // the requester before the lease check is what makes the site interner
+  // the ever-seen list: a two-tier GET earns no list entry, but its site
+  // must still hear the recovery broadcast.
+  const InternId url_id = table_.InternUrl(request.url);
+  const InternId site_id = table_.InternSite(request.client_id);
+
   // First sighting of a document pins the version baseline so a later
   // notify can tell "changed since last invalidation" from "never seen".
-  const http::Document* doc = store_->Find(request.url);
-  WEBCC_DCHECK(doc != nullptr);
-  const bool first_sighting =
-      last_seen_version_.try_emplace(request.url, doc->version).second;
+  // The reply carries the store's current version.
+  VersionPin& pin = PinOf(url_id);
+  const bool first_sighting = !pin.seen;
+  if (first_sighting) pin = {reply->version, true};
   if (journal_enabled_) {
     // Append-before-act: the journal records the registration before the
     // table mutates, so a torn tail can only describe an entry that was
     // never created. GrantLease is pure, so computing it here and again
     // inside Register cannot disagree.
-    if (first_sighting) journal_.AppendVersion(request.url, doc->version);
+    if (first_sighting) journal_.AppendVersion(request.url, reply->version);
     const Time lease = GrantLease(table_.lease_config(), request.type, now);
     if (LeaseActive(lease, now)) {
       journal_.AppendRegister(request.url, request.client_id, lease);
@@ -33,8 +39,7 @@ std::optional<net::Reply> Accelerator::HandleRequest(
   }
 
   // Pessimistic registration: any requester might cache the document.
-  reply->lease_until =
-      table_.Register(request.url, request.client_id, request.type, now);
+  reply->lease_until = table_.Register(url_id, site_id, request.type, now);
   if (reply->lease_until != net::kNoLease) {
     obs::Emit(trace_sink_, {.type = obs::EventType::kLeaseGrant,
                             .at = now,
@@ -42,7 +47,6 @@ std::optional<net::Reply> Accelerator::HandleRequest(
                             .site = request.client_id,
                             .detail = reply->lease_until});
   }
-  registry_.RecordSite(request.client_id);
   return reply;
 }
 
@@ -65,15 +69,17 @@ std::vector<net::Invalidation> Accelerator::DetectAndInvalidate(
   const http::Document* doc = store_->Find(url);
   if (doc == nullptr) return out;
 
-  auto [it, first_sighting] =
-      last_seen_version_.try_emplace(std::string(url), doc->version);
-  if (first_sighting || doc->version == it->second) {
-    if (first_sighting && journal_enabled_) {
-      journal_.AppendVersion(url, doc->version);
+  const InternId url_id = table_.InternUrl(url);
+  VersionPin& pin = PinOf(url_id);
+  const bool first_sighting = !pin.seen;
+  if (first_sighting || doc->version == pin.version) {
+    if (first_sighting) {
+      pin = {doc->version, true};
+      if (journal_enabled_) journal_.AppendVersion(url, doc->version);
     }
     return out;  // unchanged (or nothing could have cached it yet)
   }
-  it->second = doc->version;
+  pin.version = doc->version;
   ++stats_.modifications_detected;
   if (journal_enabled_) {
     // Journal the new baseline and the list wipe before taking the list.
@@ -82,7 +88,7 @@ std::vector<net::Invalidation> Accelerator::DetectAndInvalidate(
   }
 
   std::vector<InvalidationTable::TakenSite> sites =
-      table_.TakeSitesWithLeases(url, now);
+      table_.TakeSitesWithLeases(url_id, now);
   stats_.list_lengths_at_modification.push_back(sites.size());
   out.reserve(sites.size());
   for (InvalidationTable::TakenSite& taken : sites) {
@@ -108,10 +114,22 @@ void Accelerator::Crash() {
   // record, not server state.
 }
 
+std::vector<std::string_view> Accelerator::SitesEverSeen() const {
+  const Interner& sites = table_.sites();
+  std::vector<std::string_view> names;
+  names.reserve(sites.size());
+  for (InternId id = 0; id < sites.size(); ++id) {
+    names.push_back(sites.NameOf(id));
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 std::vector<net::Invalidation> Accelerator::Recover() {
+  const std::vector<std::string_view> sites = SitesEverSeen();
   std::vector<net::Invalidation> out;
-  out.reserve(registry_.sites().size());
-  for (const std::string& site : registry_.sites()) {
+  out.reserve(sites.size());
+  for (const std::string_view site : sites) {
     net::Invalidation inv;
     inv.type = net::MessageType::kInvalidateServer;
     inv.server = server_name_;
@@ -150,7 +168,7 @@ Accelerator::RebuildOutcome Accelerator::RebuildFromJournal(Time now) {
         table_.DropList(entry.url);
         break;
       case 'V':
-        last_seen_version_[entry.url] = entry.version;
+        PinOf(table_.InternUrl(entry.url)) = {entry.version, true};
         break;
       default:
         break;  // Replay never yields other kinds
@@ -162,7 +180,7 @@ Accelerator::RebuildOutcome Accelerator::RebuildFromJournal(Time now) {
   // live registrations, both in sorted order for determinism).
   journal_.Clear();
   for (const std::string& url : JournaledUrls()) {
-    journal_.AppendVersion(url, last_seen_version_.at(url));
+    journal_.AppendVersion(url, PinOf(table_.FindUrl(url)).version);
   }
   std::vector<InvalidationTable::Snapshot> entries = table_.SnapshotEntries();
   outcome.entries_restored = entries.size();
@@ -174,8 +192,9 @@ Accelerator::RebuildOutcome Accelerator::RebuildFromJournal(Time now) {
 
 std::vector<std::string> Accelerator::JournaledUrls() const {
   std::vector<std::string> urls;
-  urls.reserve(last_seen_version_.size());
-  for (const auto& [url, version] : last_seen_version_) urls.push_back(url);
+  for (InternId id = 0; id < last_seen_version_.size(); ++id) {
+    if (last_seen_version_[id].seen) urls.push_back(table_.UrlName(id));
+  }
   std::sort(urls.begin(), urls.end());
   return urls;
 }
@@ -199,7 +218,9 @@ Accelerator::RecoveryOutcome Accelerator::RecoverFromJournal(Time now) {
   // server was down need (targeted) invalidations.
   for (const std::string& url : JournaledUrls()) {
     const http::Document* doc = store_->Find(url);
-    if (doc == nullptr || doc->version == last_seen_version_.at(url)) continue;
+    if (doc == nullptr || doc->version == PinOf(table_.FindUrl(url)).version) {
+      continue;
+    }
     std::vector<net::Invalidation> changed = DetectAndInvalidate(url, now);
     for (net::Invalidation& inv : changed) {
       inv.recovery = true;

@@ -21,13 +21,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/invalidation_table.h"
 #include "core/journal.h"
 #include "core/policy.h"
-#include "core/site_registry.h"
 #include "http/document_store.h"
 #include "http/origin.h"
 #include "net/message.h"
@@ -76,13 +74,23 @@ class Accelerator {
 
   // --- failure handling ----------------------------------------------------
   // Server-site crash: the in-memory invalidation table is lost; the
-  // on-disk site registry and write-ahead journal survive.
+  // ever-seen site list and the write-ahead journal survive.
   void Crash();
 
   // Recovery: one server-address INVALIDATE per site ever seen, telling each
   // to mark this server's documents questionable. The pre-journal fallback,
   // and what journal recovery degrades to when the journal is damaged.
   std::vector<net::Invalidation> Recover();
+
+  // The paper's ever-seen list: every site this accelerator has served,
+  // zero-length two-tier leases included. It is the table's site interner,
+  // which survives Crash(); HandleRequest interns the requester before the
+  // lease check so that it holds exactly the served sites.
+  bool SiteEverSeen(std::string_view site) const {
+    return table_.sites().Find(site) != kNoInternId;
+  }
+  // The same set, sorted by name (the INVSRV broadcast order).
+  std::vector<std::string_view> SitesEverSeen() const;
 
   // --- write-ahead journal (Section 4's persistent site lists) -------------
   // When enabled, every registration / invalidation / version pin is
@@ -134,7 +142,6 @@ class Accelerator {
 
   InvalidationTable& table() { return table_; }
   const InvalidationTable& table() const { return table_; }
-  SiteRegistry& registry() { return registry_; }
   const AcceleratorStats& stats() const { return stats_; }
   const std::string& server_name() const { return server_name_; }
 
@@ -153,16 +160,28 @@ class Accelerator {
                      std::string_view prefix) const;
 
  private:
+  // Document version as of the last invalidation (or first sighting);
+  // modifications are detected as version advances past this. `seen` is
+  // explicit because a journal 'V' record may pin any version, 0 included.
+  struct VersionPin {
+    std::uint64_t version = 0;
+    bool seen = false;
+  };
+  VersionPin& PinOf(InternId url_id) {
+    if (url_id >= last_seen_version_.size()) {
+      last_seen_version_.resize(url_id + 1);
+    }
+    return last_seen_version_[url_id];
+  }
+
   std::vector<net::Invalidation> DetectAndInvalidate(std::string_view url,
                                                      Time now);
 
   http::OriginServer origin_;
   const http::DocumentStore* store_;
   InvalidationTable table_;
-  SiteRegistry registry_;
-  // Document version as of the last invalidation (or first sighting);
-  // modifications are detected as version advances past this.
-  std::unordered_map<std::string, std::uint64_t> last_seen_version_;
+  // Indexed by the table's url id.
+  std::vector<VersionPin> last_seen_version_;
   std::string server_name_;
   AcceleratorStats stats_;
   SiteJournal journal_;

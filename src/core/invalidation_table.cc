@@ -35,7 +35,7 @@ InvalidationTable::InvalidationTable(LeaseConfig lease) : lease_(lease) {
   wheel_.Configure(granularity, kWheelSlots);
 }
 
-Time InvalidationTable::Register(std::string_view url, std::string_view client,
+Time InvalidationTable::Register(InternId url_id, InternId site_id,
                                  net::MessageType request_type, Time now) {
   const Time lease_until = GrantLease(lease_, request_type, now);
   if (!LeaseActive(lease_until, now)) {
@@ -44,11 +44,9 @@ Time InvalidationTable::Register(std::string_view url, std::string_view client,
     // longer lease from an earlier request is left untouched.
     return lease_until;
   }
-  const InternId url_id = urls_.Intern(url);
   if (url_id >= lists_.size()) lists_.resize(url_id + 1);
   CompactSiteList& list = lists_[url_id];
   if (list.empty()) ++urls_tracked_;
-  const InternId site_id = clients_.Intern(client);
   auto [slot, inserted] = list.Upsert(site_id, lease_until);
   if (inserted) {
     ++total_entries_;
@@ -81,10 +79,8 @@ std::vector<std::string> InvalidationTable::TakeSitesForInvalidation(
 }
 
 std::vector<InvalidationTable::TakenSite>
-InvalidationTable::TakeSitesWithLeases(std::string_view url, Time now) {
+InvalidationTable::TakeSitesWithLeases(InternId url_id, Time now) {
   std::vector<TakenSite> sites;
-  const InternId url_id = urls_.Find(url);
-  if (url_id == kNoInternId) return sites;
   CompactSiteList* list = FindList(url_id);
   if (list == nullptr) return sites;
   // Lapsed entries are not "taken" — their lease already freed the server

@@ -13,8 +13,11 @@
 //
 // URLs and client identifiers are interned to dense ids (core::Interner):
 // this table sits on the server's per-request hot path (Register on every
-// GET/IMS), so the site lists key on integers and each request hashes its
-// strings exactly once. The public interface stays string-based.
+// GET/IMS), so the site lists key on integers. The accelerator resolves a
+// request's url and site once (InternUrl/InternSite) and drives the id-keyed
+// core; the string overloads resolve the names and forward, for tests and
+// for the hierarchy's parent table. The site interner survives Clear(), so
+// it is also the set of every site the table has ever been shown.
 //
 // Million-site scale (ROADMAP item 4): site lists are CompactSiteList —
 // dense open-addressing tables of 12-byte slots keyed on the site id — and
@@ -54,7 +57,24 @@ class InvalidationTable {
   // timer wheel picks the new slot up lazily — no second entry, no second
   // wheel slot.
   Time Register(std::string_view url, std::string_view client,
+                net::MessageType request_type, Time now) {
+    return Register(InternUrl(url), InternSite(client), request_type, now);
+  }
+  Time Register(InternId url_id, InternId site_id,
                 net::MessageType request_type, Time now);
+
+  // --- name <-> id ---------------------------------------------------------
+  // Ids are dense, in first-sight order, and survive Clear(): a crash
+  // loses the lists, never the names.
+  InternId InternUrl(std::string_view url) { return urls_.Intern(url); }
+  InternId InternSite(std::string_view site) { return clients_.Intern(site); }
+  InternId FindUrl(std::string_view url) const { return urls_.Find(url); }
+  const std::string& UrlName(InternId url_id) const {
+    return urls_.NameOf(url_id);
+  }
+  // Every site ever interned: with the accelerator interning each requester
+  // before the lease check, exactly the sites it has ever served.
+  const Interner& sites() const { return clients_; }
 
   // Collects the sites holding an unexpired lease on `url` and clears the
   // list (each collected site is about to receive an invalidation, after
@@ -73,7 +93,12 @@ class InvalidationTable {
     std::string site;
     Time lease_until = net::kNoLease;
   };
-  std::vector<TakenSite> TakeSitesWithLeases(std::string_view url, Time now);
+  std::vector<TakenSite> TakeSitesWithLeases(std::string_view url, Time now) {
+    const InternId url_id = FindUrl(url);
+    if (url_id == kNoInternId) return {};
+    return TakeSitesWithLeases(url_id, now);
+  }
+  std::vector<TakenSite> TakeSitesWithLeases(InternId url_id, Time now);
 
   // Silently discards `url`'s whole list: journal replay applying an 'I'
   // record. History replay is not protocol execution — it must not emit

@@ -1,7 +1,6 @@
 #include "core/sharded_accelerator.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 namespace webcc::core {
@@ -38,17 +37,20 @@ void ShardedAccelerator::Crash() {
 }
 
 std::vector<net::Invalidation> ShardedAccelerator::Recover() {
-  // Union the per-shard registries first: a site that requested documents on
-  // several shards must receive exactly one server-address invalidation,
-  // and std::set keeps the emission order identical to the unsharded tier.
-  std::set<std::string> sites;
+  // Union the per-shard ever-seen lists first: a site that requested
+  // documents on several shards must receive exactly one server-address
+  // invalidation, and sorting keeps the emission order identical to the
+  // unsharded tier.
+  std::vector<std::string_view> sites;
   for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    const auto& shard_sites = shard->registry().sites();
-    sites.insert(shard_sites.begin(), shard_sites.end());
+    const std::vector<std::string_view> shard_sites = shard->SitesEverSeen();
+    sites.insert(sites.end(), shard_sites.begin(), shard_sites.end());
   }
+  std::sort(sites.begin(), sites.end());
+  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
   std::vector<net::Invalidation> out;
   out.reserve(sites.size());
-  for (const std::string& site : sites) {
+  for (const std::string_view site : sites) {
     net::Invalidation inv;
     inv.type = net::MessageType::kInvalidateServer;
     inv.server = server_name_;

@@ -66,9 +66,9 @@ class ShardedAccelerator {
   // --- failure handling -----------------------------------------------------
   void Crash();  // every shard's in-memory table dies together
 
-  // Server-address broadcast over the union of the shards' site registries,
-  // deduplicated and sorted — the same site set (and emission order) the
-  // unsharded accelerator's registry would produce.
+  // Server-address broadcast over the union of the shards' ever-seen site
+  // lists, deduplicated and sorted — the same site set (and emission order)
+  // the unsharded accelerator would produce.
   std::vector<net::Invalidation> Recover();
 
   void EnableJournal(bool enabled);

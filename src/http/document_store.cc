@@ -6,8 +6,7 @@ namespace webcc::http {
 
 bool DocumentStore::Add(std::string path, std::uint64_t size_bytes,
                         Time last_modified) {
-  const auto [it, inserted] = index_.try_emplace(path, documents_.size());
-  if (!inserted) return false;
+  if (index_.Intern(path) != documents_.size()) return false;  // known path
   Document doc;
   doc.path = std::move(path);
   doc.size_bytes = size_bytes;
@@ -18,15 +17,14 @@ bool DocumentStore::Add(std::string path, std::uint64_t size_bytes,
 }
 
 const Document* DocumentStore::Find(std::string_view path) const {
-  const auto it = index_.find(std::string(path));
-  if (it == index_.end()) return nullptr;
-  return &documents_[it->second];
+  const core::InternId id = index_.Find(path);
+  return id == core::kNoInternId ? nullptr : &documents_[id];
 }
 
 bool DocumentStore::Touch(std::string_view path, Time now) {
-  const auto it = index_.find(std::string(path));
-  if (it == index_.end()) return false;
-  Document& doc = documents_[it->second];
+  const core::InternId id = index_.Find(path);
+  if (id == core::kNoInternId) return false;
+  Document& doc = documents_[id];
   doc.last_modified = now;
   ++doc.version;
   return true;

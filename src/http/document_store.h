@@ -11,8 +11,8 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
+#include "core/intern.h"
 #include "util/time.h"
 
 namespace webcc::http {
@@ -44,9 +44,11 @@ class DocumentStore {
   void ForEach(const std::function<void(const Document&)>& fn) const;
 
  private:
+  // Path -> index into documents_: Add interns each new path, so the intern
+  // id is the document's position. Find and Touch hash the view in place.
+  core::Interner index_;
   // Deque keeps Document addresses stable across Add (protocol handlers
   // hold Find() results across cost-station callbacks).
-  std::unordered_map<std::string, std::size_t> index_;
   std::deque<Document> documents_;
   std::uint64_t total_bytes_ = 0;
 };

@@ -8,33 +8,29 @@
 namespace webcc::http {
 
 CacheEntry* ProxyCache::Lookup(const std::string& key, Time now) {
-  const core::InternId id = keys_.Find(key);
-  if (id == core::kNoInternId) return nullptr;
-  const auto it = index_.find(id);
-  if (it == index_.end()) return nullptr;
-  CacheEntry& entry = *it->second;
+  const LruList::iterator* it = FindResident(keys_.Find(key));
+  if (it == nullptr) return nullptr;
+  CacheEntry& entry = **it;
   if (entry.tier2_) {
     ++entry.tier2_hits_;
     // Promote a proven-hot entry back into tier 1 — unless it could never
     // fit there (it stays a tier-2 resident for its lifetime).
     if (entry.tier2_hits_ >= tier_.promotion_hits &&
         entry.size_bytes <= capacity_bytes_) {
-      PromoteFromTier2(it->second, now);
+      PromoteFromTier2(*it, now);
     } else {
-      tier2_lru_.splice(tier2_lru_.begin(), tier2_lru_, it->second);
+      tier2_lru_.splice(tier2_lru_.begin(), tier2_lru_, *it);
     }
   } else {
-    lru_.splice(lru_.begin(), lru_, it->second);
+    lru_.splice(lru_.begin(), lru_, *it);
     policy_->OnHit(ViewOf(entry));
   }
-  return &*it->second;
+  return &entry;
 }
 
 CacheEntry* ProxyCache::Peek(const std::string& key) {
-  const core::InternId id = keys_.Find(key);
-  if (id == core::kNoInternId) return nullptr;
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : &*it->second;
+  const LruList::iterator* it = FindResident(keys_.Find(key));
+  return it == nullptr ? nullptr : &**it;
 }
 
 void ProxyCache::PushTtlItem(CacheEntry& entry) {
@@ -45,8 +41,7 @@ void ProxyCache::PushTtlItem(CacheEntry& entry) {
 
 void ProxyCache::CompactTtlHeap() {
   ttl_heap_.CompactIfStale([this](const eviction::ExpiryRecord& r) {
-    const auto it = index_.find(r.key);
-    return it != index_.end() && it->second->heap_stamp_ == r.stamp;
+    return TtlRecordLive(r.key, r.stamp);
   });
 }
 
@@ -58,6 +53,8 @@ std::uint64_t ProxyCache::DemotionWatermark() const {
 void ProxyCache::Insert(CacheEntry entry, Time now) {
   entry.key_id_ = keys_.Intern(entry.key);
   entry.url_id_ = urls_.Intern(entry.url);
+  if (index_.size() < keys_.size()) index_.resize(keys_.size());
+  if (url_index_.size() < urls_.size()) url_index_.resize(urls_.size());
   EraseById(entry.key_id_);  // replace semantics
   if (tier_.enabled()) Tier2TtlCleanup(now);
   if (entry.size_bytes > capacity_bytes_) {
@@ -80,7 +77,7 @@ void ProxyCache::Insert(CacheEntry entry, Time now) {
   bytes_used_ += entry.size_bytes;
   ++stats_.insertions;
   lru_.push_front(std::move(entry));
-  index_[lru_.front().key_id_] = lru_.begin();
+  index_[lru_.front().key_id_] = {lru_.begin(), true};
   url_index_[lru_.front().url_id_].push_back(lru_.front().key_id_);
   PushTtlItem(lru_.front());
   policy_->OnInsert(ViewOf(lru_.front()));
@@ -103,34 +100,29 @@ void ProxyCache::InsertIntoTier2(CacheEntry entry, Time now) {
   tier2_bytes_used_ += entry.size_bytes;
   ++stats_.insertions;
   tier2_lru_.push_front(std::move(entry));
-  index_[tier2_lru_.front().key_id_] = tier2_lru_.begin();
+  index_[tier2_lru_.front().key_id_] = {tier2_lru_.begin(), true};
   url_index_[tier2_lru_.front().url_id_].push_back(
       tier2_lru_.front().key_id_);
   PushTtlItem(tier2_lru_.front());
 }
 
 bool ProxyCache::Erase(const std::string& key) {
-  const core::InternId id = keys_.Find(key);
-  return id != core::kNoInternId && EraseById(id);
+  return EraseById(keys_.Find(key));
 }
 
 bool ProxyCache::EraseById(core::InternId key_id) {
-  const auto it = index_.find(key_id);
-  if (it == index_.end()) return false;
+  const LruList::iterator* it = FindResident(key_id);
+  if (it == nullptr) return false;
   ++stats_.erased;
-  RemoveEntry(it->second);
+  RemoveEntry(*it);
   return true;
 }
 
 void ProxyCache::RemoveEntry(LruList::iterator it) {
   if (it->heap_record_live_) ttl_heap_.NoteStale();
-  const auto url_it = url_index_.find(it->url_id_);
-  if (url_it != url_index_.end()) {
-    std::vector<core::InternId>& keys = url_it->second;
-    keys.erase(std::find(keys.begin(), keys.end(), it->key_id_));
-    if (keys.empty()) url_index_.erase(url_it);
-  }
-  index_.erase(it->key_id_);
+  std::vector<core::InternId>& keys = url_index_[it->url_id_];
+  keys.erase(std::find(keys.begin(), keys.end(), it->key_id_));
+  index_[it->key_id_].resident = false;
   if (it->tier2_) {
     tier2_bytes_used_ -= it->size_bytes;
     tier2_lru_.erase(it);
@@ -146,11 +138,9 @@ void ProxyCache::RemoveEntry(LruList::iterator it) {
 
 std::size_t ProxyCache::EraseByUrl(const std::string& url) {
   const core::InternId url_id = urls_.Find(url);
-  if (url_id == core::kNoInternId) return 0;
-  const auto it = url_index_.find(url_id);
-  if (it == url_index_.end()) return 0;
+  if (url_id >= url_index_.size() || url_index_[url_id].empty()) return 0;
   // Copy out: EraseById mutates the vector we are iterating.
-  const std::vector<core::InternId> keys = it->second;
+  const std::vector<core::InternId> keys = url_index_[url_id];
   std::size_t erased = 0;
   for (const core::InternId key_id : keys) erased += EraseById(key_id);
   return erased;
@@ -162,10 +152,10 @@ std::vector<CacheEntry*> ProxyCache::TakeExpired(Time now,
   while (expired.size() < max_items && !ttl_heap_.empty()) {
     const eviction::ExpiryRecord top = ttl_heap_.Top();
     if (top.expires > now) break;
-    const auto it = index_.find(top.key);
-    if (it != index_.end() && it->second->heap_stamp_ == top.stamp) {
-      expired.push_back(&*it->second);
-      it->second->heap_record_live_ = false;  // record consumed
+    const LruList::iterator* it = FindResident(top.key);
+    if (it != nullptr && (*it)->heap_stamp_ == top.stamp) {
+      expired.push_back(&**it);
+      (*it)->heap_record_live_ = false;  // record consumed
       ttl_heap_.PopLive();
     } else {
       ttl_heap_.PopStale();
@@ -191,46 +181,46 @@ core::InternId ProxyCache::LruTailKey() const {
 
 bool ProxyCache::TtlRecordLive(core::InternId key,
                                std::uint64_t stamp) const {
-  const auto it = index_.find(key);
-  return it != index_.end() && it->second->heap_stamp_ == stamp;
+  const LruList::iterator* it = FindResident(key);
+  return it != nullptr && (*it)->heap_stamp_ == stamp;
 }
 
 void ProxyCache::NoteTtlRecordConsumed(core::InternId key) {
-  const auto it = index_.find(key);
-  WEBCC_CHECK_MSG(it != index_.end(), "consuming a record with no entry");
-  it->second->heap_record_live_ = false;
+  LruList::iterator* it = FindResident(key);
+  WEBCC_CHECK_MSG(it != nullptr, "consuming a record with no entry");
+  (*it)->heap_record_live_ = false;
 }
 
 bool ProxyCache::InEvictableTier(core::InternId key) const {
-  const auto it = index_.find(key);
-  return it != index_.end() && !it->second->tier2_;
+  const LruList::iterator* it = FindResident(key);
+  return it != nullptr && !(*it)->tier2_;
 }
 
 void ProxyCache::DisplaceOne(Time now) {
   WEBCC_CHECK_MSG(!lru_.empty(), "eviction from an empty cache");
   const eviction::Victim victim = policy_->PickVictim(now, *this);
-  const auto it = index_.find(victim.key);
-  WEBCC_CHECK_MSG(it != index_.end(), "policy picked a non-resident victim");
+  LruList::iterator* it = FindResident(victim.key);
+  WEBCC_CHECK_MSG(it != nullptr, "policy picked a non-resident victim");
 
   // Pressure demotes instead of evicting when the second tier can hold the
   // entry — except entries the expired-first rule chose: already-stale
   // documents are not worth tier-2 space.
   if (tier_.enabled() && !victim.expired_rule &&
-      it->second->size_bytes <= tier_.tier2_capacity_bytes) {
-    CacheEntry& entry = *it->second;
+      (*it)->size_bytes <= tier_.tier2_capacity_bytes) {
+    CacheEntry& entry = **it;
     policy_->OnErase(ViewOf(entry));
     bytes_used_ -= entry.size_bytes;
     entry.tier2_ = true;
     entry.tier2_hits_ = 0;
     tier2_bytes_used_ += entry.size_bytes;
-    tier2_lru_.splice(tier2_lru_.begin(), lru_, it->second);
+    tier2_lru_.splice(tier2_lru_.begin(), lru_, *it);
     ++stats_.tier2_demotions;
     while (tier2_bytes_used_ > tier_.tier2_capacity_bytes) {
       EvictTier2Tail(now);
     }
     return;
   }
-  EvictEntry(it->second, now, victim.expired_rule);
+  EvictEntry(*it, now, victim.expired_rule);
 }
 
 void ProxyCache::EvictEntry(LruList::iterator it, Time now,

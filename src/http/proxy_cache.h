@@ -23,9 +23,10 @@
 // to the single-tier cache.
 //
 // Internally every key and URL is interned to a dense integer id
-// (core::Interner): the entry index, the per-URL index, and the TTL heap
-// all key on ids, so a lookup hashes its string exactly once and the heap
-// never copies strings. The public interface stays string-keyed.
+// (core::Interner) once, where it enters the cache: the entry index and the
+// per-URL index are vectors indexed by id and the TTL heap keys on ids, so
+// a lookup hashes its string exactly once and the heap never copies
+// strings. The public interface stays string-keyed.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,6 @@
 #include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/intern.h"
@@ -186,6 +186,15 @@ class ProxyCache : private eviction::EvictionHost {
  private:
   using LruList = std::list<CacheEntry>;
 
+  // The resident entry for `key_id`, or nullptr.
+  LruList::iterator* FindResident(core::InternId key_id) {
+    if (key_id >= index_.size() || !index_[key_id].resident) return nullptr;
+    return &index_[key_id].entry;
+  }
+  const LruList::iterator* FindResident(core::InternId key_id) const {
+    return const_cast<ProxyCache*>(this)->FindResident(key_id);
+  }
+
   // EvictionHost — the policy's window into the indexes.
   core::InternId LruTailKey() const override;
   eviction::ExpiryHeap& TtlHeap() override { return ttl_heap_; }
@@ -226,10 +235,14 @@ class ProxyCache : private eviction::EvictionHost {
 
   LruList lru_;        // tier 1; front = most recently used
   LruList tier2_lru_;  // tier 2; front = most recently touched
-  std::unordered_map<core::InternId, LruList::iterator> index_;  // by key id
-  // url id -> key ids of the entries caching it (one per owner), in
+  struct IndexSlot {
+    LruList::iterator entry;
+    bool resident = false;
+  };
+  std::vector<IndexSlot> index_;  // by key id
+  // By url id: the key ids of the entries caching it (one per owner), in
   // insertion order (keeps EraseByUrl deterministic).
-  std::unordered_map<core::InternId, std::vector<core::InternId>> url_index_;
+  std::vector<std::vector<core::InternId>> url_index_;
   eviction::ExpiryHeap ttl_heap_;
   ProxyCacheStats stats_;
   obs::TraceSink* trace_sink_ = nullptr;

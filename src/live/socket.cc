@@ -8,6 +8,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -104,16 +105,28 @@ std::optional<std::string> TcpStream::ReadLine() {
     last_error_ = IoError::kOther;
     return std::nullopt;
   }
+  // Bytes of buffer_ already scanned for '\n': each recv's bytes are
+  // searched once, so a long line costs linear, not quadratic, time.
+  std::size_t scanned = 0;
   while (true) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned);
     if (newline != std::string::npos) {
       std::string line = buffer_.substr(0, newline + 1);
       buffer_.erase(0, newline + 1);
       last_error_ = IoError::kNone;
       return line;
     }
+    scanned = buffer_.size();
+    if (buffer_.size() >= kMaxLineBytes) {
+      // A peer that never sends '\n' must not grow memory until the read
+      // timeout: no wire frame comes near the cap, so the stream is bad.
+      last_error_ = IoError::kOther;
+      return std::nullopt;
+    }
     char chunk[4096];
-    const ssize_t n = ::recv(fd_.get(), chunk, sizeof(chunk), 0);
+    const std::size_t want =
+        std::min(sizeof(chunk), kMaxLineBytes - buffer_.size());
+    const ssize_t n = ::recv(fd_.get(), chunk, want, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {

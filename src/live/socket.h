@@ -7,6 +7,7 @@
 // connection inline.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -68,8 +69,17 @@ class TcpStream {
   // last_error(). Only an orderly EOF (last_error() == kNone) delivers an
   // unterminated trailing line; a timeout or reset never surfaces the
   // partial frame — timed-out reads keep it buffered so a later call can
-  // resume it.
+  // resume it. A line longer than kMaxLineBytes fails with kOther once the
+  // buffer holds kMaxLineBytes without a '\n'; the buffer never grows past
+  // that cap.
   std::optional<std::string> ReadLine();
+
+  // The longest line ReadLine accepts, terminator included. A PSI reply at
+  // its default cap of 100 URLs is a few KiB, far below it.
+  static constexpr std::size_t kMaxLineBytes = 1 << 20;
+
+  // Bytes read from the peer but not yet returned as a line.
+  std::size_t buffered_bytes() const { return buffer_.size(); }
 
   // Sets SO_RCVTIMEO so a dead peer cannot hang a handler thread.
   void SetReadTimeout(int milliseconds);

@@ -62,14 +62,14 @@ void Engine::Setup() {
     pc.cache->set_trace_sink(sink_);
   }
   psi_last_contact_.assign(config_.num_pseudo_clients, 0);
-  for (std::size_t c = 0; c < trace_.clients.size(); ++c) {
-    pseudo_of_client_[trace_.clients[c]] =
-        static_cast<int>(c % config_.num_pseudo_clients);
-  }
+  proxy_site_names_.reserve(config_.num_pseudo_clients);
   for (std::uint32_t i = 0; i < config_.num_pseudo_clients; ++i) {
     proxy_site_names_.push_back("proxy-" + std::to_string(i));
-    pseudo_of_client_[proxy_site_names_.back()] = static_cast<int>(i);
+    pseudo_of_client_.emplace(proxy_site_names_.back(), static_cast<int>(i));
   }
+  // Trace clients are routed lazily (NoteServerContact): a million-site
+  // scenario names far more clients than its requests ever reach.
+  client_routed_.assign(trace_.clients.size(), 0);
   // Size each pseudo-client's slice exactly (a counting pass is cheaper
   // than the doubling reallocations of tens of thousands of push_backs).
   std::vector<std::size_t> slice_sizes(config_.num_pseudo_clients, 0);
@@ -438,6 +438,7 @@ void Engine::IssueNext(PseudoClient& pc) {
     validate = true;
     lease_renewal = decision.lease_renewal;
   }
+  if (!config_.shared_proxy_cache) NoteServerContact(record.client, pc.index);
 
   net::Request request;
   request.url = url;

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -138,7 +139,7 @@ class Engine {
                            std::function<void()> on_complete);
   void SendInvalidation(net::Invalidation invalidation, std::uint64_t mod_id);
   void DeliverInvalidation(const net::Invalidation& invalidation,
-                           std::uint64_t mod_id);
+                           std::uint64_t mod_id, int client_index);
   void ResolveFirstAttempt(std::uint64_t mod_id);
   void CompleteWrite(const std::string& url);
   void FinishRecoveryNotice();
@@ -160,12 +161,28 @@ class Engine {
   // normally so the refusal resolves their write targets as dead.
   void DrainOutbox(std::uint32_t shard);
   void SendInvalidationBatch(core::InvalidationOutbox::Batch batch);
-  void DeliverInvalidationBatch(const core::InvalidationOutbox::Batch& batch);
+  void DeliverInvalidationBatch(const core::InvalidationOutbox::Batch& batch,
+                                int client_index);
   // Per-URL resolution of the modifier gate for a batch that finished (or
   // abandoned) its first transmission attempt.
   void ResolveBatchFirstAttempts(const core::InvalidationOutbox::Batch& batch);
 
   // --- helpers ----------------------------------------------------------------
+  // Records a trace client's route when its first request leaves the proxy
+  // cache: only a site the server has seen can be an invalidation target,
+  // and the server sees a site only through such a request.
+  void NoteServerContact(trace::ClientId client, int client_index) {
+    if (client_routed_[client]) return;
+    client_routed_[client] = 1;
+    pseudo_of_client_.emplace(trace_.clients[client], client_index);
+  }
+  // The pseudo-client hosting invalidation target `site`.
+  int PseudoOf(std::string_view site) const {
+    const auto it = pseudo_of_client_.find(site);
+    WEBCC_CHECK_MSG(it != pseudo_of_client_.end(),
+                    "invalidation for a site that never contacted the server");
+    return it->second;
+  }
   const std::string& DocPath(trace::DocId doc) const {
     return trace_.documents[doc].path;
   }
@@ -218,7 +235,12 @@ class Engine {
   std::unique_ptr<http::OriginServer> origin_;
 
   std::vector<PseudoClient> clients_;
-  std::unordered_map<std::string, int> pseudo_of_client_;
+  // Invalidation routing, site name -> pseudo-client index: the shared-proxy
+  // names from Setup, each trace client from its first contact with the
+  // server (NoteServerContact). Keys view trace_.clients and
+  // proxy_site_names_, neither of which reallocates after Setup.
+  std::unordered_map<std::string_view, int> pseudo_of_client_;
+  std::vector<char> client_routed_;            // by trace client id
   std::vector<std::string> proxy_site_names_;  // shared-proxy site identities
 
   // Hierarchical mode: the parent proxy's shared cache, its per-document

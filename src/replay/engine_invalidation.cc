@@ -158,18 +158,19 @@ void Engine::ScheduleOutboxDrain(std::uint32_t shard, Time delay) {
 void Engine::DrainOutbox(std::uint32_t shard) {
   core::InvalidationOutbox& outbox = outboxes_[shard];
   if (outbox.empty()) return;
-  const auto ready = [this](const std::string& site) {
-    const auto it = pseudo_of_client_.find(site);
-    WEBCC_CHECK_MSG(it != pseudo_of_client_.end(),
-                    "outbox entry for an unknown client");
-    const sim::NodeId target = clients_[it->second].node;
-    // A partitioned-but-alive site is held so its entries keep coalescing
-    // until the link heals — the dup-write guarantee: two writes during the
-    // partition become one frame after it. A down site drains normally; the
-    // refused send resolves its write targets as dead.
-    return !(!net_.Reachable(ServerNode(), target) && net_.IsNodeUp(target) &&
-             net_.IsNodeUp(ServerNode()));
-  };
+  // A partitioned-but-alive site is held so its entries keep coalescing
+  // until the link heals — the dup-write guarantee: two writes during the
+  // partition become one frame after it. A down site drains normally; the
+  // refused send resolves its write targets as dead. With no partition
+  // open every site is ready, and no target is resolved here.
+  std::function<bool(const std::string&)> ready;
+  if (net_.HasPartitions()) {
+    ready = [this](const std::string& site) {
+      const sim::NodeId target = clients_[PseudoOf(site)].node;
+      return !(!net_.Reachable(ServerNode(), target) &&
+               net_.IsNodeUp(target) && net_.IsNodeUp(ServerNode()));
+    };
+  }
   std::vector<core::InvalidationOutbox::Batch> batches = outbox.Drain(ready);
   const Time now = sim_.now();
   for (core::InvalidationOutbox::Batch& batch : batches) {
@@ -192,10 +193,8 @@ void Engine::DrainOutbox(std::uint32_t shard) {
 }
 
 void Engine::SendInvalidationBatch(core::InvalidationOutbox::Batch batch) {
-  const auto it = pseudo_of_client_.find(batch.site);
-  WEBCC_CHECK_MSG(it != pseudo_of_client_.end(),
-                  "batched invalidation for an unknown client");
-  const sim::NodeId target = clients_[it->second].node;
+  const int index = PseudoOf(batch.site);
+  const sim::NodeId target = clients_[index].node;
   net::BatchInvalidation frame;
   frame.client_id = batch.site;
   frame.urls = batch.urls;
@@ -214,9 +213,9 @@ void Engine::SendInvalidationBatch(core::InvalidationOutbox::Batch batch) {
       std::move(batch));
   net_.SendReliable(
       ServerNode(), target, wire,
-      [this, shared, gate_released] {
+      [this, shared, gate_released, index] {
         if (!gate_released) ResolveBatchFirstAttempts(*shared);
-        DeliverInvalidationBatch(*shared);
+        DeliverInvalidationBatch(*shared, index);
       },
       [this, shared, gate_released](sim::Network::SendResult result,
                                     Time done_at) {
@@ -240,9 +239,8 @@ void Engine::SendInvalidationBatch(core::InvalidationOutbox::Batch batch) {
 }
 
 void Engine::DeliverInvalidationBatch(
-    const core::InvalidationOutbox::Batch& batch) {
-  const int index = pseudo_of_client_.at(batch.site);
-  PseudoClient& pc = clients_[index];
+    const core::InvalidationOutbox::Batch& batch, int client_index) {
+  PseudoClient& pc = clients_[client_index];
   for (std::size_t i = 0; i < batch.urls.size(); ++i) {
     pc.cache->Erase(http::ComposeCacheKey(batch.urls[i], batch.site));
     ++metrics_.invalidations_delivered;
@@ -267,17 +265,11 @@ void Engine::ResolveBatchFirstAttempts(
 
 void Engine::SendInvalidation(net::Invalidation invalidation,
                               std::uint64_t mod_id) {
-  sim::NodeId target;
   const bool to_parent =
       config_.hierarchical && invalidation.client_id == "parent";
-  if (to_parent) {
-    target = ParentNode();
-  } else {
-    const auto it = pseudo_of_client_.find(invalidation.client_id);
-    WEBCC_CHECK_MSG(it != pseudo_of_client_.end(),
-                    "invalidation for an unknown client");
-    target = clients_[it->second].node;
-  }
+  // The target is resolved once here; delivery reuses the index.
+  const int index = to_parent ? -1 : PseudoOf(invalidation.client_id);
+  const sim::NodeId target = to_parent ? ParentNode() : clients_[index].node;
   const std::uint64_t wire = net::WireSize(invalidation);
 
   // A send that hits a partition is queued for periodic background retry;
@@ -296,7 +288,7 @@ void Engine::SendInvalidation(net::Invalidation invalidation,
   // recovery path revalidates everything.
   net_.SendReliable(
       ServerNode(), target, wire,
-      [this, invalidation, mod_id, gate_released, to_parent] {
+      [this, invalidation, mod_id, gate_released, to_parent, index] {
         if (!gate_released) ResolveFirstAttempt(mod_id);
         if (to_parent) {
           if (invalidation.type == net::MessageType::kInvalidateUrl) {
@@ -309,7 +301,7 @@ void Engine::SendInvalidation(net::Invalidation invalidation,
             ParentDeliverServerNotice(invalidation);
           }
         } else {
-          DeliverInvalidation(invalidation, mod_id);
+          DeliverInvalidation(invalidation, mod_id, index);
         }
       },
       [this, invalidation, mod_id,
@@ -338,9 +330,8 @@ void Engine::SendInvalidation(net::Invalidation invalidation,
 }
 
 void Engine::DeliverInvalidation(const net::Invalidation& invalidation,
-                                 std::uint64_t mod_id) {
-  const int index = pseudo_of_client_.at(invalidation.client_id);
-  PseudoClient& pc = clients_[index];
+                                 std::uint64_t mod_id, int client_index) {
+  PseudoClient& pc = clients_[client_index];
   if (invalidation.type == net::MessageType::kInvalidateUrl) {
     // Deleting (rather than marking) frees cache space for fresh documents —
     // the cache-utilization benefit the paper credits invalidation with.

@@ -98,6 +98,8 @@ class Network {
   void Partition(NodeId a, NodeId b);
   void Heal(NodeId a, NodeId b);
   bool IsPartitioned(NodeId a, NodeId b) const;
+  // True while any link is partitioned.
+  bool HasPartitions() const { return !partitions_.empty(); }
 
   void SetNodeUp(NodeId node, bool up);
   bool IsNodeUp(NodeId node) const;

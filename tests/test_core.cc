@@ -1,8 +1,7 @@
-// Unit tests for core/: adaptive TTL, leases, invalidation table, site
-// registry, accelerator.
+// Unit tests for core/: adaptive TTL, leases, invalidation table,
+// accelerator (including its ever-seen site list).
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <iterator>
 #include <limits>
 #include <set>
@@ -14,7 +13,6 @@
 #include "core/adaptive_ttl.h"
 #include "core/invalidation_table.h"
 #include "core/lease.h"
-#include "core/site_registry.h"
 #include "obs/trace_sink.h"
 
 namespace webcc::core {
@@ -305,42 +303,6 @@ TEST(InvalidationTable, FanOutOrderDeterministic) {
             (std::vector<std::string>{"alpha", "mid", "zeta"}));
 }
 
-// --- site registry ---------------------------------------------------------------------
-
-TEST(SiteRegistry, FirstSightingWritesDisk) {
-  SiteRegistry registry;
-  EXPECT_TRUE(registry.RecordSite("c1"));
-  EXPECT_FALSE(registry.RecordSite("c1"));
-  EXPECT_TRUE(registry.RecordSite("c2"));
-  EXPECT_EQ(registry.disk_writes(), 2u);
-  EXPECT_TRUE(registry.Contains("c1"));
-  EXPECT_FALSE(registry.Contains("c3"));
-}
-
-TEST(SiteRegistry, SaveAndLoadRoundTrip) {
-  SiteRegistry registry;
-  registry.RecordSite("alpha");
-  registry.RecordSite("beta");
-  char path[] = "/tmp/webcc_registry_XXXXXX";
-  const int fd = mkstemp(path);
-  ASSERT_GE(fd, 0);
-  close(fd);
-  ASSERT_TRUE(registry.SaveToFile(path));
-
-  SiteRegistry loaded;
-  loaded.RecordSite("gamma");
-  ASSERT_TRUE(loaded.LoadFromFile(path));
-  EXPECT_TRUE(loaded.Contains("alpha"));
-  EXPECT_TRUE(loaded.Contains("beta"));
-  EXPECT_TRUE(loaded.Contains("gamma"));  // merge, not replace
-  std::remove(path);
-}
-
-TEST(SiteRegistry, LoadMissingFileFails) {
-  SiteRegistry registry;
-  EXPECT_FALSE(registry.LoadFromFile("/nonexistent/webcc"));
-}
-
 // --- accelerator -----------------------------------------------------------------------
 
 class AcceleratorTest : public ::testing::Test {
@@ -367,7 +329,7 @@ TEST_F(AcceleratorTest, RequestRegistersSite) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, net::MessageType::kReply200);
   EXPECT_EQ(accel_.table().ListLength("/a", 10), 1u);
-  EXPECT_TRUE(accel_.registry().Contains("c1"));
+  EXPECT_TRUE(accel_.SiteEverSeen("c1"));
 }
 
 TEST_F(AcceleratorTest, UnknownUrlNotRegistered) {
@@ -435,7 +397,8 @@ TEST_F(AcceleratorTest, CrashLosesTableButNotRegistry) {
   accel_.HandleRequest(Get("/a", "c1"), 0);
   accel_.Crash();
   EXPECT_EQ(accel_.table().TotalEntries(), 0u);
-  EXPECT_TRUE(accel_.registry().Contains("c1"));
+  EXPECT_TRUE(accel_.SiteEverSeen("c1"));
+  EXPECT_FALSE(accel_.SiteEverSeen("c2"));
 }
 
 TEST_F(AcceleratorTest, RecoverNotifiesEverySiteEverSeen) {
@@ -448,6 +411,35 @@ TEST_F(AcceleratorTest, RecoverNotifiesEverySiteEverSeen) {
   EXPECT_EQ(notices[0].server, "srv");
   EXPECT_EQ(notices[0].client_id, "c1");
   EXPECT_EQ(notices[1].client_id, "c2");
+}
+
+TEST_F(AcceleratorTest, TwoTierGetOnlySiteStillHearsRecovery) {
+  // "b-viewer" only ever sent a plain GET under two-tier leases: a
+  // zero-length lease, so it never sat in a site list. It may still cache
+  // the document, so the recovery broadcast must reach it — the requester
+  // is on the ever-seen list before the lease check drops it.
+  LeaseConfig lease;
+  lease.mode = LeaseMode::kTwoTier;
+  lease.duration = 2 * kDay;
+  lease.short_duration = 0;
+  Accelerator accel(docs_, lease, "srv");
+  accel.HandleRequest(Get("/a", "b-viewer"), kHour);
+  net::Request ims = Get("/b", "c-renewer");
+  ims.type = net::MessageType::kIfModifiedSince;
+  accel.HandleRequest(ims, kHour);
+  accel.HandleRequest(Get("/b", "a-viewer"), kHour);
+  EXPECT_EQ(accel.table().TotalEntries(), 1u);  // only the IMS holds a lease
+  EXPECT_TRUE(accel.SiteEverSeen("b-viewer"));
+
+  accel.Crash();
+  std::vector<std::string> sites;
+  for (const net::Invalidation& notice : accel.Recover()) {
+    EXPECT_EQ(notice.type, net::MessageType::kInvalidateServer);
+    sites.push_back(notice.client_id);
+  }
+  // Sorted by name, not in first-sight order.
+  EXPECT_EQ(sites,
+            (std::vector<std::string>{"a-viewer", "b-viewer", "c-renewer"}));
 }
 
 TEST_F(AcceleratorTest, ModificationBeforeFirstRequestThenRequestThenTouch) {

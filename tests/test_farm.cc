@@ -4,6 +4,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/intern.h"
@@ -13,6 +14,7 @@
 #include "replay/farm.h"
 #include "trace/presets.h"
 #include "trace/workload.h"
+#include "util/rng.h"
 
 namespace webcc::replay {
 namespace {
@@ -181,6 +183,65 @@ TEST(Interner, SurvivesIndexRehashAndStorageGrowth) {
     EXPECT_EQ(interner.Find(name), ids[i]);
     EXPECT_EQ(interner.Intern(name), ids[i]);
   }
+}
+
+TEST(Interner, MatchesHashMapOracleOverRandomizedInternAndFind) {
+  // 1.5e5 seeded calls, 1e5 of them Interns, against an unordered_map
+  // oracle. Names
+  // include the empty string and long shared prefixes (equal-length names
+  // that differ only in their last bytes stress the stored-hash compare and
+  // the probe chains). Ids must be dense and in first-sight order, a Find
+  // of an absent name must never grow the table, and a NameOf reference
+  // taken early must survive every later growth.
+  const std::string prefix(200, '/');
+  const auto name_of = [&prefix](std::uint64_t k) {
+    if (k == 0) return std::string();
+    switch (k % 4) {
+      case 0:
+        return prefix + std::to_string(k);
+      case 1:
+        return "/docs/" + std::to_string(k) + ".html";
+      case 2:
+        return std::string(k % 23, 'a') + std::to_string(k);
+      default:
+        return prefix + "site@" + std::to_string(k) + prefix;
+    }
+  };
+  core::Interner interner;
+  std::unordered_map<std::string, core::InternId> oracle;
+  const std::string& first_name = interner.NameOf(interner.Intern("anchor"));
+  oracle.emplace("anchor", 0);
+
+  util::Rng rng(20241017);
+  constexpr int kCalls = 150000;
+  for (int call = 0; call < kCalls; ++call) {
+    const std::string name = name_of(rng.NextBelow(60000));
+    const auto known = oracle.find(name);
+    if (rng.NextBelow(3) == 0) {
+      const std::size_t before = interner.size();
+      const core::InternId found = interner.Find(name);
+      ASSERT_EQ(interner.size(), before);
+      ASSERT_EQ(found,
+                known == oracle.end() ? core::kNoInternId : known->second);
+      continue;
+    }
+    const core::InternId id = interner.Intern(name);
+    if (known == oracle.end()) {
+      ASSERT_EQ(id, oracle.size());  // dense, first-sight order
+      oracle.emplace(name, id);
+    } else {
+      ASSERT_EQ(id, known->second);
+    }
+    ASSERT_EQ(interner.size(), oracle.size());
+  }
+  ASSERT_GT(oracle.size(), 30000u);  // the table grew many times
+  EXPECT_EQ(first_name, "anchor");
+  for (const auto& [name, id] : oracle) {
+    ASSERT_EQ(interner.NameOf(id), name);
+    ASSERT_EQ(interner.Find(name), id);
+  }
+  EXPECT_EQ(interner.Find("never interned"), core::kNoInternId);
+  EXPECT_EQ(interner.size(), oracle.size());
 }
 
 }  // namespace

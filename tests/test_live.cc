@@ -90,22 +90,26 @@ TEST(Socket, IoErrorNames) {
 
 TEST(Socket, WriteAllCompletesLargeFrameAcrossShortWrites) {
   // A frame much larger than the socket buffers forces send() to accept it
-  // in pieces; WriteAll must deliver every byte of the frame anyway.
+  // in pieces; WriteAll must deliver every byte of the frame anyway. The
+  // 16 MB buffer is cut into 64 KiB lines so that the reader stays under
+  // ReadLine's line cap.
   TcpListener listener(0);
   ASSERT_TRUE(listener.valid());
   std::size_t received = 0;
   std::thread reader([&listener, &received] {
     TcpStream stream = listener.Accept();
     if (!stream.valid()) return;
-    const auto line = stream.ReadLine();  // one 16 MB "line"
-    if (line.has_value()) received = line->size();
+    while (const auto line = stream.ReadLine()) received += line->size();
   });
   TcpStream writer = Connect(listener.port());
   ASSERT_TRUE(writer.valid());
   std::string frame(16u << 20, 'x');
-  frame.back() = '\n';
+  for (std::size_t i = (64u << 10) - 1; i < frame.size(); i += 64u << 10) {
+    frame[i] = '\n';
+  }
   EXPECT_TRUE(writer.WriteAll(frame));
   EXPECT_EQ(writer.last_error(), IoError::kNone);
+  writer = TcpStream(Fd());  // orderly close ends the reader's loop
   reader.join();
   listener.Shutdown();
   EXPECT_EQ(received, frame.size());
@@ -218,6 +222,34 @@ TEST(Socket, ReadFromResetPeerClassifiesAsPeerReset) {
     std::this_thread::sleep_for(10ms);
   }
   EXPECT_EQ(error, IoError::kPeerReset);
+  listener.Shutdown();
+}
+
+TEST(Socket, ReadLineFailsAtTheLineCapWithoutGrowingPastIt) {
+  // A peer streams 2 MiB and never sends '\n'. The read must fail once the
+  // buffer holds kMaxLineBytes instead of buffering until the timeout, and
+  // retrying must not read further.
+  TcpListener listener(0);
+  ASSERT_TRUE(listener.valid());
+  TcpStream writer = Connect(listener.port());
+  ASSERT_TRUE(writer.valid());
+  TcpStream reader = listener.Accept();
+  ASSERT_TRUE(reader.valid());
+  reader.SetReadTimeout(5000);
+  writer.SetWriteTimeout(5000);
+  std::thread peer([&writer] {
+    writer.WriteAll(std::string(2 * TcpStream::kMaxLineBytes, 'x'));
+  });
+
+  EXPECT_FALSE(reader.ReadLine().has_value());
+  EXPECT_EQ(reader.last_error(), IoError::kOther);
+  EXPECT_EQ(reader.buffered_bytes(), TcpStream::kMaxLineBytes);
+  EXPECT_FALSE(reader.ReadLine().has_value());
+  EXPECT_EQ(reader.last_error(), IoError::kOther);
+  EXPECT_EQ(reader.buffered_bytes(), TcpStream::kMaxLineBytes);
+
+  reader = TcpStream(Fd());  // close: the blocked writer fails and returns
+  peer.join();
   listener.Shutdown();
 }
 

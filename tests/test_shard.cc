@@ -287,6 +287,52 @@ TEST(ShardedAccelerator, RecoverBroadcastsUnionOfShardRegistries) {
   EXPECT_EQ(drive(8), baseline);
 }
 
+TEST(ShardedAccelerator, RecoverReachesTwoTierGetOnlySitesAtEveryShardCount) {
+  // Sites whose only requests were two-tier GETs hold zero-length leases
+  // and never enter a site list; the INVSRV broadcast still reaches every
+  // one of them, in the same sorted order at 1 and 4 shards.
+  const std::vector<std::string> urls = SampleUrls(24);
+  http::DocumentStore docs;
+  for (const std::string& url : urls) docs.Add(url, 512, 0);
+  core::LeaseConfig lease;
+  lease.mode = core::LeaseMode::kTwoTier;
+  lease.duration = kDay;
+  lease.short_duration = 0;
+
+  const auto drive = [&](std::uint32_t shards) {
+    ShardedAccelerator accel(docs, lease, shards);
+    for (std::size_t i = 0; i < urls.size(); ++i) {
+      net::Request request;
+      request.url = urls[i];
+      // Every third request revalidates (and earns a lease); "get-only-*"
+      // sites never do.
+      const bool ims = i % 3 == 0;
+      request.client_id =
+          (ims ? "renewer-" : "get-only-") + std::to_string(7 - i % 7);
+      request.type = ims ? net::MessageType::kIfModifiedSince
+                         : net::MessageType::kGet;
+      EXPECT_TRUE(accel.HandleRequest(request, kMinute).has_value());
+    }
+    EXPECT_EQ(accel.TotalEntries(), urls.size() / 3);
+    accel.Crash();
+    std::vector<std::string> sites;
+    for (const net::Invalidation& inv : accel.Recover()) {
+      EXPECT_EQ(inv.type, net::MessageType::kInvalidateServer);
+      sites.push_back(inv.client_id);
+    }
+    return sites;
+  };
+
+  const std::vector<std::string> baseline = drive(1);
+  EXPECT_TRUE(std::is_sorted(baseline.begin(), baseline.end()));
+  EXPECT_EQ(std::count_if(baseline.begin(), baseline.end(),
+                          [](const std::string& site) {
+                            return site.rfind("get-only-", 0) == 0;
+                          }),
+            7);
+  EXPECT_EQ(drive(4), baseline);
+}
+
 // --- replay: serialized decision traces invariant across shard counts -------
 
 const trace::Trace& ShardTrace() {
