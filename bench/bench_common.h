@@ -1,20 +1,16 @@
 // Shared plumbing for the table-regeneration benches.
 #pragma once
 
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/consistency/policy.h"
-#include "core/lease.h"
 #include "core/policy.h"
 #include "replay/engine.h"
 #include "replay/experiments.h"
@@ -24,6 +20,7 @@
 #include "trace/summary.h"
 #include "trace/workload.h"
 #include "util/format.h"
+#include "util/mini_json.h"
 
 namespace webcc::bench {
 
@@ -49,85 +46,14 @@ inline const trace::Trace& TraceFor(trace::TraceName name) {
 
 // --- shared BENCH_farm.json maintenance --------------------------------------
 //
-// bench_farm (worker sweep + kernel dispatch) and bench_ablation_decoupled
-// (shard × batching sweep) both record into BENCH_farm.json. Each bench
-// owns one top-level key; writes go through this read-modify-write pair so
-// one bench's run never clobbers the other's results.
-
-// Splits a JSON object's top level into (key, raw value text) pairs,
-// preserving order. Tolerant scanner, not a validator: anything that is not
-// an object (missing file, old single-object layout without the expected
-// keys) comes back empty and the caller starts a fresh object.
-inline std::vector<std::pair<std::string, std::string>> BenchJsonTopLevel(
-    const std::string& text) {
-  std::vector<std::pair<std::string, std::string>> pairs;
-  const std::size_t open = text.find('{');
-  if (open == std::string::npos) return pairs;
-  std::size_t i = open + 1;
-  const auto skip_ws = [&] {
-    while (i < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[i])) != 0) {
-      ++i;
-    }
-  };
-  while (true) {
-    skip_ws();
-    if (i >= text.size() || text[i] == '}') break;
-    if (text[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (text[i] != '"') return {};
-    std::string key;
-    ++i;
-    while (i < text.size() && text[i] != '"') {
-      if (text[i] == '\\' && i + 1 < text.size()) key += text[i++];
-      key += text[i++];
-    }
-    if (i >= text.size()) return {};
-    ++i;  // closing quote
-    skip_ws();
-    if (i >= text.size() || text[i] != ':') return {};
-    ++i;
-    skip_ws();
-    // Raw value: everything up to the next top-level ',' or the closing '}'.
-    const std::size_t value_start = i;
-    int depth = 0;
-    bool in_string = false;
-    for (; i < text.size(); ++i) {
-      const char c = text[i];
-      if (in_string) {
-        if (c == '\\') {
-          ++i;
-        } else if (c == '"') {
-          in_string = false;
-        }
-        continue;
-      }
-      if (c == '"') {
-        in_string = true;
-      } else if (c == '{' || c == '[') {
-        ++depth;
-      } else if (c == '}' || c == ']') {
-        if (depth == 0) break;
-        --depth;
-      } else if (c == ',' && depth == 0) {
-        break;
-      }
-    }
-    std::string value = text.substr(value_start, i - value_start);
-    while (!value.empty() &&
-           std::isspace(static_cast<unsigned char>(value.back())) != 0) {
-      value.pop_back();
-    }
-    pairs.emplace_back(std::move(key), std::move(value));
-  }
-  return pairs;
-}
+// Several benches record into BENCH_farm.json (bench_farm's worker sweep,
+// bench_ablation_decoupled's shard x batching sweep, ...). Each bench owns
+// one object-valued top-level key; writes go through this read-modify-write
+// so one bench's run never clobbers the others' results.
 
 // Replaces (or appends) one top-level key's value in the JSON object at
 // `path`, preserving every other key's raw text, and echoes the written
-// object to stdout.
+// object to stdout. A missing or unparsable file starts a fresh object.
 inline void WriteBenchJsonKey(const std::string& path, const std::string& key,
                               const std::string& value) {
   std::string existing;
@@ -137,8 +63,18 @@ inline void WriteBenchJsonKey(const std::string& path, const std::string& key,
     buffer << in.rdbuf();
     existing = buffer.str();
   }
-  std::vector<std::pair<std::string, std::string>> pairs =
-      BenchJsonTopLevel(existing);
+  std::vector<std::pair<std::string, std::string>> pairs;
+  util::MiniJsonParser parser(existing);
+  bool parsed = parser.Consume('{');
+  while (parsed && !parser.Peek('}')) {
+    std::string member;
+    std::string raw;
+    parsed = (pairs.empty() || parser.Consume(',')) &&
+             parser.ParseString(member) && parser.Consume(':') &&
+             parser.ParseRawValue(raw);
+    if (parsed) pairs.emplace_back(std::move(member), std::move(raw));
+  }
+  if (!parsed) pairs.clear();
   bool replaced = false;
   for (auto& [existing_key, existing_value] : pairs) {
     if (existing_key != key) continue;
@@ -278,84 +214,6 @@ inline void RunAndPrintExperiments(
         all.begin() + static_cast<std::ptrdiff_t>((s + 1) * per_spec));
     PrintReplayTable(specs[s], runs);
   }
-}
-
-// --- kernel-dispatch comparison ----------------------------------------------
-//
-// The consistency refactor replaced engine.cc's inlined per-protocol
-// switches with one virtual call into core::consistency. InlinedOnHit
-// replicates the pre-refactor hit decision exactly (same branches, same
-// results), so timing it against ConsistencyPolicy::OnHit isolates the cost
-// of the strategy indirection on the replay hot path.
-
-inline core::consistency::HitDecision InlinedOnHit(
-    core::Protocol protocol, const core::consistency::EntryMeta& entry,
-    Time now) {
-  using core::consistency::HitAction;
-  switch (protocol) {
-    case core::Protocol::kAdaptiveTtl:
-    case core::Protocol::kPiggybackValidation:
-    case core::Protocol::kPiggybackInvalidation:
-      if (!entry.questionable && now < entry.ttl_expires) {
-        return {HitAction::kServeLocal, false};
-      }
-      return {HitAction::kValidate, false};
-    case core::Protocol::kPollEveryTime:
-      return {HitAction::kValidate, false};
-    case core::Protocol::kInvalidation: {
-      const bool lease_ok = core::LeaseActive(entry.lease_expires, now);
-      if (!entry.questionable && lease_ok) {
-        return {HitAction::kServeLocal, false};
-      }
-      return {HitAction::kValidate, !entry.questionable && !lease_ok};
-    }
-  }
-  return {};
-}
-
-// A deterministic stream of hit decisions with a realistic mix of fresh,
-// TTL-expired, lease-lapsed, and questionable entries across all five
-// protocols.
-struct DispatchWorkload {
-  std::vector<core::consistency::EntryMeta> entries;
-  std::vector<core::Protocol> protocols;
-  std::vector<const core::consistency::ConsistencyPolicy*> policies;
-  std::vector<std::unique_ptr<const core::consistency::ConsistencyPolicy>>
-      owned;
-};
-
-inline DispatchWorkload MakeDispatchWorkload(std::size_t size) {
-  static constexpr core::Protocol kProtocols[] = {
-      core::Protocol::kAdaptiveTtl, core::Protocol::kPollEveryTime,
-      core::Protocol::kInvalidation, core::Protocol::kPiggybackValidation,
-      core::Protocol::kPiggybackInvalidation};
-  DispatchWorkload workload;
-  for (const core::Protocol protocol : kProtocols) {
-    workload.owned.push_back(
-        core::consistency::MakePolicy(protocol, core::AdaptiveTtlConfig{}));
-  }
-  workload.entries.reserve(size);
-  workload.protocols.reserve(size);
-  workload.policies.reserve(size);
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;  // splitmix64 stream
-  for (std::size_t i = 0; i < size; ++i) {
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    core::consistency::EntryMeta entry;
-    entry.ttl_expires = (z & 1) != 0 ? core::consistency::kNeverExpires
-                                     : static_cast<Time>(z % kHour);
-    entry.lease_expires = (z & 2) != 0 ? core::consistency::kNeverExpires
-                                       : static_cast<Time>(z % kDay);
-    entry.questionable = (z & 4) == 0 && (z & 8) == 0;
-    workload.entries.push_back(entry);
-    const std::size_t p = static_cast<std::size_t>(z >> 8) % std::size(kProtocols);
-    workload.protocols.push_back(kProtocols[p]);
-    workload.policies.push_back(workload.owned[p].get());
-  }
-  return workload;
 }
 
 }  // namespace webcc::bench

@@ -1,264 +1,16 @@
 // Regenerates Table 5: invalidation costs for the six replay runs —
 // site-list storage, site-list lengths at modification time, and the time
 // the accelerator spends pushing all invalidations for one modification.
-//
-// Also runs the million-site lease-scale sweep (ROADMAP item 4): registers
-// 10^4/10^5/10^6 leased sites into the timer-wheel-indexed table and into a
-// baseline replicating the pre-wheel layout (per-URL unordered_map site
-// lists, full-scan prune), then drains both through identical prune
-// schedules. Records `prune_ns` and `bytes_per_entry` as top-level
-// BENCH_farm.json keys and fails (exit 1) unless at 10^6 sites the wheel
-// prunes >= 10x faster than the scan and holds fewer bytes per entry.
-// `--scale-only` skips the Table 5 replays (the CI gate runs just the sweep).
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <iterator>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/invalidation_table.h"
-#include "core/lease.h"
-#include "util/check.h"
 
 using namespace webcc;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Scan baseline: the table layout this PR replaced. Per-URL unordered_map
-// site lists keyed on dense ids, pruned by a full scan that visits every
-// entry and erases the lapsed ones in place. Kept here as the bench's
-// control arm; production code routes expiry through core::TimerWheel
-// (the webcc_lint scan-prune rule flags this idiom inside src/).
-struct ScanBaseline {
-  std::unordered_map<core::InternId, std::unordered_map<core::InternId, Time>>
-      lists;
-  std::size_t entries = 0;
-
-  void Restore(core::InternId url, core::InternId site, Time lease_until) {
-    auto [it, inserted] = lists[url].emplace(site, lease_until);
-    if (inserted) {
-      ++entries;
-    } else if (it->second != net::kNoLease && lease_until > it->second) {
-      it->second = lease_until;  // refresh, never shorten
-    }
-  }
-
-  std::size_t Prune(Time now) {
-    std::size_t pruned = 0;
-    for (auto url_it = lists.begin(); url_it != lists.end();) {
-      auto& list = url_it->second;
-      for (auto it = list.begin(); it != list.end();) {
-        if (core::LeaseActive(it->second, now)) {
-          ++it;
-        } else {
-          it = list.erase(it);
-          ++pruned;
-          --entries;
-        }
-      }
-      url_it = list.empty() ? lists.erase(url_it) : std::next(url_it);
-    }
-    return pruned;
-  }
-
-  // Analytic heap model for the node-based layout: each inner entry is a
-  // 24-byte hash node (next pointer + padded (id, lease) pair) that malloc
-  // rounds up to a 32-byte chunk, plus the live bucket arrays and a 64-byte
-  // outer node (link + key + inner-map header) per URL.
-  std::uint64_t MemoryFootprintBytes() const {
-    std::uint64_t bytes = lists.bucket_count() * 8;
-    for (const auto& [url, list] : lists) {
-      bytes += 64 + list.bucket_count() * 8 +
-               static_cast<std::uint64_t>(list.size()) * 32;
-    }
-    return bytes;
-  }
-};
-
-std::uint64_t SplitMix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-struct ScaleResult {
-  std::size_t sites = 0;
-  std::uint64_t wheel_prune_ns = 0;
-  std::uint64_t scan_prune_ns = 0;
-  double wheel_bytes_per_entry = 0.0;
-  double scan_bytes_per_entry = 0.0;
-
-  double speedup() const {
-    return wheel_prune_ns == 0
-               ? 0.0
-               : static_cast<double>(scan_prune_ns) /
-                     static_cast<double>(wheel_prune_ns);
-  }
-};
-
-constexpr int kPruneSteps = 64;
-
-ScaleResult RunScale(std::size_t n_sites) {
-  using Clock = std::chrono::steady_clock;
-  const std::size_t n_urls = n_sites < 1000 ? 1 : n_sites / 1000;
-
-  core::LeaseConfig lease;
-  lease.mode = core::LeaseMode::kFixed;
-  lease.duration = kHour;
-  core::InvalidationTable table(lease);
-  ScanBaseline baseline;
-
-  // One unique site per entry, ~1000 sites per URL, expiries spread
-  // uniformly over one lease span so every prune step retires a slice.
-  std::uint64_t rng = 0x5eed;
-  std::string url;
-  std::string site;
-  for (std::size_t i = 0; i < n_sites; ++i) {
-    const std::size_t url_index = i % n_urls;
-    url = "/doc/";
-    url += std::to_string(url_index);
-    site = "site";
-    site += std::to_string(i);
-    const Time expiry =
-        kMinute + static_cast<Time>(SplitMix64(rng) % static_cast<std::uint64_t>(kHour));
-    table.Restore(url, site, expiry, /*now=*/0);
-    baseline.Restore(static_cast<core::InternId>(url_index),
-                     static_cast<core::InternId>(i), expiry);
-  }
-  WEBCC_CHECK(table.TotalEntries() == n_sites);
-  WEBCC_CHECK(baseline.entries == n_sites);
-
-  ScaleResult result;
-  result.sites = n_sites;
-  result.wheel_bytes_per_entry =
-      static_cast<double>(table.MemoryFootprintBytes()) /
-      static_cast<double>(n_sites);
-  result.scan_bytes_per_entry =
-      static_cast<double>(baseline.MemoryFootprintBytes()) /
-      static_cast<double>(n_sites);
-
-  // Identical prune schedules: kPruneSteps checkpoints spread over the
-  // lease span, the last one past every expiry so both drains end empty.
-  std::size_t wheel_pruned = 0;
-  std::size_t scan_pruned = 0;
-  {
-    const auto start = Clock::now();
-    for (int k = 1; k <= kPruneSteps; ++k) {
-      wheel_pruned += table.PruneExpired(kMinute + (k * kHour) / kPruneSteps);
-    }
-    result.wheel_prune_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             start)
-            .count());
-  }
-  {
-    const auto start = Clock::now();
-    for (int k = 1; k <= kPruneSteps; ++k) {
-      scan_pruned += baseline.Prune(kMinute + (k * kHour) / kPruneSteps);
-    }
-    result.scan_prune_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             start)
-            .count());
-  }
-  WEBCC_CHECK(wheel_pruned == n_sites && table.TotalEntries() == 0);
-  WEBCC_CHECK(scan_pruned == n_sites && baseline.entries == 0);
-  WEBCC_CHECK(table.leases_expired() == n_sites);
-  return result;
-}
-
-// Runs the sweep, prints the comparison table, writes the `prune_ns` and
-// `bytes_per_entry` keys, and returns whether both 10^6 gates hold.
-bool RunLeaseScaleSweep() {
-  std::printf("=== Lease-scale sweep: timer-wheel prune vs full scan ===\n\n");
-
-  const std::size_t kScales[] = {10'000, 100'000, 1'000'000};
-  std::vector<ScaleResult> results;
-  for (const std::size_t n : kScales) results.push_back(RunScale(n));
-
-  stats::Table table({"Sites", "Wheel prune", "Scan prune", "Speedup",
-                      "Wheel B/entry", "Scan B/entry"});
-  for (const ScaleResult& r : results) {
-    table.AddRow({util::WithCommas(static_cast<std::int64_t>(r.sites)),
-                  util::Fixed(static_cast<double>(r.wheel_prune_ns) / 1e6, 2) +
-                      " ms",
-                  util::Fixed(static_cast<double>(r.scan_prune_ns) / 1e6, 2) +
-                      " ms",
-                  util::Fixed(r.speedup(), 1) + "x",
-                  util::Fixed(r.wheel_bytes_per_entry, 1),
-                  util::Fixed(r.scan_bytes_per_entry, 1)});
-  }
-  std::printf("%s\n", table.Render().c_str());
-
-  const ScaleResult& top = results.back();
-  const bool speed_pass = top.speedup() >= 10.0;
-  const bool bytes_pass = top.wheel_bytes_per_entry < top.scan_bytes_per_entry;
-  std::printf(
-      "gate @ 10^6 sites: speedup %.1fx (need >= 10x) %s, bytes/entry "
-      "%.1f wheel vs %.1f scan %s\n\n",
-      top.speedup(), speed_pass ? "PASS" : "FAIL", top.wheel_bytes_per_entry,
-      top.scan_bytes_per_entry, bytes_pass ? "PASS" : "FAIL");
-
-  const auto scale_json = [&](auto per_scale) {
-    std::string json = "[";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (i) json += ", ";
-      json += per_scale(results[i]);
-    }
-    json += "]";
-    return json;
-  };
-
-  std::string prune_json = "{\"prune_steps\": ";
-  prune_json += std::to_string(kPruneSteps);
-  prune_json += ", \"scales\": ";
-  prune_json += scale_json([](const ScaleResult& r) {
-    std::string s = "{\"sites\": ";
-    s += std::to_string(r.sites);
-    s += ", \"wheel_ns\": ";
-    s += std::to_string(r.wheel_prune_ns);
-    s += ", \"scan_ns\": ";
-    s += std::to_string(r.scan_prune_ns);
-    s += ", \"speedup\": ";
-    s += util::Fixed(r.speedup(), 2);
-    s += "}";
-    return s;
-  });
-  prune_json += ", \"speedup_at_1e6\": ";
-  prune_json += util::Fixed(top.speedup(), 2);
-  prune_json += ", \"min_speedup_required\": 10.0, \"pass\": ";
-  prune_json += speed_pass ? "true" : "false";
-  prune_json += "}";
-  bench::WriteBenchJsonKey("BENCH_farm.json", "prune_ns", prune_json);
-
-  std::string bytes_json = "{\"scales\": ";
-  bytes_json += scale_json([](const ScaleResult& r) {
-    std::string s = "{\"sites\": ";
-    s += std::to_string(r.sites);
-    s += ", \"wheel\": ";
-    s += util::Fixed(r.wheel_bytes_per_entry, 2);
-    s += ", \"scan\": ";
-    s += util::Fixed(r.scan_bytes_per_entry, 2);
-    s += "}";
-    return s;
-  });
-  bytes_json += ", \"wheel_at_1e6\": ";
-  bytes_json += util::Fixed(top.wheel_bytes_per_entry, 2);
-  bytes_json += ", \"scan_at_1e6\": ";
-  bytes_json += util::Fixed(top.scan_bytes_per_entry, 2);
-  bytes_json += ", \"pass\": ";
-  bytes_json += bytes_pass ? "true" : "false";
-  bytes_json += "}";
-  bench::WriteBenchJsonKey("BENCH_farm.json", "bytes_per_entry", bytes_json);
-
-  return speed_pass && bytes_pass;
-}
 
 void PrintTable5() {
   std::printf("=== Table 5: invalidation costs ===\n\n");
@@ -328,10 +80,7 @@ void PrintTable5() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool scale_only =
-      argc > 1 && std::strcmp(argv[1], "--scale-only") == 0;
-  if (!scale_only) PrintTable5();
-  const bool pass = RunLeaseScaleSweep();
-  return pass ? 0 : 1;
+int main() {
+  PrintTable5();
+  return 0;
 }

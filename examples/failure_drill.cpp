@@ -12,6 +12,7 @@
 // corresponding write has not yet completed.
 #include <cstdio>
 
+#include "fault/plan.h"
 #include "replay/engine.h"
 #include "stats/table.h"
 #include "trace/workload.h"
@@ -32,8 +33,21 @@ trace::Trace MakeTrace() {
   return trace::GenerateTrace(workload);
 }
 
+// A one-event fault plan: `kind` hits `target` over [at, until).
+fault::FaultPlan OneFault(fault::FaultKind kind, int target, Time at,
+                          Time until) {
+  fault::FaultEvent event;
+  event.at = at;
+  event.kind = kind;
+  event.target = target;
+  event.duration = until - at;
+  fault::FaultPlan plan;
+  plan.events.push_back(event);
+  return plan;
+}
+
 replay::ReplayMetrics Run(const trace::Trace& trace,
-                          std::vector<replay::FailureEvent> failures) {
+                          const fault::FaultPlan& plan) {
   replay::ReplayConfig config;
   config.protocol = core::Protocol::kInvalidation;
   config.trace = &trace;
@@ -42,7 +56,7 @@ replay::ReplayMetrics Run(const trace::Trace& trace,
   // This drill demonstrates the paper's blanket INVSRV recovery broadcast;
   // the journaled (targeted) flavour is exercised by `ctest -L fault`.
   config.journaled_recovery = false;
-  config.failures = std::move(failures);
+  config.fault_plan = &plan;
   return replay::RunReplay(config);
 }
 
@@ -54,26 +68,23 @@ int main() {
 
   struct Scenario {
     const char* name;
-    std::vector<replay::FailureEvent> failures;
+    fault::FaultPlan plan;
   };
   const Scenario scenarios[] = {
       {"baseline (no failures)", {}},
       {"proxy crash + recovery",
-       {{quarter, replay::FailureKind::kProxyCrash, 0},
-        {2 * quarter, replay::FailureKind::kProxyRecover, 0}}},
+       OneFault(fault::FaultKind::kProxyCrash, 0, quarter, 2 * quarter)},
       {"server crash + recovery",
-       {{quarter, replay::FailureKind::kServerCrash, 0},
-        {2 * quarter, replay::FailureKind::kServerRecover, 0}}},
-      {"partition + heal",
-       {{quarter, replay::FailureKind::kPartition, 1},
-        {quarter + 30 * kMinute, replay::FailureKind::kHeal, 1}}},
+       OneFault(fault::FaultKind::kServerCrash, -1, quarter, 2 * quarter)},
+      {"partition + heal", OneFault(fault::FaultKind::kPartition, 1, quarter,
+                                    quarter + 30 * kMinute)},
   };
 
   stats::Table table({"Scenario", "Served", "Skipped", "Timeouts",
                       "Inval sent", "Refused", "INVSRV", "Stale(in-flight)",
                       "VIOLATIONS"});
   for (const Scenario& scenario : scenarios) {
-    const replay::ReplayMetrics metrics = Run(trace, scenario.failures);
+    const replay::ReplayMetrics metrics = Run(trace, scenario.plan);
     table.AddRow(
         {scenario.name,
          util::WithCommas(static_cast<std::int64_t>(

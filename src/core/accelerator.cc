@@ -125,24 +125,6 @@ std::vector<std::string_view> Accelerator::SitesEverSeen() const {
   return names;
 }
 
-std::vector<net::Invalidation> Accelerator::Recover() {
-  const std::vector<std::string_view> sites = SitesEverSeen();
-  std::vector<net::Invalidation> out;
-  out.reserve(sites.size());
-  for (const std::string_view site : sites) {
-    net::Invalidation inv;
-    inv.type = net::MessageType::kInvalidateServer;
-    inv.server = server_name_;
-    inv.client_id = site;
-    inv.recovery = true;
-    obs::Emit(trace_sink_, {.type = obs::EventType::kInvalidateServer,
-                            .site = inv.client_id,
-                            .label = server_name_});
-    out.push_back(std::move(inv));
-  }
-  return out;
-}
-
 Accelerator::RebuildOutcome Accelerator::RebuildFromJournal(Time now) {
   RebuildOutcome outcome;
   const SiteJournal::ReplayResult replayed = journal_.Replay();
@@ -197,37 +179,6 @@ std::vector<std::string> Accelerator::JournaledUrls() const {
   }
   std::sort(urls.begin(), urls.end());
   return urls;
-}
-
-Accelerator::RecoveryOutcome Accelerator::RecoverFromJournal(Time now) {
-  RecoveryOutcome outcome;
-  const RebuildOutcome rebuilt = RebuildFromJournal(now);
-  outcome.journal_damaged = rebuilt.journal_damaged;
-  outcome.records_applied = rebuilt.records_applied;
-  outcome.records_rejected = rebuilt.records_rejected;
-  outcome.entries_restored = rebuilt.entries_restored;
-
-  if (outcome.journal_damaged) {
-    // History after the damage point is unknowable; fall back to the
-    // paper's blanket recovery broadcast (mark everything questionable).
-    outcome.invalidations = Recover();
-    return outcome;
-  }
-
-  // Intact journal: only documents whose store version advanced while the
-  // server was down need (targeted) invalidations.
-  for (const std::string& url : JournaledUrls()) {
-    const http::Document* doc = store_->Find(url);
-    if (doc == nullptr || doc->version == PinOf(table_.FindUrl(url)).version) {
-      continue;
-    }
-    std::vector<net::Invalidation> changed = DetectAndInvalidate(url, now);
-    for (net::Invalidation& inv : changed) {
-      inv.recovery = true;
-      outcome.invalidations.push_back(std::move(inv));
-    }
-  }
-  return outcome;
 }
 
 void Accelerator::ExportMetrics(obs::MetricsRegistry& registry,

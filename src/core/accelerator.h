@@ -47,12 +47,8 @@ struct AcceleratorStats {
 
 class Accelerator {
  public:
-  Accelerator(const http::DocumentStore& store, LeaseConfig lease,
-              std::string server_name = "origin")
-      : origin_(store),
-        store_(&store),
-        table_(lease),
-        server_name_(std::move(server_name)) {}
+  Accelerator(const http::DocumentStore& store, LeaseConfig lease)
+      : origin_(store), store_(&store), table_(lease) {}
 
   // Serves a GET/IMS at protocol time `now`: answers from the origin,
   // registers the requesting site, and stamps the granted lease into the
@@ -77,10 +73,9 @@ class Accelerator {
   // ever-seen site list and the write-ahead journal survive.
   void Crash();
 
-  // Recovery: one server-address INVALIDATE per site ever seen, telling each
-  // to mark this server's documents questionable. The pre-journal fallback,
-  // and what journal recovery degrades to when the journal is damaged.
-  std::vector<net::Invalidation> Recover();
+  // Recovery itself (the INVSRV broadcast, or phase 2 of journal recovery)
+  // lives in ShardedAccelerator, which sequences it across shards, a
+  // single shard included.
 
   // The paper's ever-seen list: every site this accelerator has served,
   // zero-length two-tier leases included. It is the table's site interner,
@@ -94,40 +89,22 @@ class Accelerator {
 
   // --- write-ahead journal (Section 4's persistent site lists) -------------
   // When enabled, every registration / invalidation / version pin is
-  // journaled append-before-act, so RecoverFromJournal can rebuild the
+  // journaled append-before-act, so RebuildFromJournal can rebuild the
   // exact table instead of broadcasting.
   void EnableJournal(bool enabled) { journal_enabled_ = enabled; }
   bool journal_enabled() const { return journal_enabled_; }
   SiteJournal& journal() { return journal_; }
   const SiteJournal& journal() const { return journal_; }
 
-  struct RecoveryOutcome {
-    // What to send: targeted kInvalidateUrl messages for documents that
-    // changed while the server was down (journal intact), or the kRecover
-    // style kInvalidateServer broadcast (journal damaged). All carry
-    // recovery = true.
-    std::vector<net::Invalidation> invalidations;
-    bool journal_damaged = false;
-    std::size_t records_applied = 0;
-    std::size_t records_rejected = 0;
-    std::size_t entries_restored = 0;  // live site-list entries rebuilt
-  };
-
-  // Rebuilds the invalidation table and version baselines from the journal
-  // (call after Crash()). Intact journal: the table is restored exactly and
-  // only documents whose store version advanced past the journaled baseline
-  // produce (targeted) invalidations. Damaged journal: the valid prefix is
-  // restored — a conservative superset, since replaying fewer 'I' records
-  // can only leave extra entries — and the outcome carries the full
-  // server-address broadcast. Finally the journal is compacted to a
-  // snapshot of the restored state.
-  RecoveryOutcome RecoverFromJournal(Time now);
-
-  // Phase 1 of RecoverFromJournal on its own: replays the journal into the
-  // table and version baselines and compacts it, emitting no events and
-  // producing no invalidations. The sharded accelerator rebuilds every
-  // shard through this, then runs phase 2 (targeted invalidations via
-  // CheckDocument) across shards in global URL order so the recovery
+  // Phase 1 of journal recovery (call after Crash()): replays the journal
+  // into the table and version baselines and compacts it to a snapshot of
+  // the restored state, emitting no events and producing no invalidations.
+  // Intact journal: the table is restored exactly. Damaged journal: the
+  // valid prefix is restored — a conservative superset, since replaying
+  // fewer 'I' records can only leave extra entries. The sharded
+  // accelerator rebuilds every shard through this, then runs phase 2
+  // (targeted invalidations via CheckDocument, or the broadcast when any
+  // journal is damaged) across shards in global URL order so the recovery
   // stream is identical at any shard count.
   struct RebuildOutcome {
     bool journal_damaged = false;
@@ -143,12 +120,11 @@ class Accelerator {
   InvalidationTable& table() { return table_; }
   const InvalidationTable& table() const { return table_; }
   const AcceleratorStats& stats() const { return stats_; }
-  const std::string& server_name() const { return server_name_; }
 
   // Optional tracing: lease grants (kLeaseGrant, detail = expiry),
-  // modification detection (kInvalidateGenerated per INVALIDATE produced),
-  // check-ins (kNotify) and recovery broadcasts (kInvalidateServer). The
-  // sink also propagates to the invalidation table (lease expiries).
+  // modification detection (kInvalidateGenerated per INVALIDATE produced)
+  // and check-ins (kNotify). The sink also propagates to the invalidation
+  // table (lease expiries).
   void set_trace_sink(obs::TraceSink* sink) {
     trace_sink_ = sink;
     table_.set_trace_sink(sink);
@@ -182,7 +158,6 @@ class Accelerator {
   InvalidationTable table_;
   // Indexed by the table's url id.
   std::vector<VersionPin> last_seen_version_;
-  std::string server_name_;
   AcceleratorStats stats_;
   SiteJournal journal_;
   bool journal_enabled_ = false;

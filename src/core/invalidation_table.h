@@ -158,8 +158,9 @@ class InvalidationTable {
   // measured counterpart.
   std::uint64_t StorageBytes() const;
   // Measured bytes actually held by the compact lists and the timer wheel
-  // (capacity, not live count). The lease-scale bench divides this by
-  // TotalEntries() for its bytes_per_entry gate.
+  // (capacity, not live count). At 10^5 sites, ~1000 per URL, it stays
+  // under the 40.95 bytes per entry of the node-based layout it replaced
+  // (InvalidationTable.LeaseScaleLayoutHoldsAtMost40BytesPerEntry).
   std::uint64_t MemoryFootprintBytes() const;
 
   // --- expiry/renewal accounting (DESIGN §8 reconciliation) ---------------

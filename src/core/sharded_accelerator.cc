@@ -12,8 +12,7 @@ ShardedAccelerator::ShardedAccelerator(const http::DocumentStore& store,
     : ring_(num_shards), server_name_(std::move(server_name)) {
   shards_.reserve(num_shards);
   for (std::uint32_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(
-        std::make_unique<Accelerator>(store, lease, server_name_));
+    shards_.push_back(std::make_unique<Accelerator>(store, lease));
   }
 }
 

@@ -68,7 +68,7 @@ class ShardedAccelerator {
 
   // Server-address broadcast over the union of the shards' ever-seen site
   // lists, deduplicated and sorted — the same site set (and emission order)
-  // the unsharded accelerator would produce.
+  // at every shard count.
   std::vector<net::Invalidation> Recover();
 
   void EnableJournal(bool enabled);

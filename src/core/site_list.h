@@ -126,7 +126,7 @@ class CompactSiteList {
   }
 
   // Actual bytes held by the two slot arrays — the measured (not modeled)
-  // footprint the lease-scale bench reports as bytes_per_entry.
+  // footprint InvalidationTable::MemoryFootprintBytes sums over its lists.
   std::uint64_t MemoryFootprintBytes() const {
     return static_cast<std::uint64_t>(capacity_) *
            (sizeof(InternId) + sizeof(Time));

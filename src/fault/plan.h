@@ -4,10 +4,11 @@
 // A FaultPlan is a list of timed events on the trace clock — crash/restart
 // of a proxy or the server, timed partitions, and link-fault windows during
 // which messages on chosen site pairs are dropped, duplicated, or delayed
-// with configured probabilities. Plans are pure data: the replay engine
-// expands crash/partition events onto its existing FailureEvent machinery,
-// and hands link-fault windows to a FaultClock (clock.h) whose seeded RNG
-// makes every perturbation decision reproducible bit-for-bit.
+// with configured probabilities. Plans are pure data and the replay's only
+// failure input: the engine expands each crash/partition event into an
+// onset and a recovery step, and hands link-fault windows to a FaultClock
+// (clock.h) whose seeded RNG makes every perturbation decision
+// reproducible bit-for-bit.
 //
 // Plans round-trip through a small JSON dialect (times in seconds, the
 // subset this file's parser accepts is exactly what ToJson emits), so the

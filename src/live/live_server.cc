@@ -108,48 +108,37 @@ std::size_t LiveServer::Recover() {
 
 std::size_t LiveServer::PushInvalidations(
     const std::vector<net::Invalidation>& invalidations) {
-  // One wire frame per push. Batching folds every kInvalidateUrl bound for
-  // the same proxy into a single INVB frame (first-appearance order);
-  // server-address recovery notices always travel alone. All counters and
-  // failure events stay per-URL so observable behavior matches the
-  // unbatched path frame-for-URL.
+  // One wire frame per push: every kInvalidateUrl bound for the same proxy
+  // folds into a single INVB frame (first-appearance order); server-address
+  // recovery notices always travel alone. All counters and failure events
+  // stay per-URL, so only the frame count shows the batching.
   struct Frame {
     std::string client_id;
     std::string line;
     // URLs the frame carries, for per-URL accounting; a server-address
-    // notice contributes one empty entry (its INVSRV line has no URL),
-    // matching the unbatched path's empty invalidation.url.
+    // notice contributes one empty entry (its INVSRV line has no URL).
     std::vector<std::string> urls;
   };
   std::vector<Frame> frames;
-  if (options_.batch_invalidations) {
-    std::unordered_map<std::string, std::size_t> frame_of_site;
-    for (const net::Invalidation& invalidation : invalidations) {
-      if (invalidation.type != net::MessageType::kInvalidateUrl) {
-        frames.push_back(Frame{invalidation.client_id,
-                               net::EncodeLine(invalidation),
-                               {std::string()}});
-        continue;
-      }
-      const auto [it, inserted] =
-          frame_of_site.try_emplace(invalidation.client_id, frames.size());
-      if (inserted) {
-        frames.push_back(Frame{invalidation.client_id, {}, {}});
-      }
-      frames[it->second].urls.push_back(invalidation.url);
-    }
-    for (Frame& frame : frames) {
-      if (!frame.line.empty()) continue;  // already-encoded INVSRV
-      frame.line = net::EncodeLine(
-          net::Message(net::BatchInvalidation{frame.client_id, frame.urls}));
-    }
-  } else {
-    for (const net::Invalidation& invalidation : invalidations) {
-      std::vector<std::string> urls;
-      urls.push_back(invalidation.url);
+  std::unordered_map<std::string, std::size_t> frame_of_site;
+  for (const net::Invalidation& invalidation : invalidations) {
+    if (invalidation.type != net::MessageType::kInvalidateUrl) {
       frames.push_back(Frame{invalidation.client_id,
-                             net::EncodeLine(invalidation), std::move(urls)});
+                             net::EncodeLine(invalidation),
+                             {std::string()}});
+      continue;
     }
+    const auto [it, inserted] =
+        frame_of_site.try_emplace(invalidation.client_id, frames.size());
+    if (inserted) {
+      frames.push_back(Frame{invalidation.client_id, {}, {}});
+    }
+    frames[it->second].urls.push_back(invalidation.url);
+  }
+  for (Frame& frame : frames) {
+    if (!frame.line.empty()) continue;  // already-encoded INVSRV
+    frame.line = net::EncodeLine(
+        net::Message(net::BatchInvalidation{frame.client_id, frame.urls}));
   }
 
   std::size_t pushed = 0;

@@ -55,11 +55,6 @@ class LiveServer {
     // push stream is shard-invariant; shards only change which internal
     // table a URL lives in and which journal records it on recovery.
     std::uint32_t shards = 1;
-    // Group same-proxy URL invalidations from one check-in into a single
-    // INVB wire frame. Per-URL delivery events and counters are unchanged;
-    // only the frame count differs. Server-address (recovery) notices are
-    // never batched.
-    bool batch_invalidations = true;
     // INVALIDATE push delivery policy: a push that times out (the proxy is
     // alive but stalled) is retried up to push_retries times with linear
     // backoff; a refused connection (proxy down) is never retried — the

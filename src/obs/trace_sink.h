@@ -3,8 +3,8 @@
 // The tracing layer is opt-in and pointer-gated: every instrumented
 // component holds a `TraceSink*` that defaults to nullptr, and each emit
 // site is a branch-on-null (`obs::Emit(sink_, ...)`). With tracing off the
-// whole subsystem costs one predictable untaken branch per event site —
-// measured <5% on bench_micro's replay throughput (BENCH_farm.json).
+// whole subsystem costs one predictable untaken branch per event site; the
+// cost of tracing on is the benchmark's obs.trace_overhead_pct.
 //
 // Two concrete sinks:
 //  * JsonlTraceSink — serializes each event as one JSON line. URLs and site

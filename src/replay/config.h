@@ -46,23 +46,6 @@ struct ClientCosts {
   Time request_timeout = 10 * kMinute;
 };
 
-// Failure injection, keyed by trace time; each event fires at the start of
-// the first lock-step interval covering it.
-enum class FailureKind {
-  kProxyCrash,    // target = pseudo-client index; cache survives on disk
-  kProxyRecover,  // proxy marks all entries questionable
-  kServerCrash,   // accelerator loses its in-memory tables
-  kServerRecover, // server sends INVSRV to every site ever seen
-  kPartition,     // target pseudo-client <-> server link cut
-  kHeal,
-};
-
-struct FailureEvent {
-  Time trace_time = 0;
-  FailureKind kind = FailureKind::kProxyCrash;
-  int target = 0;  // pseudo-client index; ignored for server events
-};
-
 struct ReplayConfig {
   core::Protocol protocol = core::Protocol::kInvalidation;
 
@@ -155,13 +138,13 @@ struct ReplayConfig {
 
   Time lockstep_interval = 5 * kMinute;
 
-  std::vector<FailureEvent> failures;
-
   // --- fault injection (src/fault/) ----------------------------------------
-  // A declarative fault plan (non-owning; must outlive the run). Crash and
-  // partition events are expanded onto `failures`; link-fault windows drive
-  // a seeded FaultClock installed on the sim network, so the whole scenario
-  // replays bit-identically for a given (plan, fault_seed).
+  // A declarative fault plan (non-owning; must outlive the run), the only
+  // failure input. Each crash or partition event becomes an onset and a
+  // recovery, keyed by trace time, that fire at the start of the first
+  // lock-step interval covering them; link-fault windows drive a seeded
+  // FaultClock installed on the sim network, so the whole scenario replays
+  // bit-identically for a given (plan, fault_seed).
   const fault::FaultPlan* fault_plan = nullptr;
   std::uint64_t fault_seed = 0;
 

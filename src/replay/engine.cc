@@ -107,13 +107,18 @@ void Engine::Setup() {
     modifications_ = trace::GenerateModifierSchedule(mod_config);
   }
 
-  failures_ = config_.failures;
   if (config_.fault_plan != nullptr) {
     // Expand the declarative plan: crash and partition events become
-    // FailureEvent pairs (onset + recovery) on the existing failure path;
-    // link-fault windows go to the FaultClock below.
+    // FailureStep pairs (onset + recovery); link-fault windows go to the
+    // FaultClock below.
     fault::FaultPlan plan = *config_.fault_plan;
     fault::Canonicalize(plan);
+    const auto add_steps = [this](const fault::FaultEvent& event,
+                                  int target) {
+      failures_.push_back({event.at, event.kind, /*onset=*/true, target});
+      failures_.push_back(
+          {event.at + event.duration, event.kind, /*onset=*/false, target});
+    };
     bool has_link_faults = false;
     for (const fault::FaultEvent& event : plan.events) {
       switch (event.kind) {
@@ -122,16 +127,11 @@ void Engine::Setup() {
               event.target >= 0 &&
                   event.target < static_cast<int>(config_.num_pseudo_clients),
               "fault plan proxy_crash target out of range");
-          failures_.push_back(
-              {event.at, FailureKind::kProxyCrash, event.target});
-          failures_.push_back({event.at + event.duration,
-                               FailureKind::kProxyRecover, event.target});
+          add_steps(event, event.target);
           break;
         }
         case fault::FaultKind::kServerCrash:
-          failures_.push_back({event.at, FailureKind::kServerCrash, 0});
-          failures_.push_back(
-              {event.at + event.duration, FailureKind::kServerRecover, 0});
+          add_steps(event, 0);
           break;
         case fault::FaultKind::kPartition: {
           const int first = event.target < 0 ? 0 : event.target;
@@ -142,9 +142,7 @@ void Engine::Setup() {
               last <= static_cast<int>(config_.num_pseudo_clients),
               "fault plan partition target out of range");
           for (int target = first; target < last; ++target) {
-            failures_.push_back({event.at, FailureKind::kPartition, target});
-            failures_.push_back(
-                {event.at + event.duration, FailureKind::kHeal, target});
+            add_steps(event, target);
           }
           break;
         }
@@ -164,15 +162,15 @@ void Engine::Setup() {
     }
   }
   std::stable_sort(failures_.begin(), failures_.end(),
-                   [](const FailureEvent& a, const FailureEvent& b) {
+                   [](const FailureStep& a, const FailureStep& b) {
                      return a.trace_time < b.trace_time;
                    });
   // Write-ahead journaling has a per-request cost, so it is armed only when
   // a server crash is actually scheduled (and targeted recovery requested).
   if (config_.journaled_recovery && InvalidationMode() &&
       std::any_of(failures_.begin(), failures_.end(),
-                  [](const FailureEvent& event) {
-                    return event.kind == FailureKind::kServerCrash;
+                  [](const FailureStep& step) {
+                    return step.kind == fault::FaultKind::kServerCrash;
                   })) {
     accel_.EnableJournal(true);
   }
@@ -346,58 +344,45 @@ void Engine::ParticipantDone() {
   }
 }
 
-void Engine::ApplyFailure(const FailureEvent& event) {
-  switch (event.kind) {
-    case FailureKind::kProxyCrash: {
-      PseudoClient& pc = clients_.at(event.target);
-      pc.down = true;
-      net_.SetNodeUp(pc.node, false);
-      obs::Emit(sink_, {.type = obs::EventType::kNodeCrash,
-                        .at = sim_.now(),
-                        .trace_time = event.trace_time,
-                        .site = proxy_site_names_[event.target]});
-      break;
-    }
-    case FailureKind::kProxyRecover: {
-      PseudoClient& pc = clients_.at(event.target);
-      pc.down = false;
-      net_.SetNodeUp(pc.node, true);
+void Engine::ApplyFailure(const FailureStep& step) {
+  const obs::EventType event_type =
+      step.onset ? obs::EventType::kNodeCrash : obs::EventType::kNodeRestart;
+  switch (step.kind) {
+    case fault::FaultKind::kProxyCrash: {
+      PseudoClient& pc = clients_.at(step.target);
+      pc.down = step.onset;
+      net_.SetNodeUp(pc.node, !step.onset);
       // The recovering proxy may have missed invalidations: everything it
       // holds must be revalidated before it can be served again.
-      pc.cache->MarkAllQuestionable();
-      obs::Emit(sink_, {.type = obs::EventType::kNodeRestart,
+      if (!step.onset) pc.cache->MarkAllQuestionable();
+      obs::Emit(sink_, {.type = event_type,
                         .at = sim_.now(),
-                        .trace_time = event.trace_time,
-                        .site = proxy_site_names_[event.target]});
+                        .trace_time = step.trace_time,
+                        .site = proxy_site_names_[step.target]});
       break;
     }
-    case FailureKind::kServerCrash:
-      server_down_ = true;
-      net_.SetNodeUp(ServerNode(), false);
-      if (InvalidationMode()) {
+    case fault::FaultKind::kServerCrash:
+      server_down_ = step.onset;
+      net_.SetNodeUp(ServerNode(), !step.onset);
+      if (step.onset && InvalidationMode()) {
         accel_.Crash();
         write_gap_active_ = true;
       }
-      obs::Emit(sink_, {.type = obs::EventType::kNodeCrash,
+      obs::Emit(sink_, {.type = event_type,
                         .at = sim_.now(),
-                        .trace_time = event.trace_time,
+                        .trace_time = step.trace_time,
                         .site = "server"});
+      if (!step.onset && InvalidationMode()) ServerRecover(step.trace_time);
       break;
-    case FailureKind::kServerRecover:
-      server_down_ = false;
-      net_.SetNodeUp(ServerNode(), true);
-      obs::Emit(sink_, {.type = obs::EventType::kNodeRestart,
-                        .at = sim_.now(),
-                        .trace_time = event.trace_time,
-                        .site = "server"});
-      if (InvalidationMode()) ServerRecover(event.trace_time);
+    case fault::FaultKind::kPartition:
+      if (step.onset) {
+        net_.Partition(clients_.at(step.target).node, ServerNode());
+      } else {
+        net_.Heal(clients_.at(step.target).node, ServerNode());
+      }
       break;
-    case FailureKind::kPartition:
-      net_.Partition(clients_.at(event.target).node, ServerNode());
-      break;
-    case FailureKind::kHeal:
-      net_.Heal(clients_.at(event.target).node, ServerNode());
-      break;
+    case fault::FaultKind::kLinkFault:
+      break;  // link faults run through fault_clock_, never as steps
   }
 }
 

@@ -99,7 +99,16 @@ class Engine {
   // --- lock-step coordinator (engine.cc) -------------------------------------
   void StartInterval();
   void ParticipantDone();
-  void ApplyFailure(const FailureEvent& event);
+  // One crash or partition from config.fault_plan: its onset or its
+  // recovery (restart / heal), keyed by trace time; it fires at the start
+  // of the first lock-step interval covering it.
+  struct FailureStep {
+    Time trace_time = 0;
+    fault::FaultKind kind = fault::FaultKind::kProxyCrash;  // not kLinkFault
+    bool onset = true;
+    int target = 0;  // pseudo-client index; ignored for the server
+  };
+  void ApplyFailure(const FailureStep& step);
 
   // --- pseudo-client request loop (engine.cc) ---------------------------------
   void IssueNext(PseudoClient& pc);
@@ -253,7 +262,7 @@ class Engine {
   std::size_t mod_cursor_ = 0;
   std::size_t mod_window_end_ = 0;
 
-  std::vector<FailureEvent> failures_;  // sorted by trace_time
+  std::vector<FailureStep> failures_;  // sorted by trace_time
   std::size_t failure_cursor_ = 0;
 
   // Seeded link-fault injector (nullptr when the config has no fault plan

@@ -1,8 +1,9 @@
 // A minimal recursive-descent parser for the fixed JSON dialect the repo's
-// declarative config files use (fault plans, synth scenarios): objects,
-// arrays, double-quoted strings without escapes beyond \" and \\, numbers,
-// true/false. It is not a general JSON parser and does not try to be;
-// golden files are written in the same dialect their ToJson emits.
+// declarative config files (fault plans, synth scenarios) and the
+// BENCH_farm.json results file use: objects, arrays, double-quoted strings
+// without escapes beyond \" and \\, numbers, true/false. It is not a
+// general JSON parser and does not try to be; golden files are written in
+// the same dialect their ToJson emits.
 //
 // Extracted from fault/plan.cc so the ScenarioConfig dialect (synth/) parses
 // through the identical machinery — same error shape ("... at offset N"),
@@ -87,11 +88,40 @@ class MiniJsonParser {
   }
 
   // Captures one JSON value as raw text: strings come back unquoted,
-  // numbers/bools as their literal spelling. Used for "expect" values.
+  // numbers/bools as their literal spelling, objects/arrays verbatim from
+  // the opening bracket through its match (brackets inside strings do not
+  // count). Used for "expect" values and BENCH_farm.json's top-level keys.
   bool ParseRawValue(std::string& out) {
     SkipWs();
     if (Peek('"')) return ParseString(out);
     const std::size_t start = pos_;
+    if (Peek('{') || Peek('[')) {
+      std::string closers;
+      bool in_string = false;
+      for (; pos_ < text_.size(); ++pos_) {
+        const char c = text_[pos_];
+        if (in_string) {
+          if (c == '\\' && pos_ + 1 < text_.size()) {
+            ++pos_;
+          } else if (c == '"') {
+            in_string = false;
+          }
+        } else if (c == '"') {
+          in_string = true;
+        } else if (c == '{' || c == '[') {
+          closers.push_back(c == '{' ? '}' : ']');
+        } else if (c == '}' || c == ']') {
+          if (c != closers.back()) return Fail("mismatched bracket");
+          closers.pop_back();
+          if (closers.empty()) {
+            ++pos_;
+            out = std::string(text_.substr(start, pos_ - start));
+            return true;
+          }
+        }
+      }
+      return Fail("unterminated value");
+    }
     while (pos_ < text_.size() && text_[pos_] != ',' && text_[pos_] != '}' &&
            text_[pos_] != ']' && text_[pos_] != '\n') {
       ++pos_;

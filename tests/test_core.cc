@@ -13,6 +13,7 @@
 #include "core/adaptive_ttl.h"
 #include "core/invalidation_table.h"
 #include "core/lease.h"
+#include "core/sharded_accelerator.h"
 #include "obs/trace_sink.h"
 
 namespace webcc::core {
@@ -307,7 +308,7 @@ TEST(InvalidationTable, FanOutOrderDeterministic) {
 
 class AcceleratorTest : public ::testing::Test {
  protected:
-  AcceleratorTest() : accel_(docs_, LeaseConfig{}, "srv") {
+  AcceleratorTest() : accel_(docs_, LeaseConfig{}) {
     docs_.Add("/a", 1000, 0);
     docs_.Add("/b", 2000, 0);
   }
@@ -402,10 +403,11 @@ TEST_F(AcceleratorTest, CrashLosesTableButNotRegistry) {
 }
 
 TEST_F(AcceleratorTest, RecoverNotifiesEverySiteEverSeen) {
-  accel_.HandleRequest(Get("/a", "c1"), 0);
-  accel_.HandleRequest(Get("/b", "c2"), 0);
-  accel_.Crash();
-  const auto notices = accel_.Recover();
+  ShardedAccelerator accel(docs_, LeaseConfig{}, /*num_shards=*/1, "srv");
+  accel.HandleRequest(Get("/a", "c1"), 0);
+  accel.HandleRequest(Get("/b", "c2"), 0);
+  accel.Crash();
+  const auto notices = accel.Recover();
   ASSERT_EQ(notices.size(), 2u);
   EXPECT_EQ(notices[0].type, net::MessageType::kInvalidateServer);
   EXPECT_EQ(notices[0].server, "srv");
@@ -422,14 +424,14 @@ TEST_F(AcceleratorTest, TwoTierGetOnlySiteStillHearsRecovery) {
   lease.mode = LeaseMode::kTwoTier;
   lease.duration = 2 * kDay;
   lease.short_duration = 0;
-  Accelerator accel(docs_, lease, "srv");
+  ShardedAccelerator accel(docs_, lease, /*num_shards=*/1, "srv");
   accel.HandleRequest(Get("/a", "b-viewer"), kHour);
   net::Request ims = Get("/b", "c-renewer");
   ims.type = net::MessageType::kIfModifiedSince;
   accel.HandleRequest(ims, kHour);
   accel.HandleRequest(Get("/b", "a-viewer"), kHour);
-  EXPECT_EQ(accel.table().TotalEntries(), 1u);  // only the IMS holds a lease
-  EXPECT_TRUE(accel.SiteEverSeen("b-viewer"));
+  EXPECT_EQ(accel.TotalEntries(), 1u);  // only the IMS holds a lease
+  EXPECT_TRUE(accel.shard(0).SiteEverSeen("b-viewer"));
 
   accel.Crash();
   std::vector<std::string> sites;

@@ -11,9 +11,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/accelerator.h"
 #include "core/delivery.h"
 #include "core/journal.h"
+#include "core/sharded_accelerator.h"
 #include "fault/clock.h"
 #include "fault/plan.h"
 #include "http/document_store.h"
@@ -410,9 +410,10 @@ net::Request Get(std::string url, std::string client) {
 
 struct RecoveryFixture {
   http::DocumentStore docs;
-  core::Accelerator accel;
+  core::ShardedAccelerator accel;
 
-  RecoveryFixture() : accel(docs, core::LeaseConfig{}, "origin") {
+  RecoveryFixture()
+      : accel(docs, core::LeaseConfig{}, /*num_shards=*/1, "origin") {
     docs.Add("/a.html", 4096, /*last_modified=*/0);
     docs.Add("/b.html", 4096, /*last_modified=*/0);
     accel.EnableJournal(true);
@@ -425,15 +426,15 @@ struct RecoveryFixture {
 TEST(AcceleratorJournal, IntactJournalRestoresExactlyAndTargetsChangedDocs) {
   RecoveryFixture fx;
   const std::vector<core::InvalidationTable::Snapshot> before =
-      fx.accel.table().SnapshotEntries();
+      fx.accel.SnapshotEntries();
   ASSERT_EQ(before.size(), 3u);
 
   // /a.html changes while the server is down; /b.html does not.
   fx.docs.Touch("/a.html", kMinute);
   fx.accel.Crash();
-  EXPECT_TRUE(fx.accel.table().SnapshotEntries().empty());
+  EXPECT_TRUE(fx.accel.SnapshotEntries().empty());
 
-  const core::Accelerator::RecoveryOutcome outcome =
+  const core::ShardedAccelerator::RecoveryOutcome outcome =
       fx.accel.RecoverFromJournal(2 * kMinute);
   EXPECT_FALSE(outcome.journal_damaged);
   EXPECT_EQ(outcome.records_rejected, 0u);
@@ -453,7 +454,7 @@ TEST(AcceleratorJournal, IntactJournalRestoresExactlyAndTargetsChangedDocs) {
 
   // /b.html's registration survived the crash; /a.html's list was taken by
   // the recovery invalidations, exactly as a normal modification would.
-  const auto after = fx.accel.table().SnapshotEntries();
+  const auto after = fx.accel.SnapshotEntries();
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after[0].url, "/b.html");
   EXPECT_EQ(after[0].site, "site1");
@@ -468,26 +469,26 @@ TEST(AcceleratorJournal, DamagedJournalRestoresSupersetAndBroadcasts) {
   const std::vector<net::Invalidation> live =
       fx.accel.HandleNotify(net::Notify{"/a.html"}, kMinute);
   EXPECT_EQ(live.size(), 2u);  // normal operation invalidated both sites
-  const auto before_crash = fx.accel.table().SnapshotEntries();
+  const auto before_crash = fx.accel.SnapshotEntries();
   ASSERT_EQ(before_crash.size(), 1u);  // only /b.html remains
 
-  std::string text = fx.accel.journal().text();
+  std::string text = fx.accel.shard(0).journal().text();
   // Corrupt the journaled wipe: damage the final 'I' record's checksum.
   const std::size_t wipe = text.rfind(" I /a.html");
   ASSERT_NE(wipe, std::string::npos);
   const std::size_t line_start = text.rfind('\n', wipe) + 1;
   text[line_start] = text[line_start] == '0' ? '1' : '0';
-  fx.accel.journal().SetText(std::move(text));
+  fx.accel.shard(0).journal().SetText(std::move(text));
 
   fx.accel.Crash();
-  const core::Accelerator::RecoveryOutcome outcome =
+  const core::ShardedAccelerator::RecoveryOutcome outcome =
       fx.accel.RecoverFromJournal(2 * kMinute);
   EXPECT_TRUE(outcome.journal_damaged);
   EXPECT_GE(outcome.records_rejected, 1u);
 
   // Conservative superset: every entry alive before the crash is restored
   // (extra, already-invalidated ones may also reappear — never fewer).
-  const auto after = fx.accel.table().SnapshotEntries();
+  const auto after = fx.accel.SnapshotEntries();
   for (const auto& entry : before_crash) {
     const bool present = std::any_of(
         after.begin(), after.end(), [&entry](const auto& candidate) {
@@ -516,7 +517,7 @@ TEST(AcceleratorJournal, RebuildDropsLeasesThatLapsedWhileDown) {
   core::LeaseConfig lease;
   lease.mode = core::LeaseMode::kFixed;
   lease.duration = 10 * kMinute;
-  core::Accelerator accel(docs, lease, "origin");
+  core::ShardedAccelerator accel(docs, lease, /*num_shards=*/1, "origin");
   docs.Add("/a.html", 4096, /*last_modified=*/0);
   accel.EnableJournal(true);
   accel.HandleRequest(Get("/a.html", "early"), kMinute);    // lease: 11min
@@ -525,31 +526,33 @@ TEST(AcceleratorJournal, RebuildDropsLeasesThatLapsedWhileDown) {
   accel.Crash();
   // Recovery at t=30min: "early"'s lease lapsed during the outage, "late"
   // still holds one. Only the live entry may be restored.
-  const core::Accelerator::RecoveryOutcome outcome =
+  const core::ShardedAccelerator::RecoveryOutcome outcome =
       accel.RecoverFromJournal(30 * kMinute);
   EXPECT_FALSE(outcome.journal_damaged);
   EXPECT_EQ(outcome.entries_restored, 1u);
-  const auto entries = accel.table().SnapshotEntries();
+  const auto entries = accel.SnapshotEntries();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].site, "late");
   // The dropped lease leaves no storage behind — the metric the old code
   // inflated — and the boundary is the same half-open rule as everywhere:
   // recovery at exactly the expiry instant also drops it.
-  EXPECT_EQ(accel.table().TotalEntries(), 1u);
+  EXPECT_EQ(accel.TotalEntries(), 1u);
   accel.Crash();
   EXPECT_EQ(accel.RecoverFromJournal(35 * kMinute).entries_restored, 0u);
 }
 
 TEST(AcceleratorJournal, RecoveryCompactsJournalToSnapshot) {
   RecoveryFixture fx;
-  const std::uint64_t appends_before = fx.accel.journal().appends();
+  const std::uint64_t appends_before =
+      fx.accel.shard(0).journal().appends();
   EXPECT_GT(appends_before, 0u);
   fx.accel.Crash();
   (void)fx.accel.RecoverFromJournal(kMinute);
 
   // The compacted journal replays cleanly to exactly the restored state:
   // one V per known document, one R per live table entry.
-  const core::SiteJournal::ReplayResult compacted = fx.accel.journal().Replay();
+  const core::SiteJournal::ReplayResult compacted =
+      fx.accel.shard(0).journal().Replay();
   EXPECT_FALSE(compacted.damaged);
   std::size_t versions = 0;
   std::size_t registrations = 0;
@@ -558,7 +561,7 @@ TEST(AcceleratorJournal, RecoveryCompactsJournalToSnapshot) {
     registrations += entry.kind == 'R' ? 1 : 0;
   }
   EXPECT_EQ(versions, 2u);  // /a.html and /b.html baselines
-  EXPECT_EQ(registrations, fx.accel.table().SnapshotEntries().size());
+  EXPECT_EQ(registrations, fx.accel.SnapshotEntries().size());
 
   // A second crash+recovery off the compacted journal is a fixed point.
   fx.accel.Crash();

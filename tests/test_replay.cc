@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/analysis.h"
+#include "fault/plan.h"
 #include "replay/engine.h"
 #include "trace/workload.h"
 #include "util/rng.h"
@@ -460,13 +461,26 @@ TEST(ReplayLease, TwoTierFiltersOneTimeViewers) {
 
 // --- failure injection ---------------------------------------------------------------------
 
+// A one-event fault plan: `kind` hits `target` over [at, until).
+fault::FaultPlan OneFault(fault::FaultKind kind, int target, Time at,
+                          Time until) {
+  fault::FaultEvent event;
+  event.at = at;
+  event.kind = kind;
+  event.target = target;
+  event.duration = until - at;
+  fault::FaultPlan plan;
+  plan.events.push_back(event);
+  return plan;
+}
+
 TEST(ReplayFailure, ProxyCrashSkipsAndRecoversQuestionable) {
   const trace::Trace trace = SmallTrace(/*seed=*/11, /*requests=*/3000);
   ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
-  config.failures = {
-      {trace.duration / 4, FailureKind::kProxyCrash, 0},
-      {trace.duration / 2, FailureKind::kProxyRecover, 0},
-  };
+  const fault::FaultPlan plan = OneFault(fault::FaultKind::kProxyCrash, 0,
+                                         trace.duration / 4,
+                                         trace.duration / 2);
+  config.fault_plan = &plan;
   const ReplayMetrics metrics = RunReplay(config);
   EXPECT_GT(metrics.requests_skipped, 0u);
   EXPECT_EQ(metrics.strong_violations, 0u);
@@ -478,10 +492,10 @@ TEST(ReplayFailure, InvalidationToDeadProxyRefusedNotRetried) {
   const trace::Trace trace = SmallTrace(/*seed=*/12, /*requests=*/3000);
   ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
   config.mean_lifetime = 3 * kHour;
-  config.failures = {
-      {trace.duration / 4, FailureKind::kProxyCrash, 1},
-      {3 * trace.duration / 4, FailureKind::kProxyRecover, 1},
-  };
+  const fault::FaultPlan plan = OneFault(fault::FaultKind::kProxyCrash, 1,
+                                         trace.duration / 4,
+                                         3 * trace.duration / 4);
+  config.fault_plan = &plan;
   const ReplayMetrics metrics = RunReplay(config);
   EXPECT_GT(metrics.invalidations_refused, 0u);
   EXPECT_EQ(metrics.invalidations_delivered + metrics.invalidations_refused,
@@ -495,10 +509,10 @@ TEST(ReplayFailure, ServerCrashCausesTimeoutsRecoverySendsInvsrv) {
   config.client_costs.request_timeout = 5 * kSecond;
   // The paper's blanket recovery broadcast (journal-less).
   config.journaled_recovery = false;
-  config.failures = {
-      {trace.duration / 4, FailureKind::kServerCrash, 0},
-      {trace.duration / 2, FailureKind::kServerRecover, 0},
-  };
+  const fault::FaultPlan plan = OneFault(fault::FaultKind::kServerCrash, -1,
+                                         trace.duration / 4,
+                                         trace.duration / 2);
+  config.fault_plan = &plan;
   const ReplayMetrics metrics = RunReplay(config);
   EXPECT_GT(metrics.request_timeouts, 0u);
   EXPECT_GT(metrics.invsrv_sent, 0u);
@@ -509,10 +523,10 @@ TEST(ReplayFailure, JournaledRecoverySendsTargetedInvalidations) {
   const trace::Trace trace = SmallTrace(/*seed=*/13, /*requests=*/3000);
   ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
   config.client_costs.request_timeout = 5 * kSecond;
-  config.failures = {
-      {trace.duration / 4, FailureKind::kServerCrash, 0},
-      {trace.duration / 2, FailureKind::kServerRecover, 0},
-  };
+  const fault::FaultPlan plan = OneFault(fault::FaultKind::kServerCrash, -1,
+                                         trace.duration / 4,
+                                         trace.duration / 2);
+  config.fault_plan = &plan;
   const ReplayMetrics metrics = RunReplay(config);
   // The write-ahead journal replaces the blanket INVSRV broadcast with
   // targeted invalidations for documents modified during the downtime.
@@ -531,10 +545,10 @@ TEST(ReplayFailure, JournaledAndBroadcastRecoveryBothUpholdStrong) {
     ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
     config.client_costs.request_timeout = 5 * kSecond;
     config.journaled_recovery = journaled;
-    config.failures = {
-        {trace.duration / 3, FailureKind::kServerCrash, 0},
-        {trace.duration / 3 + 30 * kMinute, FailureKind::kServerRecover, 0},
-    };
+    const fault::FaultPlan plan =
+        OneFault(fault::FaultKind::kServerCrash, -1, trace.duration / 3,
+                 trace.duration / 3 + 30 * kMinute);
+    config.fault_plan = &plan;
     const ReplayMetrics metrics = RunReplay(config);
     EXPECT_EQ(metrics.strong_violations, 0u) << "journaled=" << journaled;
   }
@@ -545,10 +559,10 @@ TEST(ReplayFailure, PartitionRetriesDeliverAfterHeal) {
   ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
   config.mean_lifetime = 3 * kHour;
   config.client_costs.request_timeout = 5 * kSecond;
-  config.failures = {
-      {trace.duration / 4, FailureKind::kPartition, 0},
-      {trace.duration / 4 + 20 * kMinute, FailureKind::kHeal, 0},
-  };
+  const fault::FaultPlan plan =
+      OneFault(fault::FaultKind::kPartition, 0, trace.duration / 4,
+               trace.duration / 4 + 20 * kMinute);
+  config.fault_plan = &plan;
   const ReplayMetrics metrics = RunReplay(config);
   // Everything eventually lands; stale serves during the partition are
   // in-contract (the write has not completed).

@@ -3,7 +3,9 @@
 // wheel-driven prune. The property test is the load-bearing one — it proves
 // the wheel changes WHEN expiry work happens but never WHAT expires, by
 // driving 10^5 seeded (grant, expiry) pairs through the real table and a
-// reference model that scans every entry the way the old prune did.
+// reference model that scans every entry the way the old prune did. Two
+// count tests pin what the wheel and the compact lists buy at lease scale:
+// authority calls per drained entry, and measured bytes per entry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,12 +110,15 @@ TEST(CompactSiteList, TwelveBytesPerSlot) {
 // --- timer wheel ------------------------------------------------------------
 
 // Authority backed by a map: the table stand-in for wheel unit tests.
+// `calls` counts every visit the wheel makes.
 struct MapAuthority {
   std::map<std::pair<InternId, InternId>, Time> leases;
   std::vector<std::pair<InternId, InternId>> dropped;
+  std::size_t calls = 0;
 
   auto Callback(Time now) {
     return [this, now](InternId url, InternId site) -> Time {
+      ++calls;
       const auto it = leases.find({url, site});
       if (it == leases.end()) return net::kNoLease;  // stale wheel entry
       if (it->second > now) return it->second;
@@ -216,6 +221,35 @@ TEST(TimerWheel, OutOfOrderAdvanceNeverMovesCursorBack) {
   wheel.Advance(10 * kMinute, table.Callback(10 * kMinute));
   EXPECT_EQ(table.dropped.size(), 1u);
   EXPECT_EQ(wheel.scheduled(), 0u);
+}
+
+TEST(TimerWheel, DrainVisitsEachEntryAboutOnce) {
+  // The lease-scale layout: 10^5 expiries spread uniformly over one hour,
+  // ~1000 sites per URL, drained through 64 prunes on the geometry
+  // InvalidationTable picks for a 1 h fixed lease (4096 slots, one
+  // revolution = 2 h). A full scan looks at every live entry at every
+  // prune, about 32N calls over this drain; the wheel visits an entry in
+  // its own slot plus a revisit when it shares the cursor slot with a
+  // later expiry, so it must stay under 2N.
+  constexpr std::size_t kEntries = 100000;
+  constexpr int kPrunes = 64;
+  TimerWheel wheel;
+  wheel.Configure(/*granularity=*/(2 * kHour + 4095) / 4096, /*slots=*/4096);
+  MapAuthority table;
+  std::mt19937 rng(0x5eed);
+  std::uniform_int_distribution<Time> offset(0, kHour - 1);
+  for (InternId site = 0; site < kEntries; ++site) {
+    const Time expiry = kMinute + offset(rng);
+    table.leases[{site % 100, site}] = expiry;
+    wheel.Schedule(site % 100, site, expiry);
+  }
+  for (int k = 1; k <= kPrunes; ++k) {
+    const Time now = kMinute + k * kHour / kPrunes;
+    wheel.Advance(now, table.Callback(now));
+  }
+  EXPECT_EQ(table.dropped.size(), kEntries);
+  EXPECT_EQ(wheel.scheduled(), 0u);
+  EXPECT_LE(table.calls, 2 * kEntries);
 }
 
 // --- invalidation table: wheel-driven prune ≡ full scan ---------------------
@@ -404,6 +438,29 @@ TEST(InvalidationTable, RestoreDropsDeadLeases) {
   const auto entries = table.SnapshotEntries();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].site, "alive");
+}
+
+TEST(InvalidationTable, LeaseScaleLayoutHoldsAtMost40BytesPerEntry) {
+  // 10^5 sites, ~1000 per URL, fixed 1 h leases. The per-URL
+  // unordered_map layout the compact lists replaced held 40.95 bytes per
+  // entry here (a 24-byte hash node in a 32-byte malloc chunk, plus bucket
+  // arrays); 12-byte list slots plus 8-byte wheel entries must stay under
+  // it. Capacity, not live count, is what MemoryFootprintBytes measures.
+  LeaseConfig lease;
+  lease.mode = LeaseMode::kFixed;
+  lease.duration = kHour;
+  InvalidationTable table(lease);
+  std::mt19937 rng(0x5eed);
+  std::uniform_int_distribution<Time> offset(0, kHour - 1);
+  constexpr int kSites = 100000;
+  for (int i = 0; i < kSites; ++i) {
+    ASSERT_TRUE(table.Restore(Name("/doc/", i % 100), Name("site", i),
+                              kMinute + offset(rng), /*now=*/0));
+  }
+  ASSERT_EQ(table.TotalEntries(), static_cast<std::size_t>(kSites));
+  const double per_entry = static_cast<double>(table.MemoryFootprintBytes()) /
+                           static_cast<double>(table.TotalEntries());
+  EXPECT_LE(per_entry, 40.0);
 }
 
 }  // namespace

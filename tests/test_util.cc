@@ -1,12 +1,16 @@
-// Unit tests for util/: RNG, distributions, formatting, time helpers.
+// Unit tests for util/: RNG, distributions, formatting, time helpers, the
+// mini JSON parser.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/distributions.h"
 #include "util/format.h"
+#include "util/mini_json.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -277,6 +281,38 @@ TEST(Time, Conversions) {
   EXPECT_DOUBLE_EQ(ToSeconds(kSecond), 1.0);
   EXPECT_DOUBLE_EQ(ToMillis(kSecond), 1000.0);
   EXPECT_EQ(FromSeconds(2.5), 2 * kSecond + 500 * kMillisecond);
+}
+
+// --- mini JSON parser -----------------------------------------------------------
+
+TEST(MiniJson, RawValueCapturesNestedValuesVerbatim) {
+  // Objects and arrays come back as their exact text, brackets inside
+  // strings ignored; scalars and strings come back as before.
+  MiniJsonParser p(
+      R"({"n": 12.5 , "s": "a\"b", "o": {"k": [1, "}]"], "e": {}},)"
+      R"( "a": [[1], {"x": 2}], "t": true})");
+  std::map<std::string, std::string> raw;
+  ASSERT_TRUE(p.Consume('{'));
+  while (!p.Peek('}')) {
+    if (!raw.empty()) ASSERT_TRUE(p.Consume(','));
+    std::string key;
+    ASSERT_TRUE(p.ParseString(key));
+    ASSERT_TRUE(p.Consume(':'));
+    ASSERT_TRUE(p.ParseRawValue(raw[key])) << p.error();
+  }
+  EXPECT_EQ(raw["n"], "12.5");
+  EXPECT_EQ(raw["s"], "a\"b");
+  EXPECT_EQ(raw["o"], R"({"k": [1, "}]"], "e": {}})");
+  EXPECT_EQ(raw["a"], R"([[1], {"x": 2}])");
+  EXPECT_EQ(raw["t"], "true");
+
+  std::string out;
+  MiniJsonParser mismatched(R"({"k": [1})");
+  EXPECT_FALSE(mismatched.ParseRawValue(out));
+  EXPECT_NE(mismatched.error().find("mismatched bracket"), std::string::npos);
+  MiniJsonParser unterminated(R"([1, "]")");
+  EXPECT_FALSE(unterminated.ParseRawValue(out));
+  EXPECT_NE(unterminated.error().find("unterminated value"), std::string::npos);
 }
 
 }  // namespace
