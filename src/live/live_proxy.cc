@@ -34,30 +34,29 @@ core::consistency::ReplyMeta MetaOf(const net::Reply& reply) {
 
 LiveProxy::LiveProxy(Options options)
     : options_(std::move(options)),
-      policy_(core::consistency::MakePolicy(options_.protocol, options_.ttl)) {}
+      policy_(core::consistency::MakePolicy(options_.protocol, options_.ttl)),
+      server_(options_.server_port) {}
 
 LiveProxy::~LiveProxy() { Stop(); }
 
 bool LiveProxy::Start() {
-  listener_.emplace(options_.port);
-  if (!listener_->valid()) return false;
-  port_ = listener_->port();
   {
     const util::MutexLock lock(mutex_);
     cache_.emplace(options_.cache_bytes, options_.eviction_policy,
                    options_.cache_tier);
     cache_->set_trace_sink(options_.trace_sink);  // eviction events
   }
-  running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  reactor_.emplace(options_.port,
+                   [this](std::string_view line) { return HandleLine(line); });
+  if (!reactor_->valid()) {
+    reactor_.reset();
+    return false;
+  }
+  port_ = reactor_->port();
   return true;
 }
 
-void LiveProxy::Stop() {
-  if (!running_.exchange(false)) return;
-  listener_->Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-}
+void LiveProxy::Stop() { reactor_.reset(); }
 
 Time LiveProxy::Now() const {
   // Unix-epoch microseconds: server and proxy clocks must agree because
@@ -144,7 +143,7 @@ LiveProxy::FetchResult LiveProxy::Fetch(const std::string& client_name,
                                   .detail = lease_renewal ? 1 : 0});
 
   const std::optional<std::string> reply_line =
-      Exchange(options_.server_port, net::EncodeLine(request));
+      server_.Exchange(net::EncodeLine(request));
   if (!reply_line.has_value()) return FetchResult{};
   const std::optional<net::Message> message = net::DecodeLine(*reply_line);
   if (!message.has_value()) return FetchResult{};
@@ -223,61 +222,52 @@ LiveProxy::FetchResult LiveProxy::Fetch(const std::string& client_name,
   return result;
 }
 
-void LiveProxy::AcceptLoop() {
-  while (running_.load()) {
-    TcpStream stream = listener_->Accept();
-    if (!stream.valid()) {
-      if (!running_.load()) return;
-      continue;
-    }
-    stream.SetReadTimeout(5000);
-    const std::optional<std::string> line = stream.ReadLine();
-    if (!line.has_value()) continue;
-    const std::optional<net::Message> message = net::DecodeLine(*line);
-    if (!message.has_value()) continue;
-    // A proxy running a protocol without invalidation callbacks predates
-    // the INVALIDATE extension and ignores such messages, as the paper's
-    // weak-consistency baselines do.
-    if (const auto* batch = std::get_if<net::BatchInvalidation>(&*message)) {
-      if (!policy_->traits().invalidation_callbacks) continue;
-      // A batched frame is semantically the list of single invalidations it
-      // carries: same per-URL purge, counter and delivery event as if each
-      // URL had arrived on its own connection.
-      const util::MutexLock lock(mutex_);
-      for (const std::string& url : batch->urls) {
-        cache_->Erase(http::ComposeCacheKey(url, batch->client_id));
-        invalidations_received_.fetch_add(1);
-        obs::Emit(options_.trace_sink,
-                  {.type = obs::EventType::kInvalidateDelivered,
-                   .at = Now(),
-                   .url = url,
-                   .site = batch->client_id});
-      }
-      continue;
-    }
-    const auto* invalidation = std::get_if<net::Invalidation>(&*message);
-    if (invalidation == nullptr) continue;
-    if (!policy_->traits().invalidation_callbacks) continue;
-
+std::string LiveProxy::HandleLine(std::string_view line) {
+  const std::optional<net::Message> message = net::DecodeLine(line);
+  // A proxy running a protocol without invalidation callbacks predates the
+  // INVALIDATE extension and ignores such messages, as the paper's
+  // weak-consistency baselines do.
+  if (!message.has_value() || !policy_->traits().invalidation_callbacks) {
+    return {};
+  }
+  if (const auto* batch = std::get_if<net::BatchInvalidation>(&*message)) {
+    // A batched frame is semantically the list of single invalidations it
+    // carries: same per-URL purge, counter and delivery event as if each
+    // URL had arrived on its own.
     const util::MutexLock lock(mutex_);
-    if (invalidation->type == net::MessageType::kInvalidateUrl) {
-      cache_->Erase(
-          http::ComposeCacheKey(invalidation->url, invalidation->client_id));
+    for (const std::string& url : batch->urls) {
+      cache_->Erase(http::ComposeCacheKey(url, batch->client_id));
       invalidations_received_.fetch_add(1);
       obs::Emit(options_.trace_sink,
                 {.type = obs::EventType::kInvalidateDelivered,
                  .at = Now(),
-                 .url = invalidation->url,
-                 .site = invalidation->client_id});
-    } else {
-      // Server-address invalidation: the recovering server cannot know what
-      // changed while it was down, so every copy of its documents at this
-      // site becomes questionable (the wire message carries no client; with
-      // a single origin that is this proxy's whole cache).
-      cache_->MarkAllQuestionable();
-      server_notices_received_.fetch_add(1);
+                 .url = url,
+                 .site = batch->client_id});
     }
+    return {};
   }
+  const auto* invalidation = std::get_if<net::Invalidation>(&*message);
+  if (invalidation == nullptr) return {};
+
+  const util::MutexLock lock(mutex_);
+  if (invalidation->type == net::MessageType::kInvalidateUrl) {
+    cache_->Erase(
+        http::ComposeCacheKey(invalidation->url, invalidation->client_id));
+    invalidations_received_.fetch_add(1);
+    obs::Emit(options_.trace_sink,
+              {.type = obs::EventType::kInvalidateDelivered,
+               .at = Now(),
+               .url = invalidation->url,
+               .site = invalidation->client_id});
+  } else {
+    // Server-address invalidation: the recovering server cannot know what
+    // changed while it was down, so every copy of its documents at this
+    // site becomes questionable (the wire message carries no client; with
+    // a single origin that is this proxy's whole cache).
+    cache_->MarkAllQuestionable();
+    server_notices_received_.fetch_add(1);
+  }
+  return {};
 }
 
 }  // namespace webcc::live

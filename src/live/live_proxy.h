@@ -3,8 +3,9 @@
 //
 // Serves Fetch() calls on behalf of named real clients (entries are
 // namespaced by http::ComposeCacheKey(url, client), as in the paper's
-// replay), forwards misses and validations to the live server, and runs a
-// listener for the server's INVALIDATE pushes. Every consistency decision —
+// replay), forwards misses and validations to the live server over a pool
+// of persistent connections, and applies the server's INVALIDATE pushes on
+// one LineServer reactor thread (live/socket.h). Every consistency decision —
 // serve-local vs validate, TTL/lease state on insert and on a 304 — comes
 // from the same core/consistency kernel the replay engine dispatches
 // through, so all five protocols (adaptive TTL, poll-every-time,
@@ -17,7 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
 
 #include "core/consistency/policy.h"
 #include "core/piggyback.h"
@@ -43,7 +44,7 @@ class LiveProxy {
         http::eviction::EvictionPolicyKind::kExpiredFirstLru;
     http::TierConfig cache_tier;
     // Optional structured-event sink (not owned; must outlive the proxy).
-    // Must be internally synchronized: Fetch() callers and the accept loop
+    // Must be internally synchronized: Fetch() callers and the reactor
     // emit concurrently.
     obs::TraceSink* trace_sink = nullptr;
   };
@@ -88,7 +89,8 @@ class LiveProxy {
   std::size_t cached_entries() const;
 
  private:
-  void AcceptLoop();
+  // Applies one pushed line on the reactor thread; pushes get no reply.
+  std::string HandleLine(std::string_view line);
   Time Now() const;
 
   Options options_;
@@ -98,16 +100,14 @@ class LiveProxy {
   mutable util::Mutex mutex_;
   std::optional<http::ProxyCache> cache_ WEBCC_GUARDED_BY(mutex_);
 
-  // Shared by design without a lock: the accept thread blocks in Accept()
-  // while Stop() calls Shutdown() — TcpListener's fd-based handoff is the
-  // synchronization (shutdown(2) wakes the blocked accept).
-  std::optional<TcpListener> listener_;
-  std::thread accept_thread_;
-  std::atomic<bool> running_{false};
+  ConnectionPool server_;  // misses and validations
   std::atomic<std::uint64_t> invalidations_received_{0};
   std::atomic<std::uint64_t> server_notices_received_{0};
   std::atomic<std::uint64_t> pcv_invalidated_{0};
   std::atomic<std::uint64_t> psi_purged_{0};
+
+  // Last, so it stops before the state its handler touches is destroyed.
+  std::optional<LineServer> reactor_;
 };
 
 }  // namespace webcc::live

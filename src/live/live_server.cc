@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -43,19 +44,17 @@ LiveServer::LiveServer(Options options)
 LiveServer::~LiveServer() { Stop(); }
 
 bool LiveServer::Start() {
-  listener_.emplace(options_.port);
-  if (!listener_->valid()) return false;
-  port_ = listener_->port();
-  running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  reactor_.emplace(options_.port,
+                   [this](std::string_view line) { return HandleLine(line); });
+  if (!reactor_->valid()) {
+    reactor_.reset();
+    return false;
+  }
+  port_ = reactor_->port();
   return true;
 }
 
-void LiveServer::Stop() {
-  if (!running_.exchange(false)) return;
-  listener_->Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-}
+void LiveServer::Stop() { reactor_.reset(); }
 
 Time LiveServer::Now() const {
   // Unix-epoch microseconds: server and proxy clocks must agree because
@@ -108,7 +107,7 @@ std::size_t LiveServer::Recover() {
 
 std::size_t LiveServer::PushInvalidations(
     const std::vector<net::Invalidation>& invalidations) {
-  // One wire frame per push: every kInvalidateUrl bound for the same proxy
+  // One wire frame per site: every kInvalidateUrl for the same client id
   // folds into a single INVB frame (first-appearance order); server-address
   // recovery notices always travel alone. All counters and failure events
   // stay per-URL, so only the frame count shows the batching.
@@ -141,7 +140,15 @@ std::size_t LiveServer::PushInvalidations(
         net::Message(net::BatchInvalidation{frame.client_id, frame.urls}));
   }
 
-  std::size_t pushed = 0;
+  // One connection per proxy per attempt: frames group by callback port in
+  // first-appearance order and go out back to back, as consecutive lines
+  // for the proxy's reactor. Accounting stays per frame.
+  struct ProxyFrames {
+    std::uint16_t port = 0;
+    std::vector<const Frame*> frames;
+  };
+  std::vector<ProxyFrames> proxies;
+  std::unordered_map<std::uint16_t, std::size_t> proxy_of_port;
   for (const Frame& frame : frames) {
     const auto port = ParseClientPort(frame.client_id);
     if (!port.has_value()) {
@@ -149,6 +156,15 @@ std::size_t LiveServer::PushInvalidations(
                      frame.client_id.c_str());
       continue;
     }
+    const auto [it, inserted] =
+        proxy_of_port.try_emplace(*port, proxies.size());
+    if (inserted) proxies.push_back(ProxyFrames{*port, {}});
+    proxies[it->second].frames.push_back(&frame);
+  }
+
+  std::size_t pushed = 0;
+  for (const ProxyFrames& proxy : proxies) {
+    std::size_t written = 0;  // frames delivered so far, in order
     IoError error = IoError::kOther;
     for (int attempt = 0; attempt <= options_.push_retries; ++attempt) {
       if (attempt > 0) {
@@ -161,16 +177,27 @@ std::size_t LiveServer::PushInvalidations(
         std::this_thread::sleep_for(std::chrono::milliseconds(
             options_.push_retry_backoff_ms * attempt));
       }
-      error = SendOneWayClassified(*port, frame.line, options_.push_timeout_ms);
+      TcpStream stream = Connect(proxy.port);
+      if (stream.valid()) {
+        if (options_.push_timeout_ms > 0) {
+          stream.SetWriteTimeout(options_.push_timeout_ms);
+        }
+        for (; written < proxy.frames.size(); ++written) {
+          const Frame& frame = *proxy.frames[written];
+          if (!stream.WriteAll(frame.line)) break;
+          // Delivery is traced at the proxy when it applies the message
+          // (the replay emits kInvalidateDelivered at the cache, not the
+          // sender).
+          pushed += frame.urls.size();
+          invalidations_pushed_.fetch_add(frame.urls.size());
+          invalidation_frames_pushed_.fetch_add(1);
+        }
+      }
+      error = stream.last_error();
       if (error != IoError::kTimeout) break;
     }
-    if (error == IoError::kNone) {
-      // Delivery is traced at the proxy when it applies the message (the
-      // replay emits kInvalidateDelivered at the cache, not the sender).
-      pushed += frame.urls.size();
-      invalidations_pushed_.fetch_add(frame.urls.size());
-      invalidation_frames_pushed_.fetch_add(1);
-    } else {
+    for (std::size_t i = written; i < proxy.frames.size(); ++i) {
+      const Frame& frame = *proxy.frames[i];
       if (error == IoError::kTimeout) {
         pushes_timed_out_.fetch_add(1);
       } else {
@@ -190,26 +217,9 @@ std::size_t LiveServer::PushInvalidations(
   return pushed;
 }
 
-void LiveServer::AcceptLoop() {
-  while (running_.load()) {
-    TcpStream stream = listener_->Accept();
-    if (!stream.valid()) {
-      if (!running_.load()) return;
-      continue;
-    }
-    HandleConnection(std::move(stream));
-  }
-}
-
-void LiveServer::HandleConnection(TcpStream stream) {
-  stream.SetReadTimeout(5000);
-  const std::optional<std::string> line = stream.ReadLine();
-  if (!line.has_value()) return;
-  const std::optional<net::Message> message = net::DecodeLine(*line);
-  if (!message.has_value()) {
-    stream.WriteAll("ERR malformed\n");
-    return;
-  }
+std::string LiveServer::HandleLine(std::string_view line) {
+  const std::optional<net::Message> message = net::DecodeLine(line);
+  if (!message.has_value()) return "ERR malformed\n";
   const core::consistency::Traits& traits = policy_->traits();
 
   if (const auto* request = std::get_if<net::Request>(&*message)) {
@@ -255,10 +265,7 @@ void LiveServer::HandleConnection(TcpStream stream) {
         }
       }
     }
-    if (!reply.has_value()) {
-      stream.WriteAll("ERR notfound\n");
-      return;
-    }
+    if (!reply.has_value()) return "ERR notfound\n";
     requests_served_.fetch_add(1);
     obs::Emit(options_.trace_sink,
               {.type = reply->type == net::MessageType::kReply200
@@ -267,8 +274,7 @@ void LiveServer::HandleConnection(TcpStream stream) {
                .at = Now(),
                .url = reply->url,
                .site = request->client_id});
-    stream.WriteAll(net::EncodeLine(*reply));
-    return;
+    return net::EncodeLine(*reply);
   }
 
   if (const auto* notify = std::get_if<net::Notify>(&*message)) {
@@ -280,12 +286,10 @@ void LiveServer::HandleConnection(TcpStream stream) {
       const util::MutexLock lock(mutex_);
       invalidations = accel_.HandleNotify(*notify, Now());
     }
-    const std::size_t pushed = PushInvalidations(invalidations);
-    stream.WriteAll("OK " + std::to_string(pushed) + "\n");
-    return;
+    return "OK " + std::to_string(PushInvalidations(invalidations)) + "\n";
   }
 
-  stream.WriteAll("ERR unsupported\n");
+  return "ERR unsupported\n";
 }
 
 }  // namespace webcc::live

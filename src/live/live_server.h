@@ -8,8 +8,11 @@
 // Which machinery runs is the consistency kernel's decision
 // (core/consistency): the same traits and OnWrite() calls that drive the
 // replay engine drive this server, so simulated and deployed behavior match
-// by construction. One request per connection; the wire format is
-// net/wire.h (including the optional PCV/PSI piggyback sections).
+// by construction. Requests arrive as lines on persistent connections,
+// served by one LineServer reactor thread (live/socket.h); the wire format
+// is net/wire.h (including the optional PCV/PSI piggyback sections).
+// INVALIDATE pushes go out from the writer's thread (or, for a NOTIFY
+// line, the reactor's) on one fresh connection per proxy per attempt.
 //
 // Invalidations must reach the requesting proxy's listener, so live client
 // identifiers embed the proxy's callback port: "name@port" (see
@@ -22,8 +25,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "core/consistency/policy.h"
 #include "core/sharded_accelerator.h"
@@ -55,10 +59,12 @@ class LiveServer {
     // push stream is shard-invariant; shards only change which internal
     // table a URL lives in and which journal records it on recovery.
     std::uint32_t shards = 1;
-    // INVALIDATE push delivery policy: a push that times out (the proxy is
-    // alive but stalled) is retried up to push_retries times with linear
-    // backoff; a refused connection (proxy down) is never retried — the
-    // proxy's restart path revalidates everything it holds.
+    // INVALIDATE push delivery policy: every frame bound for one proxy
+    // travels on one connection per attempt. A push that times out (the
+    // proxy is alive but stalled) reconnects and resumes at the first
+    // unwritten frame, up to push_retries times with linear backoff; a
+    // refused connection (proxy down) is never retried — the proxy's
+    // restart path revalidates everything it holds.
     int push_retries = 2;
     int push_retry_backoff_ms = 50;
     int push_timeout_ms = 1000;  // SO_SNDTIMEO per push attempt
@@ -75,7 +81,7 @@ class LiveServer {
   LiveServer(const LiveServer&) = delete;
   LiveServer& operator=(const LiveServer&) = delete;
 
-  // Binds and spawns the accept loop. False if the port could not be bound.
+  // Binds and starts the reactor. False if the port could not be bound.
   bool Start();
   void Stop();
 
@@ -108,13 +114,15 @@ class LiveServer {
   std::uint64_t invalidation_frames_pushed() const {
     return invalidation_frames_pushed_.load();
   }
+  // Frames given up on, by cause; push_retries() counts reconnect attempts.
   std::uint64_t pushes_timed_out() const { return pushes_timed_out_.load(); }
   std::uint64_t pushes_refused() const { return pushes_refused_.load(); }
   std::uint64_t push_retries() const { return push_retries_.load(); }
 
  private:
-  void AcceptLoop();
-  void HandleConnection(TcpStream stream);
+  // Answers one request line on the reactor thread: a reply, OK for a
+  // NOTIFY (after its pushes), or an ERR line.
+  std::string HandleLine(std::string_view line);
   std::size_t PushInvalidations(
       const std::vector<net::Invalidation>& invalidations);
 
@@ -137,18 +145,15 @@ class LiveServer {
   core::ModificationLog mod_log_ WEBCC_GUARDED_BY(mutex_);
   std::unordered_map<std::uint16_t, Time> psi_cursor_ WEBCC_GUARDED_BY(mutex_);
 
-  // Shared by design without a lock: the accept thread blocks in Accept()
-  // while Stop() calls Shutdown() — TcpListener's fd-based handoff is the
-  // synchronization (shutdown(2) wakes the blocked accept).
-  std::optional<TcpListener> listener_;
-  std::thread accept_thread_;
-  std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> requests_served_{0};
   std::atomic<std::uint64_t> invalidations_pushed_{0};
   std::atomic<std::uint64_t> invalidation_frames_pushed_{0};
   std::atomic<std::uint64_t> pushes_timed_out_{0};
   std::atomic<std::uint64_t> pushes_refused_{0};
   std::atomic<std::uint64_t> push_retries_{0};
+
+  // Last, so it stops before the state its handler touches is destroyed.
+  std::optional<LineServer> reactor_;
 };
 
 }  // namespace webcc::live

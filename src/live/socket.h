@@ -1,17 +1,24 @@
 // Minimal RAII TCP sockets for the live prototype (loopback deployments).
 //
-// The live components speak one request per connection (HTTP/1.0 style,
-// like the paper's Harvest-era stack): connect, write one wire line, read
-// one wire line back, close. Blocking I/O with short timeouts keeps the
-// threading model simple — one accept loop per component, handling each
-// connection inline.
+// Each live component serves newline-framed wire lines on one LineServer:
+// a single-threaded epoll reactor over persistent connections, so one slow
+// or idle peer never holds up another. Clients speak blocking I/O with
+// short timeouts: the proxy keeps a ConnectionPool of persistent
+// connections to the server, while one-shot Exchange calls and the
+// server's invalidation pushes open a connection each (a refused connect is
+// how the server learns that a proxy is down).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
+
+#include "util/thread_annotations.h"
 
 namespace webcc::live {
 
@@ -41,7 +48,7 @@ class Fd {
 // is alive but slow — worth logging) from everything else.
 enum class IoError {
   kNone,       // last operation succeeded
-  kPeerReset,  // EPIPE / ECONNRESET: the peer closed or vanished
+  kPeerReset,  // EPIPE / ECONNRESET / ECONNREFUSED: the peer closed or vanished
   kTimeout,    // SO_SNDTIMEO / SO_RCVTIMEO expired, or poll() timed out
   kOther,      // any other errno
 };
@@ -74,8 +81,9 @@ class TcpStream {
   // that cap.
   std::optional<std::string> ReadLine();
 
-  // The longest line ReadLine accepts, terminator included. A PSI reply at
-  // its default cap of 100 URLs is a few KiB, far below it.
+  // The longest line ReadLine accepts, terminator included, and the
+  // LineServer's per-connection frame cap. A PSI reply at its default cap
+  // of 100 URLs is a few KiB, far below it.
   static constexpr std::size_t kMaxLineBytes = 1 << 20;
 
   // Bytes read from the peer but not yet returned as a line.
@@ -88,11 +96,14 @@ class TcpStream {
   // stopped draining; expiry surfaces as IoError::kTimeout.
   void SetWriteTimeout(int milliseconds);
 
-  // Classification of the most recent WriteAll/ReadLine failure;
-  // IoError::kNone after a success.
+  // Classification of the most recent WriteAll/ReadLine failure, or of the
+  // failed connect for a stream Connect() returned invalid; IoError::kNone
+  // after a success.
   IoError last_error() const { return last_error_; }
 
  private:
+  friend TcpStream Connect(std::uint16_t port);
+
   Fd fd_;
   std::string buffer_;  // bytes read past the last returned line
   IoError last_error_ = IoError::kNone;
@@ -100,7 +111,8 @@ class TcpStream {
   bool read_timeout_set_ = false;   // SO_RCVTIMEO active on this fd
 };
 
-// Listening socket bound to 127.0.0.1.
+// Listening socket bound to 127.0.0.1, with a SOMAXCONN backlog so a burst
+// of connections completes its handshakes while the owner catches up.
 class TcpListener {
  public:
   // Binds to the given port; 0 picks an ephemeral port. Check valid().
@@ -119,23 +131,86 @@ class TcpListener {
   void Shutdown();
 
  private:
+  friend class LineServer;
+
   Fd fd_;
   std::uint16_t port_ = 0;
 };
 
-// Connects to 127.0.0.1:port; invalid stream on failure.
+// One single-threaded epoll reactor serving newline-framed lines on a
+// TcpListener's connections. Every '\n'-terminated line goes to the handler
+// on the reactor thread; a non-empty result is written back on the same
+// connection, which stays open for the next line. While a reply is unsent
+// the connection is not read (backpressure). The rules are constants:
+//   - a line that reaches TcpStream::kMaxLineBytes gets "ERR oversize\n",
+//     then the connection is closed;
+//   - a connection that completes no line for kIdleCloseMs is closed;
+//   - a frame cut off by EOF is dropped;
+//   - an accept error other than EAGAIN/EINTR/ECONNABORTED (EMFILE, say)
+//     pauses the listener until the next once-a-second sweep.
+class LineServer {
+ public:
+  // Gets one complete line, terminator included, and returns the reply to
+  // write back ("" for none).
+  using Handler = std::function<std::string(std::string_view line)>;
+
+  static constexpr int kIdleCloseMs = 5000;
+
+  // Binds `port` (0 = ephemeral) and starts the reactor thread. Check
+  // valid().
+  LineServer(std::uint16_t port, Handler handler);
+  // Wakes and joins the reactor, then closes the listener and every
+  // connection.
+  ~LineServer();
+
+  LineServer(const LineServer&) = delete;
+  LineServer& operator=(const LineServer&) = delete;
+
+  bool valid() const { return thread_.joinable(); }
+  std::uint16_t port() const { return listener_.port(); }
+
+ private:
+  void Run();
+
+  TcpListener listener_;
+  Handler handler_;
+  Fd epoll_;
+  Fd wake_;  // eventfd: one write stops the reactor
+  std::thread thread_;
+};
+
+// Persistent request/reply connections to one loopback port, shared by any
+// number of threads. A connection goes back to the pool only after a
+// complete '\n'-terminated reply, and no lock is held across socket I/O.
+class ConnectionPool {
+ public:
+  explicit ConnectionPool(std::uint16_t port) : port_(port) {}
+
+  // Sends `line` and reads one '\n'-terminated reply line; std::nullopt on
+  // failure. Only one failure is retried, once, on a fresh connection: a
+  // pooled connection that fails before any reply byte arrives and not by
+  // timeout. The server reaped or restarted that connection, so the request
+  // never reached its handler.
+  std::optional<std::string> Exchange(std::string_view line);
+
+ private:
+  const std::uint16_t port_;
+  util::Mutex mutex_;
+  std::vector<TcpStream> idle_ WEBCC_GUARDED_BY(mutex_);
+};
+
+// Connects to 127.0.0.1:port; on failure the stream is invalid and its
+// last_error() classifies the connect (kPeerReset when refused).
 TcpStream Connect(std::uint16_t port);
 
 // One-shot request/response exchange: connect, send `line`, read one line.
 std::optional<std::string> Exchange(std::uint16_t port, std::string_view line);
 
-// Fire-and-forget: connect and send `line` (used for INVALIDATE pushes).
-bool SendOneWay(std::uint16_t port, std::string_view line);
-
-// SendOneWay with the failure classified: kNone on success, kPeerReset when
-// the peer refused or vanished, kTimeout when it stopped draining within
-// `timeout_ms` (0 = no write timeout). Push retry policies branch on this —
-// a timeout is worth retrying, a refused peer revalidates on restart.
+// Fire-and-forget on a fresh connection, with the failure classified: kNone
+// on success, kPeerReset when the peer refused or vanished, kTimeout when it
+// stopped draining within `timeout_ms` (0 = no write timeout). Push retry
+// policies branch on this — a timeout is worth retrying, a refused peer
+// revalidates on restart.
 IoError SendOneWayClassified(std::uint16_t port, std::string_view line,
                              int timeout_ms);
 

@@ -1,9 +1,13 @@
 // End-to-end tests for the live (real-TCP, loopback) prototype.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <thread>
+#include <variant>
+#include <vector>
 
 #include "live/live_proxy.h"
 #include "live/live_server.h"
@@ -63,6 +67,20 @@ TEST(Socket, ConnectToClosedPortFails) {
     listener.Shutdown();
   }
   EXPECT_FALSE(Connect(dead_port).valid());
+}
+
+TEST(Socket, ConnectToClosedPortClassifiesAsPeerReset) {
+  // The refusal is classified inside Connect, before its socket is closed,
+  // and carried on the returned stream.
+  std::uint16_t dead_port = 0;
+  {
+    TcpListener listener(0);
+    ASSERT_TRUE(listener.valid());
+    dead_port = listener.port();
+  }  // destroyed: nothing listens there now
+  const TcpStream stream = Connect(dead_port);
+  EXPECT_FALSE(stream.valid());
+  EXPECT_EQ(stream.last_error(), IoError::kPeerReset);
 }
 
 TEST(Socket, EchoRoundTrip) {
@@ -298,6 +316,52 @@ TEST(LivePush, RefusedPushIsCountedAndNeverRetried) {
   // The give-up is traced as a refusal, distinct from a timeout.
   EXPECT_NE(sink.Text().find("invalidate_refused"), std::string::npos);
   server.Stop();
+}
+
+TEST(LivePush, EveryFrameForOneProxyTravelsOnOneConnection) {
+  // A fake proxy owns 20 registered client ids. The write owes each of them
+  // an INVB frame, and all 20 lines must arrive on one accepted connection.
+  TcpListener fake_proxy(0);
+  ASSERT_TRUE(fake_proxy.valid());
+  LiveServer server({});
+  ASSERT_TRUE(server.Start());
+  server.AddDocument("/index.html", 4096);
+  for (int i = 0; i < 20; ++i) {
+    net::Request request;
+    request.type = net::MessageType::kGet;
+    request.url = "/index.html";
+    request.client_id =
+        MakeClientId("client-" + std::to_string(i), fake_proxy.port());
+    ASSERT_TRUE(Exchange(server.port(), net::EncodeLine(request)).has_value());
+  }
+  EXPECT_EQ(server.TouchDocument("/index.html"), 20u);
+  EXPECT_EQ(server.invalidation_frames_pushed(), 20u);
+  server.Stop();
+
+  // Every push connection completed its handshake before TouchDocument
+  // returned, so a sentinel connected now queues behind all of them.
+  TcpStream sentinel = Connect(fake_proxy.port());
+  ASSERT_TRUE(sentinel.WriteAll("SENTINEL\n"));
+  int connections = 0;
+  int lines = 0;
+  while (true) {
+    TcpStream stream = fake_proxy.Accept();
+    ASSERT_TRUE(stream.valid());
+    stream.SetReadTimeout(2000);
+    std::optional<std::string> line = stream.ReadLine();
+    ASSERT_TRUE(line.has_value());
+    if (*line == "SENTINEL\n") break;
+    ++connections;
+    for (; line.has_value(); line = stream.ReadLine()) {
+      const auto message = net::DecodeLine(*line);
+      ASSERT_TRUE(message.has_value()) << *line;
+      EXPECT_TRUE(std::holds_alternative<net::BatchInvalidation>(*message));
+      ++lines;
+    }
+    EXPECT_EQ(stream.last_error(), IoError::kNone);  // the server closed it
+  }
+  EXPECT_EQ(connections, 1);
+  EXPECT_EQ(lines, 20);
 }
 
 // --- server + proxy fixtures ----------------------------------------------------------
@@ -614,6 +678,191 @@ TEST(LiveServerStandalone, NotifyLineAnswersCount) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->rfind("OK", 0), 0u);
   server.Stop();
+}
+
+// --- reactor: hostile peers and persistent connections ---------------------
+
+// Runs `fetch` and returns how long it took.
+template <typename Fetch>
+std::chrono::milliseconds Timed(Fetch fetch) {
+  const auto start = std::chrono::steady_clock::now();
+  fetch();
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+}
+
+std::optional<net::Reply> ReadReply(TcpStream& stream) {
+  const std::optional<std::string> line = stream.ReadLine();
+  if (!line.has_value()) return std::nullopt;
+  std::optional<net::Message> message = net::DecodeLine(*line);
+  if (!message.has_value()) return std::nullopt;
+  auto* reply = std::get_if<net::Reply>(&*message);
+  if (reply == nullptr) return std::nullopt;
+  return std::move(*reply);
+}
+
+TEST_F(LiveFixture, HalfLinePeerDoesNotDelayFetch) {
+  StartAll(core::Protocol::kInvalidation);
+  TcpStream slow = Connect(server_->port());
+  ASSERT_TRUE(slow.WriteAll("GET /index.ht"));  // never finishes the line
+  const auto took =
+      Timed([&] { EXPECT_TRUE(proxy_->Fetch("alice", "/index.html").ok); });
+  EXPECT_LT(took, 1s);
+}
+
+TEST_F(LiveFixture, ThousandIdleConnectionsDoNotDelayFetch) {
+  // Both ends of 1000 connections live in this process.
+  rlimit limit{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &limit), 0);
+  const rlim_t wanted = std::min<rlim_t>(limit.rlim_max, 4096);
+  if (limit.rlim_cur < wanted) {
+    limit.rlim_cur = wanted;
+    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &limit), 0);
+  }
+  StartAll(core::Protocol::kInvalidation);
+  std::vector<TcpStream> idle;
+  for (int i = 0; i < 1000; ++i) {
+    idle.push_back(Connect(server_->port()));
+    ASSERT_TRUE(idle.back().valid()) << "connection " << i;
+  }
+  const auto took =
+      Timed([&] { EXPECT_TRUE(proxy_->Fetch("alice", "/index.html").ok); });
+  EXPECT_LT(took, 1s);
+}
+
+TEST_F(LiveFixture, PeerClosingMidFrameLeavesServerServing) {
+  StartAll(core::Protocol::kInvalidation);
+  {
+    TcpStream quitter = Connect(server_->port());
+    ASSERT_TRUE(quitter.WriteAll("GET /index.html ali"));
+  }  // closed mid-frame
+  EXPECT_TRUE(proxy_->Fetch("alice", "/index.html").ok);
+  EXPECT_EQ(server_->requests_served(), 1u);  // the cut frame was dropped
+}
+
+TEST_F(LiveFixture, PeerResettingMidFrameLeavesServerServing) {
+  StartAll(core::Protocol::kInvalidation);
+  net::Request request;
+  request.type = net::MessageType::kGet;
+  request.url = "/index.html";
+  request.client_id = MakeClientId("mallory", proxy_->port());
+  {
+    TcpStream resetter = Connect(server_->port());
+    ASSERT_TRUE(
+        resetter.WriteAll(net::EncodeLine(request) + "GET /index.html ma"));
+    ASSERT_TRUE(WaitFor([&] { return server_->requests_served() == 1; }));
+  }  // closed with its reply unread, so the kernel sends a reset
+  EXPECT_TRUE(proxy_->Fetch("alice", "/index.html").ok);
+  EXPECT_EQ(server_->requests_served(), 2u);  // the cut frame was dropped
+}
+
+TEST_F(LiveFixture, IdleConnectionIsClosedAndThePoolReconnects) {
+  StartAll(core::Protocol::kInvalidation);
+  ASSERT_TRUE(proxy_->Fetch("alice", "/index.html").ok);  // pools a connection
+  TcpStream idle = Connect(server_->port());
+  ASSERT_TRUE(idle.valid());
+  idle.SetReadTimeout(LineServer::kIdleCloseMs + 3000);
+  const auto waited = Timed([&] { EXPECT_FALSE(idle.ReadLine().has_value()); });
+  EXPECT_EQ(idle.last_error(), IoError::kNone);  // EOF: reaped, no timeout
+  EXPECT_GE(waited, std::chrono::milliseconds(LineServer::kIdleCloseMs - 500));
+  // The pooled connection went idle first and was reaped too: the next miss
+  // fails on it before any reply byte, retries once on a fresh connection,
+  // and reaches the server's handler exactly once.
+  EXPECT_TRUE(proxy_->Fetch("bob", "/index.html").ok);
+  EXPECT_EQ(server_->requests_served(), 2u);
+}
+
+TEST(LiveReactor, PipelinedRequestsOnOneConnectionGetTwoReplies) {
+  LiveServer server({});
+  ASSERT_TRUE(server.Start());
+  server.AddDocument("/a", 10);
+  server.AddDocument("/b", 20);
+  net::Request first;
+  first.type = net::MessageType::kGet;
+  first.url = "/a";
+  first.client_id = MakeClientId("alice", 1);
+  net::Request second = first;
+  second.url = "/b";
+  TcpStream stream = Connect(server.port());
+  ASSERT_TRUE(stream.valid());
+  stream.SetReadTimeout(2000);
+  ASSERT_TRUE(
+      stream.WriteAll(net::EncodeLine(first) + net::EncodeLine(second)));
+  for (const char* url : {"/a", "/b"}) {
+    const std::optional<net::Reply> reply = ReadReply(stream);
+    ASSERT_TRUE(reply.has_value()) << url;
+    EXPECT_EQ(reply->url, url);
+  }
+  EXPECT_EQ(server.requests_served(), 2u);
+}
+
+TEST(LiveReactor, OversizeLineGetsErrorThenEof) {
+  LiveServer server({});
+  ASSERT_TRUE(server.Start());
+  TcpStream stream = Connect(server.port());
+  ASSERT_TRUE(stream.valid());
+  stream.SetReadTimeout(5000);
+  ASSERT_TRUE(stream.WriteAll(std::string(TcpStream::kMaxLineBytes, 'x')));
+  const std::optional<std::string> reply = stream.ReadLine();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(*reply, "ERR oversize\n");
+  EXPECT_FALSE(stream.ReadLine().has_value());
+  EXPECT_EQ(stream.last_error(), IoError::kNone);  // EOF, not a timeout
+}
+
+TEST(LiveReactor, ProxyMissesShareOnePersistentConnection) {
+  // The fake server accepts one connection and answers two requests on it;
+  // a proxy that opened a second connection would sit in the backlog until
+  // its read timeout.
+  TcpListener fake_server(0);
+  ASSERT_TRUE(fake_server.valid());
+  std::thread fake([&fake_server] {
+    TcpStream stream = fake_server.Accept();
+    stream.SetReadTimeout(5000);
+    for (int i = 0; i < 2; ++i) {
+      const std::optional<std::string> line = stream.ReadLine();
+      if (!line.has_value()) return;
+      const std::optional<net::Message> message = net::DecodeLine(*line);
+      if (!message.has_value()) return;
+      const auto* request = std::get_if<net::Request>(&*message);
+      if (request == nullptr) return;
+      net::Reply reply;
+      reply.url = request->url;
+      reply.body_bytes = 10;
+      reply.version = 1;
+      stream.WriteAll(net::EncodeLine(reply));
+    }
+  });
+  LiveProxy::Options options;
+  options.server_port = fake_server.port();
+  LiveProxy proxy(options);
+  ASSERT_TRUE(proxy.Start());
+  EXPECT_TRUE(proxy.Fetch("alice", "/a").ok);
+  EXPECT_TRUE(proxy.Fetch("bob", "/a").ok);
+  fake.join();
+  proxy.Stop();
+}
+
+TEST(LiveReactor, ProxySurvivesServerRestartOnTheSamePort) {
+  auto server = std::make_unique<LiveServer>(LiveServer::Options{});
+  ASSERT_TRUE(server->Start());
+  server->AddDocument("/index.html", 4096);
+  const std::uint16_t port = server->port();
+  LiveProxy::Options proxy_options;
+  proxy_options.server_port = port;
+  LiveProxy proxy(proxy_options);
+  ASSERT_TRUE(proxy.Start());
+  ASSERT_TRUE(proxy.Fetch("alice", "/index.html").ok);  // pools a connection
+
+  server.reset();  // closes the server end of the pooled connection
+  LiveServer::Options options;
+  options.port = port;
+  LiveServer restarted(options);
+  ASSERT_TRUE(restarted.Start());
+  restarted.AddDocument("/index.html", 4096);
+  EXPECT_TRUE(proxy.Fetch("bob", "/index.html").ok);
+  EXPECT_EQ(restarted.requests_served(), 1u);
+  proxy.Stop();
 }
 
 }  // namespace
