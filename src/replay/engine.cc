@@ -83,8 +83,10 @@ void Engine::Setup() {
     clients_[record.client % config_.num_pseudo_clients].records.push_back(
         record);
   }
-  // Pending events peak around a few per in-flight request (timeout guard,
-  // network hop, completion) plus invalidation fan-out bursts.
+  // The queue holds live events only: per pseudo-client its in-flight hop
+  // and reply timeout (a delivered reply cancels the timeout), the
+  // coordinator's few, plus invalidation fan-out bursts queued on the server
+  // CPU or the shard senders, which grow the slab past this.
   sim_.Reserve(static_cast<std::size_t>(config_.num_pseudo_clients) * 8 + 256);
 
   if (!config_.explicit_modifications.empty()) {
@@ -537,16 +539,20 @@ void Engine::SendToServer(PseudoClient& pc, net::Request request,
   metrics_.message_bytes += net::WireSize(request) + piggyback_bytes;
 
   // Reply timeout: the closed loop must advance even if the server is dead.
-  sim_.After(config_.client_costs.request_timeout, [this, &pc, seq] {
-    if (pc.outstanding != seq) return;
-    pc.outstanding = 0;
-    pcv_in_flight_.erase(seq);
-    ++metrics_.request_timeouts;
-    obs::Emit(sink_, {.type = obs::EventType::kRequestTimeout,
-                      .at = sim_.now(),
-                      .detail = static_cast<std::int64_t>(seq)});
-    FinishRequest(pc, config_.client_costs.request_timeout);
-  });
+  // DeliverReply cancels it, so it fires only while its request is still in
+  // flight.
+  pc.timeout =
+      sim_.After(config_.client_costs.request_timeout, [this, &pc, seq] {
+        WEBCC_CHECK_MSG(pc.outstanding == seq,
+                        "a delivered reply cancels its timeout");
+        pc.outstanding = 0;
+        pcv_in_flight_.erase(seq);
+        ++metrics_.request_timeouts;
+        obs::Emit(sink_, {.type = obs::EventType::kRequestTimeout,
+                          .at = sim_.now(),
+                          .detail = static_cast<std::int64_t>(seq)});
+        FinishRequest(pc, config_.client_costs.request_timeout);
+      });
 
   // In hierarchical mode leaf misses go to the parent proxy, not the server.
   const sim::NodeId upstream =
@@ -700,6 +706,7 @@ void Engine::DeliverReply(int client_index, std::uint64_t seq,
   PseudoClient& pc = clients_[client_index];
   if (pc.outstanding != seq) return;  // timed out; late reply dropped
   pc.outstanding = 0;
+  sim_.Cancel(pc.timeout);
 
   if (reply.type == net::MessageType::kReply200) {
     obs::Emit(

@@ -67,6 +67,7 @@ class Engine {
     bool down = false;
     std::uint64_t outstanding = 0;  // seq of the in-flight request; 0 = none
     Time request_start = 0;         // wall time the in-flight request began
+    sim::EventId timeout;           // the in-flight request's reply timeout
   };
 
   sim::NodeId ServerNode() const {

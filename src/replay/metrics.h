@@ -154,6 +154,8 @@ struct ReplayMetrics {
   // --- hot-loop observability -----------------------------------------------
   // Simulator events executed and the event queue's high-water mark: the
   // denominator and the working-set size of the replay's inner loop.
+  // Cancelled events (a request timeout whose reply arrived) neither run
+  // nor stay queued, so they count in neither.
   std::uint64_t sim_events_executed = 0;
   std::uint64_t sim_peak_queue_depth = 0;
   // Host (real) seconds this replay took; the only nondeterministic field,

@@ -6,20 +6,34 @@
 // number breaks ties), which together with seeded RNGs makes whole replays
 // deterministic.
 //
-// The queue stores sim::Task actions (inline storage for small captures) so
-// scheduling the common event allocates nothing, and its backing vector can
-// be Reserve()d up front; peak_pending() reports the high-water mark so
-// replays can size it from measurement.
+// Layout: each pending event's action (a sim::Task, inline storage for
+// small captures, so scheduling the common event allocates nothing) lives
+// in a slot of a free-listed slab, and the queue itself is a binary min-heap
+// of 24-byte {at, seq, slot} keys. An action is moved once into its slot
+// (At) and once out of it (Step); a heap sift moves only keys, and every
+// slot records its key's heap position.
+//
+// Cancellation: At/After return an EventId, and Cancel removes that event
+// from the heap in O(log n) through the slot's heap position. A cancelled
+// event never runs and leaves the queue at once, so pending() and
+// peak_pending() count live events only; executed() counts events run.
 #pragma once
 
 #include <cstdint>
-#include <queue>
+#include <limits>
 #include <vector>
 
 #include "sim/task.h"
 #include "util/time.h"
 
 namespace webcc::sim {
+
+// Names one scheduled event. Sequence numbers start at 1, so a
+// default-constructed EventId names no event.
+struct EventId {
+  std::uint32_t slot = 0;
+  std::uint64_t seq = 0;
+};
 
 class Simulator {
  public:
@@ -28,10 +42,15 @@ class Simulator {
   Time now() const { return now_; }
 
   // Schedules `action` at absolute time `t` (>= now()).
-  void At(Time t, Action action);
+  EventId At(Time t, Action action);
 
   // Schedules `action` `delay` microseconds from now (delay >= 0).
-  void After(Time delay, Action action);
+  EventId After(Time delay, Action action);
+
+  // Removes the pending event `id` so it never runs; returns whether it
+  // did. A no-op (false) once the event has run or been cancelled, or when
+  // its slot now holds a later event.
+  bool Cancel(EventId id);
 
   // Runs the earliest event; returns false when the queue is empty.
   bool Step();
@@ -43,38 +62,49 @@ class Simulator {
   // even if the queue still holds later events.
   void RunUntil(Time t);
 
-  // Pre-sizes the event queue's backing storage.
-  void Reserve(std::size_t events) { queue_.Reserve(events); }
+  // Pre-sizes the heap and the slab for `events` simultaneously pending
+  // events.
+  void Reserve(std::size_t events);
 
-  std::size_t pending() const { return queue_.size(); }
+  std::size_t pending() const { return heap_.size(); }
   std::uint64_t executed() const { return executed_; }
   // Largest number of simultaneously pending events so far.
   std::size_t peak_pending() const { return peak_pending_; }
 
  private:
-  struct Event {
+  struct Key {
     Time at;
     std::uint64_t seq;
-    Task action;
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-  // Thin subclass exposing the protected container for Reserve().
-  class EventQueue
-      : public std::priority_queue<Event, std::vector<Event>, Later> {
-   public:
-    void Reserve(std::size_t events) { c.reserve(events); }
-  };
+  static_assert(sizeof(Key) == 24);
+  static bool Before(const Key& a, const Key& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
+  // heap_pos_ value of a free slot.
+  static constexpr std::uint32_t kFree =
+      std::numeric_limits<std::uint32_t>::max();
+
+  void Place(std::size_t pos, const Key& key) {
+    heap_[pos] = key;
+    heap_pos_[key.slot] = static_cast<std::uint32_t>(pos);
+  }
+  void SiftUp(std::size_t pos, const Key& key);
+  // Takes the key at `pos` out of the heap; its action stays in its slot.
+  void RemoveAt(std::size_t pos);
+  void FreeSlot(std::uint32_t slot) {
+    heap_pos_[slot] = kFree;
+    free_slots_.push_back(slot);
+  }
 
   Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t peak_pending_ = 0;
-  EventQueue queue_;
+  std::vector<Key> heap_;
+  std::vector<Task> slab_;                 // actions, by slot
+  std::vector<std::uint32_t> heap_pos_;    // by slot: index in heap_ or kFree
+  std::vector<std::uint32_t> free_slots_;  // LIFO: the warmest slot first
 };
 
 }  // namespace webcc::sim

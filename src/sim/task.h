@@ -1,7 +1,7 @@
 // Move-only callable with inline storage for simulator events.
 //
 // The common event — a lambda capturing `this` plus a few scalars — fits in
-// the event record itself, so scheduling it allocates nothing. libstdc++'s
+// its slot in the event slab, so scheduling it allocates nothing. libstdc++'s
 // std::function only inlines captures up to two words, which made nearly
 // every scheduled event a heap allocation; profiling the replay engine put
 // that churn at the top of the hot loop. Captures larger than kInlineBytes
@@ -18,7 +18,10 @@ namespace webcc::sim {
 
 class Task {
  public:
-  // this + six words: covers every hot-path capture in the replay engine.
+  // this + six words: covers the replay engine's scalar captures. The four
+  // events of each server request that carry a net::Request or net::Reply
+  // (the forward hop, its network delivery, the reply hop and its delivery)
+  // do not fit and take one heap cell each.
   static constexpr std::size_t kInlineBytes = 56;
 
   Task() noexcept = default;
@@ -68,7 +71,7 @@ class Task {
   struct Ops {
     void (*invoke)(void* self);
     // Move-constructs dst from src, then destroys src (heap mode: steals the
-    // pointer). noexcept so queue reheaps never throw mid-move.
+    // pointer). noexcept so slab growth never throws mid-move.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void* self);
   };

@@ -102,6 +102,20 @@ TEST_P(ProtocolTest, LatencyRecordedPerRequest) {
   EXPECT_GT(metrics.latency_ms.min(), 0.0);
 }
 
+// A per-layer ceiling on the simulator's queue. Without writes, each
+// pseudo-client holds at most its one in-flight hop (the forward, the
+// delivery, the server's reply, or the think-time wake-up) plus, while a
+// request is at the server, its reply timeout; the lock-step coordinator
+// adds a little. A delivered reply cancels its timeout, so dead 10-minute
+// timeouts must not pile up in the queue.
+TEST_P(ProtocolTest, QueueHoldsOnlyLiveEvents) {
+  ReplayConfig config = BaseConfig(Trace(), GetParam());
+  config.suppress_generated_modifications = true;
+  const ReplayMetrics metrics = RunReplay(config);
+  EXPECT_EQ(metrics.request_timeouts, 0u);
+  EXPECT_LE(metrics.sim_peak_queue_depth, 3u * config.num_pseudo_clients);
+}
+
 INSTANTIATE_TEST_SUITE_P(Protocols, ProtocolTest,
                          ::testing::Values(Protocol::kAdaptiveTtl,
                                            Protocol::kPollEveryTime,

@@ -1,11 +1,17 @@
-// Unit tests for sim/: event ordering, FIFO stations, the network model.
+// Unit tests for sim/: event ordering and cancellation, FIFO stations, the
+// network model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/station.h"
+#include "util/rng.h"
 
 namespace webcc::sim {
 namespace {
@@ -88,6 +94,226 @@ TEST(Simulator, CountsExecutedEvents) {
   for (int i = 0; i < 7; ++i) sim.At(i, [] {});
   sim.Run();
   EXPECT_EQ(sim.executed(), 7u);
+}
+
+// --- Simulator: cancellation ----------------------------------------------------
+
+TEST(Simulator, CancelledEventNeverRuns) {
+  Simulator sim;
+  int fired = 0;
+  sim.At(10, [&] { ++fired; });
+  const EventId id = sim.At(20, [&] { fired += 100; });
+  sim.At(30, [&] { ++fired; });
+  EXPECT_EQ(sim.pending(), 3u);
+  EXPECT_TRUE(sim.Cancel(id));
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.Run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.executed(), 2u);
+  EXPECT_EQ(sim.now(), 30);
+}
+
+TEST(Simulator, CancelDestroysTheAction) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  const EventId id = sim.At(10, [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(sim.Cancel(id));
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Simulator, CancelAfterTheEventRanIsANoOp) {
+  Simulator sim;
+  int fired = 0;
+  const EventId id = sim.At(10, [&] { ++fired; });
+  sim.At(20, [&] { ++fired; });
+  ASSERT_TRUE(sim.Step());
+  EXPECT_FALSE(sim.Cancel(id));
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.Run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Simulator, SecondCancelIsANoOp) {
+  Simulator sim;
+  const EventId id = sim.At(10, [] {});
+  sim.At(20, [] {});
+  EXPECT_TRUE(sim.Cancel(id));
+  EXPECT_FALSE(sim.Cancel(id));
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(Simulator, StaleIdLeavesTheEventThatReusedItsSlot) {
+  Simulator sim;
+  const EventId ran = sim.At(10, [] {});
+  const EventId cancelled = sim.At(10, [] {});
+  ASSERT_TRUE(sim.Step());
+  ASSERT_TRUE(sim.Cancel(cancelled));
+  int fired = 0;
+  const EventId a = sim.At(20, [&] { ++fired; });
+  const EventId b = sim.At(20, [&] { ++fired; });
+  // Both freed slots were reused, under new sequence numbers.
+  EXPECT_EQ(a.slot, cancelled.slot);
+  EXPECT_EQ(b.slot, ran.slot);
+  EXPECT_FALSE(sim.Cancel(ran));
+  EXPECT_FALSE(sim.Cancel(cancelled));
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.Run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Simulator, DefaultEventIdNamesNoEvent) {
+  Simulator sim;
+  sim.At(10, [] {});
+  EXPECT_FALSE(sim.Cancel(EventId{}));
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(Simulator, ActionCanCancelAnEventDueAtTheSameInstant) {
+  Simulator sim;
+  std::vector<int> order;
+  EventId victim;
+  sim.At(10, [&] {
+    order.push_back(1);
+    EXPECT_TRUE(sim.Cancel(victim));
+  });
+  victim = sim.At(10, [&] { order.push_back(2); });
+  sim.At(10, [&] { order.push_back(3); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
+TEST(Simulator, RunUntilSkipsACancelledHead) {
+  Simulator sim;
+  int fired = 0;
+  const EventId head = sim.At(10, [&] { fired += 100; });
+  sim.At(20, [&] { ++fired; });
+  ASSERT_TRUE(sim.Cancel(head));
+  sim.RunUntil(15);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.now(), 15);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.RunUntil(20);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.executed(), 1u);
+}
+
+TEST(Simulator, PeakPendingCountsLiveEventsOnly) {
+  Simulator sim;
+  for (int i = 0; i < 100; ++i) sim.Cancel(sim.At(1000, [] {}));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.peak_pending(), 1u);
+}
+
+// A seeded random mix of At/After/Cancel/Step/RunUntil calls, some made from
+// inside running actions, checked against a reference model: the set of
+// pending (time, seq) keys. Every executed event must be the model's
+// earliest, and now()/pending() must agree after every call.
+class SimulatorModelRun {
+ public:
+  explicit SimulatorModelRun(std::uint64_t seed) : rng_(seed) {}
+
+  void Run(int calls) {
+    for (int i = 0; i < calls && !::testing::Test::HasFailure(); ++i) {
+      // Alternate phases that grow the queue to a few hundred events and
+      // drain it.
+      const std::uint64_t schedule_below = (i / 10000) % 2 == 0 ? 50 : 30;
+      const std::uint64_t roll = rng_.NextBelow(100);
+      if (roll < schedule_below) {
+        Schedule();
+      } else if (roll < schedule_below + 20) {
+        CancelRandom();
+      } else if (roll < 99) {
+        Step();
+      } else {
+        RunUntil(sim_.now() + static_cast<Time>(rng_.NextBelow(4)));
+      }
+      Agree();
+    }
+    while (!pending_.empty() && !::testing::Test::HasFailure()) Step();
+    EXPECT_FALSE(sim_.Step());
+    EXPECT_EQ(sim_.executed(), executed_);
+  }
+
+  std::uint64_t executed() const { return executed_; }
+  std::uint64_t cancelled() const { return cancelled_; }
+  std::size_t peak() const { return sim_.peak_pending(); }
+
+ private:
+  // A narrow time range, so many events tie and the seq order decides.
+  void Schedule() {
+    const std::size_t index = ids_.size();
+    const Time delay = static_cast<Time>(rng_.NextBelow(40));
+    Simulator::Action action = [this, index] { Fire(index); };
+    const EventId id = rng_.NextBool(0.5)
+                           ? sim_.At(sim_.now() + delay, std::move(action))
+                           : sim_.After(delay, std::move(action));
+    ids_.push_back(id);
+    times_.push_back(sim_.now() + delay);
+    pending_.insert({times_.back(), id.seq});
+  }
+
+  // Mostly one of the last 64 ids issued, often still pending; otherwise
+  // any id ever issued, mostly run, cancelled or stale.
+  void CancelRandom() {
+    if (ids_.empty()) return;
+    const std::size_t recent = std::min<std::size_t>(ids_.size(), 64);
+    const std::size_t index =
+        rng_.NextBool(0.75) ? ids_.size() - 1 - rng_.NextBelow(recent)
+                            : rng_.NextBelow(ids_.size());
+    const bool was_pending =
+        pending_.erase({times_[index], ids_[index].seq}) == 1;
+    EXPECT_EQ(sim_.Cancel(ids_[index]), was_pending);
+    if (was_pending) ++cancelled_;
+  }
+
+  void Step() {
+    const bool expect_event = !pending_.empty();
+    const Time expect_now = expect_event ? pending_.begin()->first : 0;
+    EXPECT_EQ(sim_.Step(), expect_event);
+    if (expect_event) EXPECT_EQ(sim_.now(), expect_now);
+  }
+
+  void RunUntil(Time t) {
+    sim_.RunUntil(t);
+    EXPECT_TRUE(pending_.empty() || pending_.begin()->first > t);
+    EXPECT_EQ(sim_.now(), t);
+  }
+
+  void Fire(std::size_t index) {
+    ASSERT_FALSE(pending_.empty());
+    const std::pair<Time, std::uint64_t> key{times_[index], ids_[index].seq};
+    EXPECT_EQ(*pending_.begin(), key);
+    EXPECT_EQ(sim_.now(), key.first);
+    pending_.erase(pending_.begin());
+    ++executed_;
+    Agree();
+    const std::uint64_t roll = rng_.NextBelow(8);
+    if (roll < 2) {
+      Schedule();
+    } else if (roll == 2) {
+      CancelRandom();
+    }
+  }
+
+  void Agree() { EXPECT_EQ(sim_.pending(), pending_.size()); }
+
+  Simulator sim_;
+  util::Rng rng_;
+  std::set<std::pair<Time, std::uint64_t>> pending_;
+  std::vector<EventId> ids_;  // every id issued, by schedule order
+  std::vector<Time> times_;   // each id's due time
+  std::uint64_t executed_ = 0;
+  std::uint64_t cancelled_ = 0;
+};
+
+TEST(Simulator, MatchesAReferenceModelUnderRandomCancellation) {
+  SimulatorModelRun run(/*seed=*/42);
+  run.Run(100000);
+  // Both paths were exercised at volume, on a queue deep enough to sift.
+  EXPECT_GT(run.executed(), 20000u);
+  EXPECT_GT(run.cancelled(), 4000u);
+  EXPECT_GT(run.peak(), 100u);
 }
 
 // --- FifoStation -----------------------------------------------------------------
