@@ -747,10 +747,14 @@ void PrintUsage(std::ostream& out) {
          "             [--digest]  workload digest (determinism gate)\n"
          "             [--out FILE]  write the trace as CLF\n"
          "             [--replay [--protocol P|all] [--workers N]]  replay\n"
-         "             in-process and print metrics + merged trace digest\n"
+         "             in-process and print metrics + merged trace digest;\n"
+         "             P is ttl|poll|invalidation|pcv|psi (default\n"
+         "             invalidation), all runs those five\n"
          "  replay     run the consistency experiment on a trace\n"
          "             --in FILE | --preset NAME | --scenario FILE\n"
-         "             [--protocol ttl|poll|invalidation|pcv|psi|all]\n"
+         "             [--protocol P]  ttl|poll|invalidation|pcv|psi, or\n"
+         "             all (the default): the paper's ttl, poll and\n"
+         "             invalidation\n"
          "             [--lifetime-days D] [--lease-days L]\n"
          "             [--lease none|fixed|two-tier] [--two-tier]\n"
          "             [--multicast] [--decoupled] [--cache-mb N]\n"

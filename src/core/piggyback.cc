@@ -7,20 +7,18 @@
 
 namespace webcc::core {
 
-std::vector<PcvVerdict> ValidatePiggyback(const http::DocumentStore& store,
-                                          const std::vector<PcvItem>& items) {
-  std::vector<PcvVerdict> verdicts;
-  verdicts.reserve(items.size());
-  for (const PcvItem& item : items) {
-    const http::Document* doc = store.Find(item.url);
-    PcvVerdict verdict;
-    verdict.url = item.url;
-    verdict.owner = item.owner;
+std::vector<net::PcvStale> ValidatePiggyback(
+    const http::DocumentStore& store,
+    const std::vector<net::PcvQuery>& queries) {
+  std::vector<net::PcvStale> stale;
+  for (const net::PcvQuery& query : queries) {
+    const http::Document* doc = store.Find(query.url);
     // Unknown documents (deleted at the origin) are invalid by definition.
-    verdict.invalid = doc == nullptr || doc->last_modified > item.last_modified;
-    verdicts.push_back(std::move(verdict));
+    if (doc == nullptr || doc->last_modified > query.last_modified) {
+      stale.push_back(net::PcvStale{query.url, query.owner});
+    }
   }
-  return verdicts;
+  return stale;
 }
 
 namespace {
@@ -28,20 +26,20 @@ namespace {
 constexpr std::uint64_t kPerItemOverheadBytes = 12;
 }  // namespace
 
-std::uint64_t PcvRequestExtraBytes(const std::vector<PcvItem>& items) {
+std::uint64_t PcvRequestExtraBytes(const std::vector<net::PcvQuery>& queries) {
   std::uint64_t bytes = 0;
-  for (const PcvItem& item : items) {
-    bytes += item.url.size() + kPerItemOverheadBytes;
+  for (const net::PcvQuery& query : queries) {
+    bytes += query.url.size() + kPerItemOverheadBytes;
   }
   return bytes;
 }
 
-std::uint64_t PcvReplyExtraBytes(const std::vector<PcvVerdict>& verdicts) {
+std::uint64_t PcvReplyExtraBytes(const std::vector<net::PcvStale>& stale) {
   // The reply lists only the invalid copies (url, owner, separator); valid
   // entries are implied.
   std::uint64_t bytes = 0;
-  for (const PcvVerdict& verdict : verdicts) {
-    if (verdict.invalid) bytes += verdict.url.size() + verdict.owner.size() + 3;
+  for (const net::PcvStale& copy : stale) {
+    bytes += copy.url.size() + copy.owner.size() + 3;
   }
   return bytes;
 }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "http/document_store.h"
+#include "net/message.h"
 #include "util/time.h"
 
 namespace webcc::core {
@@ -41,29 +42,16 @@ struct PiggybackConfig {
 
 // --- PCV ---------------------------------------------------------------------
 
-// One piggybacked validation candidate: a cached copy identified by its
-// (url, owner) pair, with the metadata the server needs to validate it.
-// Proxy-local cache keys never cross the wire; the proxy recomposes them
-// from the verdict (http::ComposeCacheKey).
-struct PcvItem {
-  std::string url;
-  std::string owner;  // the real client whose namespaced copy this is
-  Time last_modified = 0;
-};
-
-struct PcvVerdict {
-  std::string url;
-  std::string owner;
-  bool invalid = false;  // document changed since the entry's last_modified
-};
-
-// Bulk validation against the document store (the server side of PCV).
-std::vector<PcvVerdict> ValidatePiggyback(const http::DocumentStore& store,
-                                          const std::vector<PcvItem>& items);
+// Bulk validation against the document store (the server side of PCV): the
+// queried copies whose document changed since their last_modified, or was
+// deleted at the origin, in query order. Fresh copies are implied.
+std::vector<net::PcvStale> ValidatePiggyback(
+    const http::DocumentStore& store,
+    const std::vector<net::PcvQuery>& queries);
 
 // Wire-size overhead the piggyback adds to a request / to a reply.
-std::uint64_t PcvRequestExtraBytes(const std::vector<PcvItem>& items);
-std::uint64_t PcvReplyExtraBytes(const std::vector<PcvVerdict>& verdicts);
+std::uint64_t PcvRequestExtraBytes(const std::vector<net::PcvQuery>& queries);
+std::uint64_t PcvReplyExtraBytes(const std::vector<net::PcvStale>& stale);
 
 // --- PSI ---------------------------------------------------------------------
 
@@ -83,8 +71,6 @@ class ModificationLog {
   // When the cap truncates, advanced_to stops at the last included
   // modification so nothing is skipped on the next contact.
   Window CollectSince(Time since, Time now, std::size_t max_urls) const;
-
-  std::size_t size() const { return entries_.size(); }
 
  private:
   std::vector<std::pair<Time, std::string>> entries_;

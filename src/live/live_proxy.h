@@ -8,9 +8,10 @@
 // one LineServer reactor thread (live/socket.h). Every consistency decision —
 // serve-local vs validate, TTL/lease state on insert and on a 304 — comes
 // from the same core/consistency kernel the replay engine dispatches
-// through, so all five protocols (adaptive TTL, poll-every-time,
-// invalidation, PCV, PSI) and the lease modes behave identically in
-// simulation and deployment (tests/test_differential.cc asserts this).
+// through, and core/protocol_steps carries each one out for both stacks, so
+// all five protocols (adaptive TTL, poll-every-time, invalidation, PCV, PSI)
+// and the lease modes behave identically in simulation and deployment
+// (tests/test_differential.cc asserts this).
 #pragma once
 
 #include <atomic>

@@ -33,12 +33,11 @@ LiveServer::LiveServer(Options options)
     : options_(std::move(options)),
       policy_(core::consistency::MakePolicy(options_.protocol,
                                             core::AdaptiveTtlConfig{})),
-      accel_(docs_, options_.lease,
-             options_.shards > 0 ? options_.shards : 1, options_.server_name),
-      origin_(docs_) {
+      site_(policy_->traits(), options_.lease, options_.shards,
+            options_.server_name, options_.piggyback) {
   // The accelerator emits lease_grant / notify / invalidate_generated /
   // invalidate_server events itself once it has the sink.
-  accel_.set_trace_sink(options_.trace_sink);
+  site_.accelerator().set_trace_sink(options_.trace_sink);
 }
 
 LiveServer::~LiveServer() { Stop(); }
@@ -66,7 +65,7 @@ Time LiveServer::Now() const {
 
 void LiveServer::AddDocument(std::string path, std::uint64_t size_bytes) {
   const util::MutexLock lock(mutex_);
-  docs_.Add(std::move(path), size_bytes, Now());
+  site_.docs().Add(std::move(path), size_bytes, Now());
 }
 
 std::size_t LiveServer::TouchDocument(const std::string& path) {
@@ -75,8 +74,7 @@ std::size_t LiveServer::TouchDocument(const std::string& path) {
   {
     const util::MutexLock lock(mutex_);
     const Time now = Now();
-    if (!docs_.Touch(path, now)) return 0;
-    mod_log_.Record(now, path);
+    if (!site_.Touch(path, now)) return 0;
     obs::Emit(options_.trace_sink,
               {.type = obs::EventType::kModification, .at = now, .url = path});
     if (fan_out) {
@@ -84,8 +82,8 @@ std::size_t LiveServer::TouchDocument(const std::string& path) {
       // via the per-shard timer wheels, so the write path can afford it on
       // every check-in and the table never accumulates dead entries
       // between writes.
-      accel_.PruneExpired(now);
-      invalidations = accel_.HandleNotify(net::Notify{path}, now);
+      site_.accelerator().PruneExpired(now);
+      invalidations = site_.accelerator().HandleNotify(net::Notify{path}, now);
     }
   }
   return PushInvalidations(invalidations);
@@ -93,14 +91,14 @@ std::size_t LiveServer::TouchDocument(const std::string& path) {
 
 void LiveServer::CrashTables() {
   const util::MutexLock lock(mutex_);
-  accel_.Crash();
+  site_.accelerator().Crash();
 }
 
 std::size_t LiveServer::Recover() {
   std::vector<net::Invalidation> notices;
   {
     const util::MutexLock lock(mutex_);
-    notices = accel_.Recover();
+    notices = site_.accelerator().Recover();
   }
   return PushInvalidations(notices);
 }
@@ -220,50 +218,17 @@ std::size_t LiveServer::PushInvalidations(
 std::string LiveServer::HandleLine(std::string_view line) {
   const std::optional<net::Message> message = net::DecodeLine(line);
   if (!message.has_value()) return "ERR malformed\n";
-  const core::consistency::Traits& traits = policy_->traits();
 
   if (const auto* request = std::get_if<net::Request>(&*message)) {
     std::optional<net::Reply> reply;
     {
       const util::MutexLock lock(mutex_);
-      const Time now = Now();
-      // Protocols without invalidation callbacks run no accelerator: no
-      // site registration, no leases — the origin answers directly, as in
-      // the replay's non-invalidation routing.
-      reply = traits.invalidation_callbacks
-                  ? accel_.HandleRequest(*request, now)
-                  : origin_.Handle(*request, now);
-      if (reply.has_value()) {
-        // PCV: bulk-validate the piggybacked batch against the file
-        // system; only the invalid entries are echoed back.
-        if (traits.piggyback_validation && !request->pcv_queries.empty()) {
-          std::vector<core::PcvItem> items;
-          items.reserve(request->pcv_queries.size());
-          for (const net::PcvQuery& query : request->pcv_queries) {
-            items.push_back(
-                core::PcvItem{query.url, query.owner, query.last_modified});
-          }
-          for (core::PcvVerdict& verdict :
-               core::ValidatePiggyback(docs_, items)) {
-            if (!verdict.invalid) continue;
-            reply->pcv_invalid.push_back(net::PcvStale{
-                std::move(verdict.url), std::move(verdict.owner)});
-          }
-        }
-        // PSI: attach the documents modified since this proxy's previous
-        // contact and advance its cursor (keyed by the callback port that
-        // identifies the proxy, like the replay's per-pseudo-client
-        // cursors).
-        if (traits.piggyback_invalidation) {
-          const std::uint16_t proxy =
-              ParseClientPort(request->client_id).value_or(0);
-          Time& cursor = psi_cursor_[proxy];
-          core::ModificationLog::Window window = mod_log_.CollectSince(
-              cursor, now, options_.piggyback.max_invalidations_per_reply);
-          cursor = std::max(cursor, window.advanced_to);
-          reply->psi_modified = std::move(window.urls);
-        }
+      Time* psi_cursor = nullptr;
+      if (policy_->traits().piggyback_invalidation) {
+        psi_cursor =
+            &psi_cursor_[ParseClientPort(request->client_id).value_or(0)];
       }
+      reply = site_.Serve(*request, Now(), psi_cursor);
     }
     if (!reply.has_value()) return "ERR notfound\n";
     requests_served_.fetch_add(1);
@@ -284,7 +249,7 @@ std::string LiveServer::HandleLine(std::string_view line) {
     std::vector<net::Invalidation> invalidations;
     if (policy_->OnWrite().fan_out_invalidations) {
       const util::MutexLock lock(mutex_);
-      invalidations = accel_.HandleNotify(*notify, Now());
+      invalidations = site_.accelerator().HandleNotify(*notify, Now());
     }
     return "OK " + std::to_string(PushInvalidations(invalidations)) + "\n";
   }

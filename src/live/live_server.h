@@ -30,11 +30,9 @@
 #include <vector>
 
 #include "core/consistency/policy.h"
-#include "core/sharded_accelerator.h"
 #include "core/piggyback.h"
 #include "core/policy.h"
-#include "http/document_store.h"
-#include "http/origin.h"
+#include "core/protocol_steps.h"
 #include "live/socket.h"
 #include "obs/trace_sink.h"
 #include "util/thread_annotations.h"
@@ -131,18 +129,11 @@ class LiveServer {
   std::uint16_t port_ = 0;
 
   mutable util::Mutex mutex_;
-  // The document store, accelerator (site lists + journal), origin and PSI
-  // state are all confined behind mutex_: handler threads, the admin
-  // surface (AddDocument/TouchDocument) and the failure drills mutate them
-  // concurrently.
-  http::DocumentStore docs_ WEBCC_GUARDED_BY(mutex_);
-  core::ShardedAccelerator accel_ WEBCC_GUARDED_BY(mutex_);
-  // Plain origin service for the protocols whose traits run no accelerator
-  // (TTL, polling, PCV, PSI) — the replay routes these the same way.
-  http::OriginServer origin_ WEBCC_GUARDED_BY(mutex_);
-  // PSI server state: every modification in arrival order, plus each
-  // proxy's last-contact cursor (keyed by its callback port).
-  core::ModificationLog mod_log_ WEBCC_GUARDED_BY(mutex_);
+  // The server state and the PSI cursors are confined behind mutex_: the
+  // reactor thread, the admin surface (AddDocument/TouchDocument) and the
+  // failure drills mutate them concurrently.
+  core::ServerSite site_ WEBCC_GUARDED_BY(mutex_);
+  // Each proxy's PSI contact cursor, keyed by its callback port.
   std::unordered_map<std::uint16_t, Time> psi_cursor_ WEBCC_GUARDED_BY(mutex_);
 
   std::atomic<std::uint64_t> requests_served_{0};

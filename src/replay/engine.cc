@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/lease.h"
-#include "http/cache_key.h"
 #include "obs/event.h"
 #include "replay/engine_impl.h"
 #include "synth/generate.h"
@@ -19,17 +18,16 @@
 namespace webcc::replay {
 namespace detail {
 
-using core::consistency::HitAction;
-
 void Engine::Setup() {
   sink_ = config_.trace_sink;
   net_.set_trace_sink(sink_);
-  accel_.set_trace_sink(sink_);  // propagates to every shard and its table
+  core::ShardedAccelerator& accel = site_.accelerator();
+  accel.set_trace_sink(sink_);  // propagates to every shard and its table
 
   // One dedicated sender (and, for batching, one outbox) per accelerator
   // shard. Serialized mode never touches them, keeping the paper's shared
   // server CPU — and its metrics — shard-count invariant.
-  const std::uint32_t num_shards = accel_.num_shards();
+  const std::uint32_t num_shards = accel.num_shards();
   inval_senders_.reserve(num_shards);
   for (std::uint32_t i = 0; i < num_shards; ++i) {
     inval_senders_.push_back(std::make_unique<sim::FifoStation>(
@@ -47,9 +45,8 @@ void Engine::Setup() {
             ? config_.fixed_initial_age
             : static_cast<Time>(util::SampleExponential(
                   rng, static_cast<double>(config_.mean_lifetime)));
-    docs_.Add(doc.path, doc.size_bytes, -initial_age);
+    site_.docs().Add(doc.path, doc.size_bytes, -initial_age);
   }
-  origin_ = std::make_unique<http::OriginServer>(docs_);
 
   clients_.resize(config_.num_pseudo_clients);
   for (std::uint32_t i = 0; i < config_.num_pseudo_clients; ++i) {
@@ -174,7 +171,7 @@ void Engine::Setup() {
                   [](const FailureStep& step) {
                     return step.kind == fault::FaultKind::kServerCrash;
                   })) {
-    accel_.EnableJournal(true);
+    accel.EnableJournal(true);
   }
 
   num_intervals_ = static_cast<std::size_t>(
@@ -244,10 +241,11 @@ ReplayMetrics Engine::Run() {
         std::max(metrics_.inval_sender_busy_max_us, busy);
   }
 
-  metrics_.sitelist_storage_bytes = accel_.StorageBytes();
-  metrics_.sitelist_entries = accel_.TotalEntries();
-  metrics_.sitelist_max_len_end = accel_.MaxListLength();
-  const core::AcceleratorStats accel_stats = accel_.AggregateStats();
+  const core::ShardedAccelerator& accel = site_.accelerator();
+  metrics_.sitelist_storage_bytes = accel.StorageBytes();
+  metrics_.sitelist_entries = accel.TotalEntries();
+  metrics_.sitelist_max_len_end = accel.MaxListLength();
+  const core::AcceleratorStats accel_stats = accel.AggregateStats();
   const auto& lengths = accel_stats.list_lengths_at_modification;
   if (!lengths.empty()) {
     std::uint64_t sum = 0;
@@ -277,7 +275,7 @@ ReplayMetrics Engine::Run() {
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& registry = *config_.metrics;
     metrics_.ExportTo(registry);
-    accel_.ExportMetrics(registry, "accelerator.");
+    accel.ExportMetrics(registry, "accelerator.");
     net_.ExportMetrics(registry, "network.");
     for (const PseudoClient& pc : clients_) {
       pc.cache->ExportMetrics(
@@ -312,7 +310,7 @@ void Engine::StartInterval() {
     // O(expired) amortized: each shard's timer wheel only visits the slots
     // the clock passed since the previous window, so this boundary sweep
     // no longer scans the whole table (ROADMAP item 4).
-    accel_.PruneExpired(window_start);
+    site_.accelerator().PruneExpired(window_start);
     // Section 6's write-latency bound: a write blocked on unreachable
     // targets completes once their leases have all lapsed.
     SweepExpiredWriteTargets(window_start);
@@ -367,7 +365,7 @@ void Engine::ApplyFailure(const FailureStep& step) {
       server_down_ = step.onset;
       net_.SetNodeUp(ServerNode(), !step.onset);
       if (step.onset && InvalidationMode()) {
-        accel_.Crash();
+        site_.accelerator().Crash();
         write_gap_active_ = true;
       }
       obs::Emit(sink_, {.type = event_type,
@@ -410,33 +408,15 @@ void Engine::IssueNext(PseudoClient& pc) {
                                  ? proxy_site_names_[pc.index]
                                  : trace_.clients[record.client];
   const Time trace_time = record.timestamp;
-  http::CacheEntry* entry =
-      pc.cache->Lookup(http::ComposeCacheKey(url, owner), trace_time);
-
-  bool validate = false;       // IMS instead of a full GET
-  bool lease_renewal = false;  // the IMS exists only because a lease lapsed
-  if (entry != nullptr) {
-    const core::consistency::HitDecision decision =
-        policy_->OnHit(MetaOf(*entry), trace_time);
-    if (decision.action == HitAction::kServeLocal) {
-      LocalServe(pc, *entry, trace_time);
-      return;
-    }
-    validate = true;
-    lease_renewal = decision.lease_renewal;
+  core::FetchStart start = core::StartFetch(
+      *pc.cache, *policy_, config_.piggyback.max_validations_per_request, url,
+      owner, trace_time);
+  if (start.hit != nullptr) {
+    LocalServe(pc, *start.hit, trace_time);
+    return;
   }
   if (!config_.shared_proxy_cache) NoteServerContact(record.client, pc.index);
-
-  net::Request request;
-  request.url = url;
-  request.client_id = owner;
-  if (validate) {
-    request.type = net::MessageType::kIfModifiedSince;
-    request.if_modified_since = entry->last_modified;
-  } else {
-    request.type = net::MessageType::kGet;
-  }
-  SendToServer(pc, std::move(request), trace_time, lease_renewal);
+  SendToServer(pc, std::move(start.request), trace_time, start.lease_renewal);
 }
 
 void Engine::FinishRequest(PseudoClient& pc, Time latency) {
@@ -515,28 +495,11 @@ void Engine::SendToServer(PseudoClient& pc, net::Request request,
                       .detail = lease_renewal ? 1 : 0});
   }
 
-  // PCV: since we are contacting the server anyway, piggyback a batch of
-  // this proxy's TTL-expired entries for bulk validation.
-  std::uint64_t piggyback_bytes = 0;
-  if (Traits().piggyback_validation) {
-    std::vector<core::PcvItem> items;
-    const std::string requested_key =
-        http::ComposeCacheKey(request.url, request.client_id);
-    for (http::CacheEntry* expired : pc.cache->TakeExpired(
-             trace_time, config_.piggyback.max_validations_per_request)) {
-      if (expired->key == requested_key) {
-        // The request itself validates this entry; leave it indexed.
-        pc.cache->SetTtlExpiry(*expired, expired->ttl_expires);
-        continue;
-      }
-      items.push_back(core::PcvItem{expired->url, expired->owner,
-                                    expired->last_modified});
-    }
-    metrics_.pcv_items_piggybacked += items.size();
-    piggyback_bytes = core::PcvRequestExtraBytes(items);
-    if (!items.empty()) pcv_in_flight_[seq] = std::move(items);
-  }
-  metrics_.message_bytes += net::WireSize(request) + piggyback_bytes;
+  metrics_.pcv_items_piggybacked += request.pcv_queries.size();
+  const std::uint64_t wire = net::WireSize(request) +
+                             core::PcvRequestExtraBytes(request.pcv_queries);
+  metrics_.message_bytes += wire;
+  pc.pcv_batch = std::exchange(request.pcv_queries, {});
 
   // Reply timeout: the closed loop must advance even if the server is dead.
   // DeliverReply cancels it, so it fires only while its request is still in
@@ -546,7 +509,7 @@ void Engine::SendToServer(PseudoClient& pc, net::Request request,
         WEBCC_CHECK_MSG(pc.outstanding == seq,
                         "a delivered reply cancels its timeout");
         pc.outstanding = 0;
-        pcv_in_flight_.erase(seq);
+        pc.pcv_batch.clear();
         ++metrics_.request_timeouts;
         obs::Emit(sink_, {.type = obs::EventType::kRequestTimeout,
                           .at = sim_.now(),
@@ -557,13 +520,12 @@ void Engine::SendToServer(PseudoClient& pc, net::Request request,
   // In hierarchical mode leaf misses go to the parent proxy, not the server.
   const sim::NodeId upstream =
       config_.hierarchical ? ParentNode() : ServerNode();
-  const std::uint64_t wire = net::WireSize(request) + piggyback_bytes;
   sim_.After(config_.client_costs.proxy_forward_overhead,
              [this, &pc, request = std::move(request), seq, trace_time, wire,
               upstream]() mutable {
                net_.Send(pc.node, upstream, wire,
                          [this, request = std::move(request),
-                          index = pc.index, seq, trace_time] {
+                          index = pc.index, seq, trace_time]() mutable {
                            if (config_.hierarchical) {
                              ParentHandle(request, index, seq, trace_time);
                            } else {
@@ -573,35 +535,20 @@ void Engine::SendToServer(PseudoClient& pc, net::Request request,
              });
 }
 
-void Engine::ServerHandle(const net::Request& request, int client_index,
+void Engine::ServerHandle(net::Request& request, int client_index,
                           std::uint64_t seq, Time trace_time) {
+  // PCV: the first copy of the in-flight request to arrive takes the batch.
+  PseudoClient& pc = clients_[client_index];
+  if (pc.outstanding == seq) request.pcv_queries.swap(pc.pcv_batch);
   std::optional<net::Reply> reply =
-      InvalidationMode() ? accel_.HandleRequest(request, trace_time)
-                         : origin_->Handle(request, trace_time);
+      site_.Serve(request, trace_time, &psi_last_contact_[client_index]);
   WEBCC_CHECK_MSG(reply.has_value(), "trace referenced an unknown document");
 
   const bool transfer = reply->type == net::MessageType::kReply200;
   const http::ServerCosts& costs = config_.server_costs;
-  // PCV: bulk-validate the piggybacked batch against the file system.
-  std::vector<core::PcvVerdict> verdicts;
-  if (const auto it = pcv_in_flight_.find(seq); it != pcv_in_flight_.end()) {
-    verdicts = core::ValidatePiggyback(docs_, it->second);
-    pcv_in_flight_.erase(it);
-  }
-
-  // PSI: attach the documents modified since this proxy's last contact and
-  // advance its cursor.
-  std::vector<std::string> psi_urls;
-  if (Traits().piggyback_invalidation) {
-    Time& cursor = psi_last_contact_[client_index];
-    core::ModificationLog::Window window = mod_log_.CollectSince(
-        cursor, trace_time, config_.piggyback.max_invalidations_per_reply);
-    cursor = std::max(cursor, window.advanced_to);
-    psi_urls = std::move(window.urls);
-  }
-
   const Time piggyback_cpu =
-      static_cast<Time>(verdicts.size() + psi_urls.size()) *
+      static_cast<Time>(request.pcv_queries.size() +
+                        reply->psi_modified.size()) *
       costs.piggyback_item_cpu;
 
   // Access log write (all approaches log incoming requests).
@@ -629,7 +576,8 @@ void Engine::ServerHandle(const net::Request& request, int client_index,
                     .url = reply->url,
                     .site = request.client_id});
   const std::uint64_t piggyback_bytes =
-      core::PcvReplyExtraBytes(verdicts) + core::PsiReplyExtraBytes(psi_urls);
+      core::PcvReplyExtraBytes(reply->pcv_invalid) +
+      core::PsiReplyExtraBytes(reply->psi_modified);
   metrics_.message_bytes += net::WireSize(*reply) + piggyback_bytes;
 
   // Transfer delay uses the scaled-down body, as in the paper's testbed.
@@ -641,63 +589,23 @@ void Engine::ServerHandle(const net::Request& request, int client_index,
 
   sim_.At(ready, [this, client_index, seq, reply = std::move(*reply),
                   owner = request.client_id, trace_time, wire_bytes,
-                  verdicts = std::move(verdicts),
-                  psi_urls = std::move(psi_urls)]() mutable {
+                  batch = std::move(request.pcv_queries)]() mutable {
     net_.Send(ServerNode(), clients_[client_index].node, wire_bytes,
               [this, client_index, seq, reply = std::move(reply),
                owner = std::move(owner), trace_time,
-               verdicts = std::move(verdicts),
-               psi_urls = std::move(psi_urls)]() mutable {
-                ApplyPiggyback(client_index, verdicts, psi_urls, trace_time);
+               batch = std::move(batch)]() mutable {
+                // The piggyback applies even to a reply DeliverReply drops
+                // as late.
+                const core::PiggybackOutcome outcome = core::ApplyPiggyback(
+                    *clients_[client_index].cache, *policy_, batch, reply,
+                    trace_time);
+                metrics_.pcv_invalidated += outcome.pcv_invalidated;
+                metrics_.psi_notices += reply.psi_modified.size();
+                metrics_.psi_entries_erased += outcome.psi_erased;
                 DeliverReply(client_index, seq, std::move(reply),
                              std::move(owner), trace_time);
               });
   });
-}
-
-// Applies PCV verdicts and PSI change notices at the proxy, before the
-// reply itself is processed (so a just-fetched body is inserted after any
-// purge of its URL).
-void Engine::ApplyPiggyback(int client_index,
-                            const std::vector<core::PcvVerdict>& verdicts,
-                            const std::vector<std::string>& psi_urls,
-                            Time trace_time) {
-  PseudoClient& pc = clients_[client_index];
-  for (const core::PcvVerdict& verdict : verdicts) {
-    const std::string key =
-        http::ComposeCacheKey(verdict.url, verdict.owner);
-    http::CacheEntry* entry = pc.cache->Peek(key);
-    if (entry == nullptr) continue;
-    if (verdict.invalid) {
-      pc.cache->Erase(key);
-      ++metrics_.pcv_invalidated;
-    } else {
-      pc.cache->SetTtlExpiry(*entry,
-                             policy_->OnPcvValid(MetaOf(*entry), trace_time));
-    }
-  }
-  for (const std::string& url : psi_urls) {
-    ++metrics_.psi_notices;
-    metrics_.psi_entries_erased += pc.cache->EraseByUrl(url);
-  }
-}
-
-http::CacheEntry Engine::BuildEntry(const net::Reply& reply,
-                                    const std::string& owner,
-                                    Time trace_time) const {
-  http::CacheEntry entry;
-  entry.key = http::ComposeCacheKey(reply.url, owner);
-  entry.url = reply.url;
-  entry.owner = owner;
-  entry.size_bytes = reply.body_bytes;
-  entry.last_modified = reply.last_modified;
-  entry.version = reply.version;
-  entry.fetched_at = trace_time;
-  const core::consistency::InsertDecision decision =
-      policy_->OnMissReply(MetaOf(reply), trace_time);
-  entry.ttl_expires = decision.ttl_expires;
-  entry.lease_expires = decision.lease_expires;
-  return entry;
 }
 
 void Engine::DeliverReply(int client_index, std::uint64_t seq,
@@ -708,38 +616,21 @@ void Engine::DeliverReply(int client_index, std::uint64_t seq,
   pc.outstanding = 0;
   sim_.Cancel(pc.timeout);
 
-  if (reply.type == net::MessageType::kReply200) {
-    obs::Emit(
-        sink_,
-        {.type = obs::EventType::kRequestServed,
-         .at = sim_.now(),
-         .trace_time = trace_time,
-         .url = reply.url,
-         .site = owner,
-         .detail = static_cast<std::int64_t>(obs::ServeKind::kTransfer)});
-    pc.cache->Insert(BuildEntry(reply, owner, trace_time), trace_time);
+  const bool transfer = reply.type == net::MessageType::kReply200;
+  // A 304 certifies the cached copy fresh as of this validation.
+  if (!transfer) ++metrics_.validated_hits;
+  obs::Emit(sink_, {.type = obs::EventType::kRequestServed,
+                    .at = sim_.now(),
+                    .trace_time = trace_time,
+                    .url = reply.url,
+                    .site = owner,
+                    .detail = static_cast<std::int64_t>(
+                        transfer ? obs::ServeKind::kTransfer
+                                 : obs::ServeKind::kValidated)});
+  if (transfer) {
+    core::CacheTransfer(*pc.cache, *policy_, reply, owner, trace_time);
   } else {
-    // 304: the cached copy is certified fresh as of this validation.
-    ++metrics_.validated_hits;
-    obs::Emit(
-        sink_,
-        {.type = obs::EventType::kRequestServed,
-         .at = sim_.now(),
-         .trace_time = trace_time,
-         .url = reply.url,
-         .site = owner,
-         .detail = static_cast<std::int64_t>(obs::ServeKind::kValidated)});
-    http::CacheEntry* entry =
-        pc.cache->Peek(http::ComposeCacheKey(reply.url, owner));
-    if (entry != nullptr) {
-      const core::consistency::ValidateDecision decision =
-          policy_->OnValidateReply(MetaOf(reply), trace_time);
-      if (decision.clear_questionable) entry->questionable = false;
-      if (decision.set_ttl) {
-        pc.cache->SetTtlExpiry(*entry, decision.ttl_expires);
-      }
-      if (decision.set_lease) entry->lease_expires = decision.lease_expires;
-    }
+    core::Revalidate(*pc.cache, *policy_, reply, owner, trace_time);
   }
   FinishRequest(pc, sim_.now() - pc.request_start);
 }

@@ -80,7 +80,8 @@ void Engine::ParentHandle(const net::Request& request, int client_index,
 void Engine::ServerHandleForParent(net::Request request, int client_index,
                                    std::uint64_t seq, std::string owner,
                                    bool leaf_wanted_body, Time trace_time) {
-  std::optional<net::Reply> reply = accel_.HandleRequest(request, trace_time);
+  std::optional<net::Reply> reply =
+      site_.Serve(request, trace_time, /*psi_cursor=*/nullptr);
   WEBCC_CHECK_MSG(reply.has_value(), "trace referenced an unknown document");
 
   const bool transfer = reply->type == net::MessageType::kReply200;

@@ -5,8 +5,9 @@
 //
 // All protocol policy decisions (serve-local vs validate, TTL/lease state
 // for new and revalidated entries, write fan-out) are delegated to the
-// core::consistency kernel; this class only executes the returned
-// decisions against the simulated caches and network.
+// core::consistency kernel, and the steps that carry them out to
+// core/protocol_steps, which the live stack runs too; this class adds the
+// simulated clock, network, costs, counters and trace events.
 #pragma once
 
 #include <cstdint>
@@ -21,11 +22,8 @@
 #include "core/consistency/policy.h"
 #include "core/delivery.h"
 #include "core/outbox.h"
-#include "core/sharded_accelerator.h"
+#include "core/protocol_steps.h"
 #include "fault/clock.h"
-#include "core/piggyback.h"
-#include "http/document_store.h"
-#include "http/origin.h"
 #include "http/proxy_cache.h"
 #include "net/message.h"
 #include "obs/trace_sink.h"
@@ -44,11 +42,11 @@ class Engine {
       : config_(config),
         trace_(*config.trace),
         net_(sim_, config.network),
+        policy_(core::consistency::MakePolicy(config.protocol, config.ttl)),
+        site_(policy_->traits(), config.lease, config.accelerator_shards,
+              "origin", config.piggyback),
         server_cpu_(sim_, "server-cpu"),
-        server_disk_(sim_, "server-disk"),
-        accel_(docs_, config.lease,
-               config.accelerator_shards > 0 ? config.accelerator_shards : 1),
-        policy_(core::consistency::MakePolicy(config.protocol, config.ttl)) {
+        server_disk_(sim_, "server-disk") {
     WEBCC_CHECK_MSG(config.trace != nullptr, "replay needs a trace");
     WEBCC_CHECK_MSG(config.num_pseudo_clients > 0, "need pseudo-clients");
     Setup();
@@ -68,6 +66,10 @@ class Engine {
     std::uint64_t outstanding = 0;  // seq of the in-flight request; 0 = none
     Time request_start = 0;         // wall time the in-flight request began
     sim::EventId timeout;           // the in-flight request's reply timeout
+    // The in-flight request's PCV batch, held here rather than in the
+    // message: the first copy to reach the server takes it, so a duplicated
+    // or timed-out copy validates nothing.
+    std::vector<net::PcvQuery> pcv_batch;
   };
 
   sim::NodeId ServerNode() const {
@@ -81,18 +83,6 @@ class Engine {
     return policy_->traits();
   }
   bool InvalidationMode() const { return Traits().invalidation_callbacks; }
-
-  static core::consistency::EntryMeta MetaOf(const http::CacheEntry& entry) {
-    return {.last_modified = entry.last_modified,
-            .fetched_at = entry.fetched_at,
-            .ttl_expires = entry.ttl_expires,
-            .lease_expires = entry.lease_expires,
-            .questionable = entry.questionable};
-  }
-  static core::consistency::ReplyMeta MetaOf(const net::Reply& reply) {
-    return {.last_modified = reply.last_modified,
-            .lease_until = reply.lease_until};
-  }
 
   // --- setup (engine.cc) -----------------------------------------------------
   void Setup();
@@ -117,14 +107,10 @@ class Engine {
   void LocalServe(PseudoClient& pc, http::CacheEntry& entry, Time trace_time);
   void SendToServer(PseudoClient& pc, net::Request request, Time trace_time,
                     bool lease_renewal);
-  void ServerHandle(const net::Request& request, int client_index,
+  void ServerHandle(net::Request& request, int client_index,
                     std::uint64_t seq, Time trace_time);
   void DeliverReply(int client_index, std::uint64_t seq, net::Reply reply,
                     std::string owner, Time trace_time);
-  void ApplyPiggyback(int client_index,
-                      const std::vector<core::PcvVerdict>& verdicts,
-                      const std::vector<std::string>& psi_urls,
-                      Time trace_time);
 
   // --- hierarchy: parent proxy (engine_hierarchy.cc) ---------------------------
   void ParentHandle(const net::Request& request, int client_index,
@@ -222,15 +208,14 @@ class Engine {
   }
   void CheckStaleness(const PseudoClient& pc, const http::CacheEntry& entry,
                       Time trace_time);
-  http::CacheEntry BuildEntry(const net::Reply& reply,
-                              const std::string& owner, Time trace_time) const;
 
   const ReplayConfig& config_;
   const trace::Trace& trace_;
 
   sim::Simulator sim_;
   sim::Network net_;
-  http::DocumentStore docs_;
+  std::unique_ptr<const core::consistency::ConsistencyPolicy> policy_;
+  core::ServerSite site_;
   sim::FifoStation server_cpu_;
   sim::FifoStation server_disk_;
   // Decoupled mode: one dedicated sender per accelerator shard (built in
@@ -240,9 +225,6 @@ class Engine {
   // Batched mode: per-shard outboxes and the armed-drain flags.
   std::vector<core::InvalidationOutbox> outboxes_;
   std::vector<char> drain_scheduled_;
-  core::ShardedAccelerator accel_;
-  std::unique_ptr<const core::consistency::ConsistencyPolicy> policy_;
-  std::unique_ptr<http::OriginServer> origin_;
 
   std::vector<PseudoClient> clients_;
   // Invalidation routing, site name -> pseudo-client index: the shared-proxy
@@ -290,12 +272,8 @@ class Engine {
   // Trace times at which each document version became obsolete:
   // mod_times_[url][v-1] is the modification that superseded version v.
   std::unordered_map<std::string, std::vector<Time>> mod_times_;
-  // PSI server state: the modification log and each proxy's contact cursor.
-  core::ModificationLog mod_log_;
+  // PSI: each proxy's contact cursor.
   std::vector<Time> psi_last_contact_;
-  // PCV piggyback batches in flight, keyed by request sequence number.
-  std::unordered_map<std::uint64_t, std::vector<core::PcvItem>>
-      pcv_in_flight_;
   struct PendingMod {
     // Write-delivery state machine (the paper's completion rule): the write
     // completes when every targeted site has acked, died, or had its lease

@@ -22,9 +22,8 @@ void Engine::ModifierStep() {
   // The touch registers in the file system immediately; for polling, this is
   // the point at which the write is complete. For invalidation the write is
   // in progress from this instant until the fan-out is delivered.
-  docs_.Touch(url, event.at);
+  site_.Touch(url, event.at);
   mod_times_[url].push_back(event.at);
-  mod_log_.Record(event.at, url);
   ++metrics_.modifications_applied;
   obs::Emit(sink_, {.type = obs::EventType::kModification,
                     .at = sim_.now(),
@@ -47,9 +46,9 @@ void Engine::ModifierStep() {
                       [this, fan_out, url, at = event.at] {
                         if (fan_out) {
                           net::Notify notify{url};
-                          FanOutInvalidations(accel_.HandleNotify(notify, at),
-                                              url, at,
-                                              [this] { ModifierStep(); });
+                          FanOutInvalidations(
+                              site_.accelerator().HandleNotify(notify, at),
+                              url, at, [this] { ModifierStep(); });
                         } else {
                           ModifierStep();
                         }
@@ -96,7 +95,7 @@ void Engine::FanOutInvalidations(std::vector<net::Invalidation> invalidations,
   // All of one modification's invalidations carry the same URL, so they
   // route to one shard: its sender in decoupled mode, the shared server
   // CPU when serialized (the paper's prototype, shard-count invariant).
-  const std::uint32_t shard = accel_.ShardOf(url);
+  const std::uint32_t shard = site_.accelerator().ShardOf(url);
   sim::FifoStation& sender = config_.serialized_invalidation
                                  ? server_cpu_
                                  : *inval_senders_[shard];
@@ -452,13 +451,13 @@ void Engine::CompleteWrite(const std::string& url) {
 
 void Engine::ServerRecover(Time trace_time) {
   std::vector<net::Invalidation> notices;
-  if (accel_.journal_enabled()) {
+  if (site_.accelerator().journal_enabled()) {
     // Write-ahead journal survives the crash: rebuild the site lists from
     // it and send *targeted* invalidations only for documents that changed
     // during the downtime. A damaged journal falls back to the blanket
     // INVSRV broadcast inside RecoverFromJournal.
     core::ShardedAccelerator::RecoveryOutcome outcome =
-        accel_.RecoverFromJournal(trace_time);
+        site_.accelerator().RecoverFromJournal(trace_time);
     ++metrics_.journal_rebuilds;
     if (outcome.journal_damaged) ++metrics_.journal_damaged_recoveries;
     obs::Emit(sink_, {.type = obs::EventType::kJournalRebuild,
@@ -468,7 +467,7 @@ void Engine::ServerRecover(Time trace_time) {
                       .detail = outcome.journal_damaged ? 1 : 0});
     notices = std::move(outcome.invalidations);
   } else {
-    notices = accel_.Recover();
+    notices = site_.accelerator().Recover();
   }
   recovery_notices_pending_ = static_cast<int>(notices.size());
   if (notices.empty()) write_gap_active_ = false;
@@ -486,7 +485,7 @@ void Engine::ServerRecover(Time trace_time) {
         config_.serialized_invalidation
             ? server_cpu_
             : *inval_senders_[notice.type == net::MessageType::kInvalidateUrl
-                                  ? accel_.ShardOf(notice.url)
+                                  ? site_.accelerator().ShardOf(notice.url)
                                   : 0];
     sender.Enqueue(config_.server_costs.invalidation_send_cpu,
                    [this, notice = std::move(notice)]() mutable {

@@ -333,6 +333,69 @@ TEST(FaultGoldenCorpus, PlansReproduceExpectedMetricsAndDigests) {
   EXPECT_GE(files, 3);
 }
 
+// --- piggyback protocols under link faults ---------------------------------------
+
+// PCV and PSI under the lossy_links golden plan, whose links drop, duplicate
+// and delay requests and replies. Pinned to the values the replay has always
+// produced: the first copy of a request to reach the server takes its PCV
+// batch (a duplicated or timed-out copy validates nothing), and a reply
+// that lands after its request timed out still applies its piggyback.
+TEST(FaultScenarios, PiggybackProtocolsUnderLossyLinks) {
+  std::ifstream in(std::filesystem::path(WEBCC_TEST_DATA_DIR) / "fault_plans" /
+                   "lossy_links.json");
+  std::ostringstream text;
+  text << in.rdbuf();
+  fault::FaultPlanFile file;
+  std::string error;
+  ASSERT_TRUE(fault::ParseFaultPlanFile(text.str(), file, error)) << error;
+
+  // The scenario workload at 3000 requests instead of 900, so PCV batches
+  // and PSI notices cross the faulty links often.
+  trace::WorkloadConfig workload;
+  workload.duration = 2 * kHour;
+  workload.total_requests = 3000;
+  workload.num_documents = 80;
+  workload.num_clients = 40;
+  workload.seed = 5;
+  const trace::Trace trace = trace::GenerateTrace(workload);
+
+  struct Pinned {
+    Protocol protocol;
+    std::uint64_t trace_digest;
+    std::uint64_t message_bytes;
+    std::uint64_t pcv_items_piggybacked;
+    std::uint64_t pcv_invalidated;
+    std::uint64_t psi_notices;
+    std::uint64_t psi_entries_erased;
+    std::uint64_t request_timeouts;
+    std::uint64_t injected_dups;
+  };
+  const Pinned pinned[] = {
+      {Protocol::kPiggybackValidation, 14372563948308682191u, 13555817, 1037,
+       73, 0, 0, 289, 109},
+      {Protocol::kPiggybackInvalidation, 1413757777560515009u, 13404970, 0, 0,
+       99, 156, 321, 117},
+  };
+  for (const Pinned& expect : pinned) {
+    SCOPED_TRACE(core::ToString(expect.protocol));
+    obs::BufferTraceSink sink;
+    ReplayConfig config = FaultBaseConfig(expect.protocol);
+    config.trace = &trace;
+    config.fault_plan = &file.plan;
+    config.fault_seed = 1;
+    config.trace_sink = &sink;
+    const ReplayMetrics metrics = RunReplay(config);
+    EXPECT_EQ(obs::DigestJsonl(sink.Text()), expect.trace_digest);
+    EXPECT_EQ(metrics.message_bytes, expect.message_bytes);
+    EXPECT_EQ(metrics.pcv_items_piggybacked, expect.pcv_items_piggybacked);
+    EXPECT_EQ(metrics.pcv_invalidated, expect.pcv_invalidated);
+    EXPECT_EQ(metrics.psi_notices, expect.psi_notices);
+    EXPECT_EQ(metrics.psi_entries_erased, expect.psi_entries_erased);
+    EXPECT_EQ(metrics.request_timeouts, expect.request_timeouts);
+    EXPECT_EQ(metrics.injected_dups, expect.injected_dups);
+  }
+}
+
 // --- sharded tier under faults ---------------------------------------------------
 
 // A server crash in the middle of a burst of writes, with the decoupled

@@ -21,18 +21,18 @@ TEST(PcvValidate, SplitsFreshFromChanged) {
   store.Add("/changed", 100, 10);
   store.Touch("/changed", 50);
 
-  std::vector<core::PcvItem> items = {
+  std::vector<net::PcvQuery> queries = {
       {"/fresh", "c", 10},
       {"/changed", "c", 10},
       {"/gone", "c", 10},
   };
-  const auto verdicts = core::ValidatePiggyback(store, items);
-  ASSERT_EQ(verdicts.size(), 3u);
-  EXPECT_FALSE(verdicts[0].invalid);
-  EXPECT_TRUE(verdicts[1].invalid);
-  EXPECT_TRUE(verdicts[2].invalid);  // deleted at origin => invalid
-  EXPECT_EQ(verdicts[0].url, "/fresh");
-  EXPECT_EQ(verdicts[0].owner, "c");
+  // Only the stale copies come back, in query order; fresh ones are implied.
+  const auto stale = core::ValidatePiggyback(store, queries);
+  ASSERT_EQ(stale.size(), 2u);
+  EXPECT_EQ(stale[0].url, "/changed");
+  EXPECT_EQ(stale[0].owner, "c");
+  EXPECT_EQ(stale[1].url, "/gone");  // deleted at origin => invalid
+  EXPECT_EQ(stale[1].owner, "c");
 }
 
 TEST(PcvValidate, EmptyBatch) {
@@ -41,18 +41,17 @@ TEST(PcvValidate, EmptyBatch) {
 }
 
 TEST(PcvBytes, RequestScalesWithItems) {
-  std::vector<core::PcvItem> items = {{"/a", "c", 0}, {"/bb", "c", 0}};
-  const auto bytes = core::PcvRequestExtraBytes(items);
-  EXPECT_GT(bytes, items[0].url.size() + items[1].url.size());
+  std::vector<net::PcvQuery> queries = {{"/a", "c", 0}, {"/bb", "c", 0}};
+  const auto bytes = core::PcvRequestExtraBytes(queries);
+  EXPECT_GT(bytes, queries[0].url.size() + queries[1].url.size());
   EXPECT_EQ(core::PcvRequestExtraBytes({}), 0u);
 }
 
 TEST(PcvBytes, ReplyCountsOnlyInvalid) {
-  std::vector<core::PcvVerdict> verdicts = {{"/a", "c", false},
-                                            {"/bb", "c", true}};
+  // The reply carries only the invalid copy; the valid "/a" is implied.
+  std::vector<net::PcvStale> stale = {{"/bb", "c"}};
   // The accounting matches the historical url@owner key framing.
-  EXPECT_EQ(core::PcvReplyExtraBytes(verdicts),
-            std::string("/bb@c").size() + 2);
+  EXPECT_EQ(core::PcvReplyExtraBytes(stale), std::string("/bb@c").size() + 2);
 }
 
 // --- ModificationLog --------------------------------------------------------------

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Checks that two webcc builds replay identically. Runs the same four
+# Checks that two webcc builds replay identically. Runs the same seven
 # replays with each binary and compares, per replay:
 #   - stdout, without the `wrote ...` lines;
 #   - the --trace-out JSONL streams, byte for byte;
@@ -111,6 +111,14 @@ replay epa_partition --preset EPA \
   --fault-plan "$plans/partition_during_writes.json"
 replay sask_sharded_crash --preset SASK --shards 4 --decoupled \
   --batch-window 50 --fault-plan "$plans/server_crash_journal_recovery.json"
+# `--protocol all` covers ttl, poll and invalidation only; the piggyback
+# protocols run under duplicating, dropping and delaying links.
+replay nasa_pcv_lossy --preset NASA --protocol pcv \
+  --fault-plan "$plans/lossy_links.json"
+replay nasa_psi_lossy --preset NASA --protocol psi \
+  --fault-plan "$plans/lossy_links.json"
+replay sdsc_pcv_lossy --preset SDSC --protocol pcv --fault-seed 5 \
+  --fault-plan "$plans/lossy_links.json"
 
 if [ "$status" -eq 0 ]; then
   echo "replay identity: PASS"
