@@ -8,9 +8,10 @@
 // proxy re-enters with every entry marked unverified).
 //
 // WriteDelivery tracks those targets for one modification. It is pure
-// bookkeeping — no I/O, no clocks of its own — so the replay engine and the
-// live stack drive the identical machine from their own event loops, and
-// the fault harness can assert on it directly. Targets are kept in a sorted
+// bookkeeping — no I/O, no clocks of its own — driven by the replay engine
+// from its event loop, and the fault harness can assert on it directly.
+// The live stack does not use it: a live push gets no ack, so the live
+// server counts pushes and refusals instead. Targets are kept in a sorted
 // map so iteration order (and thus trace output) is deterministic.
 #pragma once
 

@@ -105,59 +105,37 @@ std::size_t LiveServer::Recover() {
 
 std::size_t LiveServer::PushInvalidations(
     const std::vector<net::Invalidation>& invalidations) {
-  // One wire frame per site: every kInvalidateUrl for the same client id
-  // folds into a single INVB frame (first-appearance order); server-address
-  // recovery notices always travel alone. All counters and failure events
-  // stay per-URL, so only the frame count shows the batching.
-  struct Frame {
-    std::string client_id;
-    std::string line;
-    // URLs the frame carries, for per-URL accounting; a server-address
-    // notice contributes one empty entry (its INVSRV line has no URL).
-    std::vector<std::string> urls;
-  };
-  std::vector<Frame> frames;
-  std::unordered_map<std::string, std::size_t> frame_of_site;
-  for (const net::Invalidation& invalidation : invalidations) {
-    if (invalidation.type != net::MessageType::kInvalidateUrl) {
-      frames.push_back(Frame{invalidation.client_id,
-                             net::EncodeLine(invalidation),
-                             {std::string()}});
-      continue;
-    }
-    const auto [it, inserted] =
-        frame_of_site.try_emplace(invalidation.client_id, frames.size());
-    if (inserted) {
-      frames.push_back(Frame{invalidation.client_id, {}, {}});
-    }
-    frames[it->second].urls.push_back(invalidation.url);
-  }
-  for (Frame& frame : frames) {
-    if (!frame.line.empty()) continue;  // already-encoded INVSRV
-    frame.line = net::EncodeLine(
-        net::Message(net::BatchInvalidation{frame.client_id, frame.urls}));
-  }
-
+  // One wire frame per invalidation: a URL invalidation travels as a
+  // one-URL INVB line, a server-address recovery notice as its INVSRV line.
   // One connection per proxy per attempt: frames group by callback port in
   // first-appearance order and go out back to back, as consecutive lines
-  // for the proxy's reactor. Accounting stays per frame.
+  // for the proxy's reactor.
+  struct Frame {
+    const net::Invalidation* invalidation;
+    std::string line;
+  };
   struct ProxyFrames {
     std::uint16_t port = 0;
-    std::vector<const Frame*> frames;
+    std::vector<Frame> frames;
   };
   std::vector<ProxyFrames> proxies;
   std::unordered_map<std::uint16_t, std::size_t> proxy_of_port;
-  for (const Frame& frame : frames) {
-    const auto port = ParseClientPort(frame.client_id);
+  for (const net::Invalidation& invalidation : invalidations) {
+    const auto port = ParseClientPort(invalidation.client_id);
     if (!port.has_value()) {
       WEBCC_LOG_WARN("live: client id '%s' has no callback port",
-                     frame.client_id.c_str());
+                     invalidation.client_id.c_str());
       continue;
     }
     const auto [it, inserted] =
         proxy_of_port.try_emplace(*port, proxies.size());
     if (inserted) proxies.push_back(ProxyFrames{*port, {}});
-    proxies[it->second].frames.push_back(&frame);
+    proxies[it->second].frames.push_back(Frame{
+        &invalidation,
+        invalidation.type == net::MessageType::kInvalidateUrl
+            ? net::EncodeLine(net::Message(net::BatchInvalidation{
+                  invalidation.client_id, {invalidation.url}}))
+            : net::EncodeLine(invalidation)});
   }
 
   std::size_t pushed = 0;
@@ -181,35 +159,31 @@ std::size_t LiveServer::PushInvalidations(
           stream.SetWriteTimeout(options_.push_timeout_ms);
         }
         for (; written < proxy.frames.size(); ++written) {
-          const Frame& frame = *proxy.frames[written];
-          if (!stream.WriteAll(frame.line)) break;
+          if (!stream.WriteAll(proxy.frames[written].line)) break;
           // Delivery is traced at the proxy when it applies the message
           // (the replay emits kInvalidateDelivered at the cache, not the
           // sender).
-          pushed += frame.urls.size();
-          invalidations_pushed_.fetch_add(frame.urls.size());
-          invalidation_frames_pushed_.fetch_add(1);
+          ++pushed;
+          invalidations_pushed_.fetch_add(1);
         }
       }
       error = stream.last_error();
       if (error != IoError::kTimeout) break;
     }
     for (std::size_t i = written; i < proxy.frames.size(); ++i) {
-      const Frame& frame = *proxy.frames[i];
+      const net::Invalidation& invalidation = *proxy.frames[i].invalidation;
       if (error == IoError::kTimeout) {
         pushes_timed_out_.fetch_add(1);
       } else {
         pushes_refused_.fetch_add(1);
       }
-      for (const std::string& url : frame.urls) {
-        obs::Emit(options_.trace_sink,
-                  {.type = error == IoError::kTimeout
-                               ? obs::EventType::kInvalidateGaveUp
-                               : obs::EventType::kInvalidateRefused,
-                   .at = Now(),
-                   .url = url,
-                   .site = frame.client_id});
-      }
+      obs::Emit(options_.trace_sink,
+                {.type = error == IoError::kTimeout
+                             ? obs::EventType::kInvalidateGaveUp
+                             : obs::EventType::kInvalidateRefused,
+                 .at = Now(),
+                 .url = invalidation.url,
+                 .site = invalidation.client_id});
     }
   }
   return pushed;

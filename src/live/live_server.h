@@ -107,10 +107,9 @@ class LiveServer {
   std::uint64_t invalidations_pushed() const {
     return invalidations_pushed_.load();
   }
-  // Wire frames carrying those invalidations; < invalidations_pushed()
-  // whenever batching packed several URLs into one INVB frame.
+  // Wire frames carrying those invalidations: one per invalidation.
   std::uint64_t invalidation_frames_pushed() const {
-    return invalidation_frames_pushed_.load();
+    return invalidations_pushed_.load();
   }
   // Frames given up on, by cause; push_retries() counts reconnect attempts.
   std::uint64_t pushes_timed_out() const { return pushes_timed_out_.load(); }
@@ -138,7 +137,6 @@ class LiveServer {
 
   std::atomic<std::uint64_t> requests_served_{0};
   std::atomic<std::uint64_t> invalidations_pushed_{0};
-  std::atomic<std::uint64_t> invalidation_frames_pushed_{0};
   std::atomic<std::uint64_t> pushes_timed_out_{0};
   std::atomic<std::uint64_t> pushes_refused_{0};
   std::atomic<std::uint64_t> push_retries_{0};

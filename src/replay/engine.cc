@@ -544,48 +544,17 @@ void Engine::ServerHandle(net::Request& request, int client_index,
       site_.Serve(request, trace_time, &psi_last_contact_[client_index]);
   WEBCC_CHECK_MSG(reply.has_value(), "trace referenced an unknown document");
 
-  const bool transfer = reply->type == net::MessageType::kReply200;
-  const http::ServerCosts& costs = config_.server_costs;
   const Time piggyback_cpu =
       static_cast<Time>(request.pcv_queries.size() +
                         reply->psi_modified.size()) *
-      costs.piggyback_item_cpu;
-
-  // Access log write (all approaches log incoming requests).
-  server_disk_.utilization().AddWrite();
-  const Time log_done = server_disk_.Enqueue(costs.disk_op);
-  Time ready = server_cpu_.Enqueue(
-      (transfer ? costs.request_cpu_200 : costs.request_cpu_304) +
-      piggyback_cpu);
-  if (transfer) {
-    // The file read must complete before the body can be sent.
-    server_disk_.utilization().AddRead();
-    ready = std::max(ready, server_disk_.Enqueue(costs.disk_op));
-  }
-  (void)log_done;  // logging is asynchronous w.r.t. the reply
-
-  if (transfer) {
-    ++metrics_.replies_200;
-  } else {
-    ++metrics_.replies_304;
-  }
-  obs::Emit(sink_, {.type = transfer ? obs::EventType::kReply200
-                                     : obs::EventType::kReply304,
-                    .at = sim_.now(),
-                    .trace_time = trace_time,
-                    .url = reply->url,
-                    .site = request.client_id});
+      config_.server_costs.piggyback_item_cpu;
+  const Time ready = ChargeServe(*reply, piggyback_cpu);
+  CountReply(*reply, request.client_id, trace_time);
   const std::uint64_t piggyback_bytes =
       core::PcvReplyExtraBytes(reply->pcv_invalid) +
       core::PsiReplyExtraBytes(reply->psi_modified);
   metrics_.message_bytes += net::WireSize(*reply) + piggyback_bytes;
-
-  // Transfer delay uses the scaled-down body, as in the paper's testbed.
-  const auto scaled_body = static_cast<std::uint64_t>(
-      static_cast<double>(reply->body_bytes) / config_.size_scale);
-  const std::uint64_t wire_bytes = net::kControlHeaderBytes +
-                                   reply->url.size() + scaled_body +
-                                   piggyback_bytes;
+  const std::uint64_t wire_bytes = TransferBytes(*reply) + piggyback_bytes;
 
   sim_.At(ready, [this, client_index, seq, reply = std::move(*reply),
                   owner = request.client_id, trace_time, wire_bytes,
@@ -606,6 +575,45 @@ void Engine::ServerHandle(net::Request& request, int client_index,
                              std::move(owner), trace_time);
               });
   });
+}
+
+Time Engine::ChargeServe(const net::Reply& reply, Time extra_cpu) {
+  const bool transfer = reply.type == net::MessageType::kReply200;
+  const http::ServerCosts& costs = config_.server_costs;
+  // Access log write (all approaches log incoming requests); logging is
+  // asynchronous w.r.t. the reply.
+  server_disk_.utilization().AddWrite();
+  server_disk_.Enqueue(costs.disk_op);
+  Time ready = server_cpu_.Enqueue(
+      (transfer ? costs.request_cpu_200 : costs.request_cpu_304) + extra_cpu);
+  if (transfer) {
+    // The file read must complete before the body can be sent.
+    server_disk_.utilization().AddRead();
+    ready = std::max(ready, server_disk_.Enqueue(costs.disk_op));
+  }
+  return ready;
+}
+
+void Engine::CountReply(const net::Reply& reply, std::string_view site,
+                        Time trace_time) {
+  const bool transfer = reply.type == net::MessageType::kReply200;
+  if (transfer) {
+    ++metrics_.replies_200;
+  } else {
+    ++metrics_.replies_304;
+  }
+  obs::Emit(sink_, {.type = transfer ? obs::EventType::kReply200
+                                     : obs::EventType::kReply304,
+                    .at = sim_.now(),
+                    .trace_time = trace_time,
+                    .url = reply.url,
+                    .site = site});
+}
+
+std::uint64_t Engine::TransferBytes(const net::Reply& reply) const {
+  const auto scaled_body = static_cast<std::uint64_t>(
+      static_cast<double>(reply.body_bytes) / config_.size_scale);
+  return net::kControlHeaderBytes + reply.url.size() + scaled_body;
 }
 
 void Engine::DeliverReply(int client_index, std::uint64_t seq,

@@ -28,17 +28,9 @@ void Engine::ParentHandle(const net::Request& request, int client_index,
     reply.body_bytes = entry->size_bytes;
     reply.last_modified = entry->last_modified;
     reply.version = entry->version;
-    ++metrics_.replies_200;
-    obs::Emit(sink_, {.type = obs::EventType::kReply200,
-                      .at = sim_.now(),
-                      .trace_time = trace_time,
-                      .url = reply.url,
-                      .site = request.client_id});
+    CountReply(reply, request.client_id, trace_time);
     metrics_.message_bytes += net::WireSize(reply);
-    const auto scaled_body = static_cast<std::uint64_t>(
-        static_cast<double>(reply.body_bytes) / config_.size_scale);
-    const std::uint64_t wire_bytes =
-        net::kControlHeaderBytes + reply.url.size() + scaled_body;
+    const std::uint64_t wire_bytes = TransferBytes(reply);
     const Time ready =
         parent_cpu_->Enqueue(config_.client_costs.proxy_hit_time);
     sim_.At(ready, [this, client_index, seq, reply = std::move(reply),
@@ -84,22 +76,10 @@ void Engine::ServerHandleForParent(net::Request request, int client_index,
       site_.Serve(request, trace_time, /*psi_cursor=*/nullptr);
   WEBCC_CHECK_MSG(reply.has_value(), "trace referenced an unknown document");
 
-  const bool transfer = reply->type == net::MessageType::kReply200;
-  const http::ServerCosts& costs = config_.server_costs;
-  server_disk_.utilization().AddWrite();
-  server_disk_.Enqueue(costs.disk_op);
-  Time ready = server_cpu_.Enqueue(transfer ? costs.request_cpu_200
-                                            : costs.request_cpu_304);
-  if (transfer) {
-    server_disk_.utilization().AddRead();
-    ready = std::max(ready, server_disk_.Enqueue(costs.disk_op));
-  }
+  const Time ready = ChargeServe(*reply, /*extra_cpu=*/0);
   // Hop-2 replies are counted via parent_fetches; bytes are real traffic.
   metrics_.message_bytes += net::WireSize(*reply);
-  const auto scaled_body = static_cast<std::uint64_t>(
-      static_cast<double>(reply->body_bytes) / config_.size_scale);
-  const std::uint64_t wire_bytes =
-      net::kControlHeaderBytes + reply->url.size() + scaled_body;
+  const std::uint64_t wire_bytes = TransferBytes(*reply);
 
   sim_.At(ready, [this, client_index, seq, reply = std::move(*reply),
                   owner = std::move(owner), leaf_wanted_body, trace_time,
@@ -164,23 +144,9 @@ void Engine::ParentReceiveReply(net::Reply reply, int client_index,
   }
 
   // Forward to the leaf (this is the leaf-facing reply).
-  if (reply.type == net::MessageType::kReply200) {
-    ++metrics_.replies_200;
-  } else {
-    ++metrics_.replies_304;
-  }
-  obs::Emit(sink_, {.type = reply.type == net::MessageType::kReply200
-                                ? obs::EventType::kReply200
-                                : obs::EventType::kReply304,
-                    .at = sim_.now(),
-                    .trace_time = trace_time,
-                    .url = reply.url,
-                    .site = owner});
+  CountReply(reply, owner, trace_time);
   metrics_.message_bytes += net::WireSize(reply);
-  const auto scaled_body = static_cast<std::uint64_t>(
-      static_cast<double>(reply.body_bytes) / config_.size_scale);
-  const std::uint64_t wire_bytes =
-      net::kControlHeaderBytes + reply.url.size() + scaled_body;
+  const std::uint64_t wire_bytes = TransferBytes(reply);
   const Time ready = parent_cpu_->Enqueue(config_.client_costs.proxy_hit_time);
   sim_.At(ready, [this, client_index, seq, reply = std::move(reply),
                   owner = std::move(owner), trace_time,
@@ -260,18 +226,17 @@ void Engine::ParentDeliverInvalidation(const std::string& url,
   ResolveWriteTarget(mod_id, "parent", /*dead=*/false);
 }
 
-void Engine::ParentDeliverServerNotice(const net::Invalidation& notice) {
+void Engine::ParentDeliverServerNotice(std::uint64_t wire) {
   // Server-site recovery reaches the parent, which must assume everything
   // below it may be stale: its own cache and every leaf's become
   // questionable.
   parent_cache_->MarkAllQuestionable();
   for (PseudoClient& pc : clients_) {
     ++metrics_.hierarchy_forwards;
-    metrics_.message_bytes += net::WireSize(notice);
-    net_.Send(ParentNode(), pc.node, net::WireSize(notice),
+    metrics_.message_bytes += wire;
+    net_.Send(ParentNode(), pc.node, wire,
               [&pc] { pc.cache->MarkAllQuestionable(); });
   }
-  FinishRecoveryNotice();
 }
 
 }  // namespace webcc::replay::detail

@@ -36,6 +36,20 @@
 
 namespace webcc::replay::detail {
 
+// One server->site frame: a single INVALIDATE or multicast copy has one
+// URL, an INVB frame its site's URLs, an INVSRV one empty URL. Delivering a
+// URL acks each of its write ids and a refusal resolves them dead, so a
+// batch frame is just many (url, write id) acks resolving at once.
+struct Push {
+  std::string site;
+  std::vector<std::string> urls;
+  // Parallel to `urls`: the writes each URL resolves (several when an
+  // outbox entry coalesced writes); 0 names no write.
+  std::vector<std::vector<std::uint64_t>> write_ids;
+  bool server_notice = false;  // INVSRV: the site's copies turn questionable
+  bool recovery = false;       // resolving it closes one recovery notice
+};
+
 class Engine {
  public:
   explicit Engine(const ReplayConfig& config)
@@ -109,6 +123,16 @@ class Engine {
                     bool lease_renewal);
   void ServerHandle(net::Request& request, int client_index,
                     std::uint64_t seq, Time trace_time);
+  // The server's charge for serving `reply`: the access-log write, the
+  // request CPU plus `extra_cpu`, and a 200's file read. Returns when the
+  // reply is ready to send.
+  Time ChargeServe(const net::Reply& reply, Time extra_cpu);
+  // Counts a leaf-facing 200/304 and emits its event.
+  void CountReply(const net::Reply& reply, std::string_view site,
+                  Time trace_time);
+  // Bytes a reply puts on the simulated link: the header plus the
+  // scaled-down body, as in the paper's testbed.
+  std::uint64_t TransferBytes(const net::Reply& reply) const;
   void DeliverReply(int client_index, std::uint64_t seq, net::Reply reply,
                     std::string owner, Time trace_time);
 
@@ -122,7 +146,8 @@ class Engine {
                           std::uint64_t seq, std::string owner,
                           bool leaf_wanted_body, Time trace_time);
   void ParentDeliverInvalidation(const std::string& url, std::uint64_t mod_id);
-  void ParentDeliverServerNotice(const net::Invalidation& notice);
+  // Forwards an INVSRV of `wire` bytes to every leaf.
+  void ParentDeliverServerNotice(std::uint64_t wire);
 
   // --- modifier / invalidation path (engine_invalidation.cc) -------------------
   void ModifierStep();
@@ -133,17 +158,23 @@ class Engine {
   void FanOutInvalidations(std::vector<net::Invalidation> invalidations,
                            const std::string& url, Time trace_time,
                            std::function<void()> on_complete);
-  void SendInvalidation(net::Invalidation invalidation, std::uint64_t mod_id);
-  void DeliverInvalidation(const net::Invalidation& invalidation,
-                           std::uint64_t mod_id, int client_index);
+  // The one send path for every server->site push (the paper's write-
+  // completion rule, Sections 4 and 5.2): TCP with periodic retry across
+  // partitions, a refused connection resolving the site dead. `wire` is
+  // the frame's size, computed by the caller for its message format.
+  void SendPush(Push push, std::uint64_t wire);
+  // `client_index` is -1 for the parent.
+  void DeliverPush(const Push& push, int client_index, std::uint64_t wire);
+  void RefusePush(const Push& push, sim::Network::SendResult result,
+                  Time done_at);
   void ResolveFirstAttempt(std::uint64_t mod_id);
   void CompleteWrite(const std::string& url);
   void FinishRecoveryNotice();
   void ServerRecover(Time trace_time);
 
   // --- batched fan-out (engine_invalidation.cc) --------------------------------
-  // Batching applies only to decoupled, unicast, flat-topology runs; every
-  // other mode keeps its exact pre-batching send path.
+  // Batching applies to decoupled, unicast, flat-topology runs: the other
+  // modes send each invalidation as its own one-URL frame.
   bool BatchingEnabled() const {
     return config_.invalidation_batch_window > 0 &&
            !config_.serialized_invalidation &&
@@ -156,12 +187,6 @@ class Engine {
   // (their entries keep coalescing until the link heals); down sites drain
   // normally so the refusal resolves their write targets as dead.
   void DrainOutbox(std::uint32_t shard);
-  void SendInvalidationBatch(core::InvalidationOutbox::Batch batch);
-  void DeliverInvalidationBatch(const core::InvalidationOutbox::Batch& batch,
-                                int client_index);
-  // Per-URL resolution of the modifier gate for a batch that finished (or
-  // abandoned) its first transmission attempt.
-  void ResolveBatchFirstAttempts(const core::InvalidationOutbox::Batch& batch);
 
   // --- helpers ----------------------------------------------------------------
   // Records a trace client's route when its first request leaves the proxy

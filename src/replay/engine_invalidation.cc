@@ -1,7 +1,7 @@
 // Modifier process and server-driven invalidation fan-out: the write path
-// of the invalidation protocol (Section 3.3), its serialized/decoupled and
-// multicast send variants (Section 5.3), and the crash-recovery broadcast
-// (Section 4). Whether a write owes a fan-out at all is the kernel's
+// of the invalidation protocol (Section 3.3), its serialized/decoupled,
+// batched and multicast send variants (Section 5.3), and the crash-recovery
+// broadcast (Section 4), all carried by one push path. Whether a write owes a fan-out at all is the kernel's
 // OnWrite decision; everything here is mechanism.
 #include <algorithm>
 
@@ -10,6 +10,21 @@
 #include "replay/engine_impl.h"
 
 namespace webcc::replay::detail {
+namespace {
+
+// A single INVALIDATE as a one-URL frame, an INVSRV as a frame with one
+// empty URL. `mod_id` is the write it resolves; 0 for a recovery notice.
+Push PushOf(const net::Invalidation& invalidation, std::uint64_t mod_id) {
+  return Push{
+      .site = invalidation.client_id,
+      .urls = {invalidation.url},
+      .write_ids = {{mod_id}},
+      .server_notice =
+          invalidation.type == net::MessageType::kInvalidateServer,
+      .recovery = invalidation.recovery};
+}
+
+}  // namespace
 
 void Engine::ModifierStep() {
   if (mod_cursor_ >= mod_window_end_) {
@@ -109,9 +124,10 @@ void Engine::FanOutInvalidations(std::vector<net::Invalidation> invalidations,
     metrics_.message_bytes += net::WireSize(invalidations.front());
     last_send_done = sender.Enqueue(
         config_.server_costs.invalidation_send_cpu,
-        [this, invalidations = std::move(invalidations), mod_id]() mutable {
-          for (net::Invalidation& invalidation : invalidations) {
-            SendInvalidation(std::move(invalidation), mod_id);
+        [this, invalidations = std::move(invalidations), mod_id] {
+          for (const net::Invalidation& invalidation : invalidations) {
+            SendPush(PushOf(invalidation, mod_id),
+                     net::WireSize(invalidation));
           }
         });
     metrics_.invalidation_time_ms.Record(
@@ -130,13 +146,14 @@ void Engine::FanOutInvalidations(std::vector<net::Invalidation> invalidations,
     }
     ScheduleOutboxDrain(shard, config_.invalidation_batch_window);
   } else {
-    for (net::Invalidation& invalidation : invalidations) {
+    for (const net::Invalidation& invalidation : invalidations) {
       ++metrics_.invalidations_sent;
-      metrics_.message_bytes += net::WireSize(invalidation);
+      const std::uint64_t wire = net::WireSize(invalidation);
+      metrics_.message_bytes += wire;
       last_send_done = sender.Enqueue(
           config_.server_costs.invalidation_send_cpu,
-          [this, invalidation = std::move(invalidation), mod_id]() mutable {
-            SendInvalidation(std::move(invalidation), mod_id);
+          [this, push = PushOf(invalidation, mod_id), wire]() mutable {
+            SendPush(std::move(push), wire);
           });
     }
     metrics_.invalidation_time_ms.Record(
@@ -173,16 +190,18 @@ void Engine::DrainOutbox(std::uint32_t shard) {
   std::vector<core::InvalidationOutbox::Batch> batches = outbox.Drain(ready);
   const Time now = sim_.now();
   for (core::InvalidationOutbox::Batch& batch : batches) {
-    net::BatchInvalidation frame;
-    frame.client_id = batch.site;
-    frame.urls = batch.urls;
+    net::BatchInvalidation frame{std::move(batch.site), std::move(batch.urls)};
+    const std::uint64_t wire = net::WireSize(frame);
     ++metrics_.invalidation_frames_sent;
-    metrics_.message_bytes += net::WireSize(frame);
+    metrics_.message_bytes += wire;
     metrics_.batch_flush_ms.Record(ToMillis(now - batch.oldest_queued));
+    Push push{.site = std::move(frame.client_id),
+              .urls = std::move(frame.urls),
+              .write_ids = std::move(batch.write_ids)};
     inval_senders_[shard]->Enqueue(
         config_.server_costs.invalidation_send_cpu,
-        [this, batch = std::move(batch)]() mutable {
-          SendInvalidationBatch(std::move(batch));
+        [this, push = std::move(push), wire]() mutable {
+          SendPush(std::move(push), wire);
         });
   }
   if (!outbox.empty()) {
@@ -191,85 +210,18 @@ void Engine::DrainOutbox(std::uint32_t shard) {
   }
 }
 
-void Engine::SendInvalidationBatch(core::InvalidationOutbox::Batch batch) {
-  const int index = PseudoOf(batch.site);
-  const sim::NodeId target = clients_[index].node;
-  net::BatchInvalidation frame;
-  frame.client_id = batch.site;
-  frame.urls = batch.urls;
-  const std::uint64_t wire = net::WireSize(frame);
-
-  // Same gating as the unbatched path: a partition that opened between the
-  // drain and this send moves the frame to background retry.
-  bool gate_released = false;
-  if (!net_.Reachable(ServerNode(), target) && net_.IsNodeUp(target) &&
-      net_.IsNodeUp(ServerNode())) {
-    gate_released = true;
-    ResolveBatchFirstAttempts(batch);
-  }
-
-  const auto shared = std::make_shared<core::InvalidationOutbox::Batch>(
-      std::move(batch));
-  net_.SendReliable(
-      ServerNode(), target, wire,
-      [this, shared, gate_released, index] {
-        if (!gate_released) ResolveBatchFirstAttempts(*shared);
-        DeliverInvalidationBatch(*shared, index);
-      },
-      [this, shared, gate_released](sim::Network::SendResult result,
-                                    Time done_at) {
-        if (result == sim::Network::SendResult::kDelivered) return;
-        if (!gate_released) ResolveBatchFirstAttempts(*shared);
-        for (std::size_t i = 0; i < shared->urls.size(); ++i) {
-          ++metrics_.invalidations_refused;
-          obs::Emit(sink_,
-                    {.type = result == sim::Network::SendResult::kGaveUp
-                                 ? obs::EventType::kInvalidateGaveUp
-                                 : obs::EventType::kInvalidateRefused,
-                     .at = done_at,
-                     .url = shared->urls[i],
-                     .site = shared->site});
-          for (const std::uint64_t mod_id : shared->write_ids[i]) {
-            ResolveWriteTarget(mod_id, shared->site, /*dead=*/true);
-          }
-        }
-      },
-      /*max_retries=*/-1);
-}
-
-void Engine::DeliverInvalidationBatch(
-    const core::InvalidationOutbox::Batch& batch, int client_index) {
-  PseudoClient& pc = clients_[client_index];
-  for (std::size_t i = 0; i < batch.urls.size(); ++i) {
-    pc.cache->Erase(http::ComposeCacheKey(batch.urls[i], batch.site));
-    ++metrics_.invalidations_delivered;
-    obs::Emit(sink_, {.type = obs::EventType::kInvalidateDelivered,
-                      .at = sim_.now(),
-                      .url = batch.urls[i],
-                      .site = batch.site});
-    // A coalesced entry acks every write it absorbed — the one-frame-on-
-    // heal guarantee for a site partitioned through multiple writes.
-    for (const std::uint64_t mod_id : batch.write_ids[i]) {
-      ResolveWriteTarget(mod_id, batch.site, /*dead=*/false);
-    }
-  }
-}
-
-void Engine::ResolveBatchFirstAttempts(
-    const core::InvalidationOutbox::Batch& batch) {
-  for (const std::vector<std::uint64_t>& ids : batch.write_ids) {
-    for (const std::uint64_t mod_id : ids) ResolveFirstAttempt(mod_id);
-  }
-}
-
-void Engine::SendInvalidation(net::Invalidation invalidation,
-                              std::uint64_t mod_id) {
-  const bool to_parent =
-      config_.hierarchical && invalidation.client_id == "parent";
+void Engine::SendPush(Push push, std::uint64_t wire) {
+  const bool to_parent = config_.hierarchical && push.site == "parent";
   // The target is resolved once here; delivery reuses the index.
-  const int index = to_parent ? -1 : PseudoOf(invalidation.client_id);
+  const int index = to_parent ? -1 : PseudoOf(push.site);
   const sim::NodeId target = to_parent ? ParentNode() : clients_[index].node;
-  const std::uint64_t wire = net::WireSize(invalidation);
+  const auto frame = std::make_shared<const Push>(std::move(push));
+  // The blocking check-in waits on each write's first attempt only.
+  const auto release_gate = [this, frame] {
+    for (const std::vector<std::uint64_t>& ids : frame->write_ids) {
+      for (const std::uint64_t mod_id : ids) ResolveFirstAttempt(mod_id);
+    }
+  };
 
   // A send that hits a partition is queued for periodic background retry;
   // the blocking check-in does not wait for it. A reachable target gates
@@ -279,7 +231,7 @@ void Engine::SendInvalidation(net::Invalidation invalidation,
   if (!net_.Reachable(ServerNode(), target) && net_.IsNodeUp(target) &&
       net_.IsNodeUp(ServerNode())) {
     gate_released = true;
-    ResolveFirstAttempt(mod_id);
+    release_gate();
   }
 
   // TCP with periodic retry across partitions (Section 4's failure
@@ -287,74 +239,80 @@ void Engine::SendInvalidation(net::Invalidation invalidation,
   // recovery path revalidates everything.
   net_.SendReliable(
       ServerNode(), target, wire,
-      [this, invalidation, mod_id, gate_released, to_parent, index] {
-        if (!gate_released) ResolveFirstAttempt(mod_id);
-        if (to_parent) {
-          if (invalidation.type == net::MessageType::kInvalidateUrl) {
-            ParentDeliverInvalidation(invalidation.url, mod_id);
-            // Targeted journal-recovery invalidations route through the
-            // parent like any other, but gate the write-gap, not a
-            // delivery machine.
-            if (invalidation.recovery) FinishRecoveryNotice();
-          } else {
-            ParentDeliverServerNotice(invalidation);
-          }
-        } else {
-          DeliverInvalidation(invalidation, mod_id, index);
-        }
+      [this, frame, release_gate, gate_released, index, wire] {
+        if (!gate_released) release_gate();
+        DeliverPush(*frame, index, wire);
       },
-      [this, invalidation, mod_id,
-       gate_released](sim::Network::SendResult result, Time done_at) {
+      [this, frame, release_gate, gate_released](
+          sim::Network::SendResult result, Time done_at) {
         if (result == sim::Network::SendResult::kDelivered) return;
-        if (!gate_released) ResolveFirstAttempt(mod_id);
-        ++metrics_.invalidations_refused;
-        obs::Emit(sink_,
-                  {.type = result == sim::Network::SendResult::kGaveUp
-                               ? obs::EventType::kInvalidateGaveUp
-                               : obs::EventType::kInvalidateRefused,
-                   .at = done_at,
-                   .url = invalidation.url,
-                   .site = invalidation.client_id});
-        if (invalidation.recovery) {
-          // Recovery notices (INVSRV or targeted journal-recovery
-          // invalidations) gate the write-gap, not a delivery machine.
-          FinishRecoveryNotice();
-        } else {
-          // A refused target's proxy is down: its cache revalidates
-          // everything on restart, so the site counts as resolved-dead.
-          ResolveWriteTarget(mod_id, invalidation.client_id, /*dead=*/true);
-        }
+        if (!gate_released) release_gate();
+        RefusePush(*frame, result, done_at);
       },
       /*max_retries=*/-1);
 }
 
-void Engine::DeliverInvalidation(const net::Invalidation& invalidation,
-                                 std::uint64_t mod_id, int client_index) {
-  PseudoClient& pc = clients_[client_index];
-  if (invalidation.type == net::MessageType::kInvalidateUrl) {
-    // Deleting (rather than marking) frees cache space for fresh documents —
-    // the cache-utilization benefit the paper credits invalidation with.
-    pc.cache->Erase(
-        http::ComposeCacheKey(invalidation.url, invalidation.client_id));
-    ++metrics_.invalidations_delivered;
-    obs::Emit(sink_, {.type = obs::EventType::kInvalidateDelivered,
-                      .at = sim_.now(),
-                      .url = invalidation.url,
-                      .site = invalidation.client_id});
-    if (invalidation.recovery) {
-      FinishRecoveryNotice();
+void Engine::DeliverPush(const Push& push, int client_index,
+                         std::uint64_t wire) {
+  if (push.server_notice) {
+    if (client_index < 0) {
+      ParentDeliverServerNotice(wire);
     } else {
-      ResolveWriteTarget(mod_id, invalidation.client_id, /*dead=*/false);
+      // Server-address invalidation: every entry this real client holds
+      // from that server becomes questionable.
+      clients_[client_index].cache->MarkQuestionableWhere(
+          [&push](const http::CacheEntry& entry) {
+            return entry.owner == push.site;
+          });
     }
   } else {
-    // Server-address invalidation: every entry this real client holds from
-    // that server becomes questionable.
-    pc.cache->MarkQuestionableWhere(
-        [&invalidation](const http::CacheEntry& entry) {
-          return entry.owner == invalidation.client_id;
-        });
-    FinishRecoveryNotice();
+    for (std::size_t i = 0; i < push.urls.size(); ++i) {
+      const std::vector<std::uint64_t>& ids = push.write_ids[i];
+      if (client_index < 0) {
+        // Batching is off under `hierarchical`, so a frame for the parent
+        // carries one write id per URL.
+        WEBCC_DCHECK(ids.size() == 1);
+        ParentDeliverInvalidation(push.urls[i], ids.front());
+        continue;
+      }
+      // Deleting (rather than marking) frees cache space for fresh
+      // documents — the cache-utilization benefit the paper credits
+      // invalidation with.
+      clients_[client_index].cache->Erase(
+          http::ComposeCacheKey(push.urls[i], push.site));
+      ++metrics_.invalidations_delivered;
+      obs::Emit(sink_, {.type = obs::EventType::kInvalidateDelivered,
+                        .at = sim_.now(),
+                        .url = push.urls[i],
+                        .site = push.site});
+      // A coalesced entry acks every write it absorbed — the one-frame-on-
+      // heal guarantee for a site partitioned through multiple writes.
+      for (const std::uint64_t mod_id : ids) {
+        ResolveWriteTarget(mod_id, push.site, /*dead=*/false);
+      }
+    }
   }
+  // Recovery notices gate the write-gap, not a delivery machine.
+  if (push.recovery) FinishRecoveryNotice();
+}
+
+void Engine::RefusePush(const Push& push, sim::Network::SendResult result,
+                        Time done_at) {
+  for (std::size_t i = 0; i < push.urls.size(); ++i) {
+    ++metrics_.invalidations_refused;
+    obs::Emit(sink_, {.type = result == sim::Network::SendResult::kGaveUp
+                                  ? obs::EventType::kInvalidateGaveUp
+                                  : obs::EventType::kInvalidateRefused,
+                      .at = done_at,
+                      .url = push.urls[i],
+                      .site = push.site});
+    // A refused target's proxy is down: its cache revalidates everything
+    // on restart, so the site counts as resolved-dead.
+    for (const std::uint64_t mod_id : push.write_ids[i]) {
+      ResolveWriteTarget(mod_id, push.site, /*dead=*/true);
+    }
+  }
+  if (push.recovery) FinishRecoveryNotice();
 }
 
 void Engine::FinishRecoveryNotice() {
@@ -471,25 +429,26 @@ void Engine::ServerRecover(Time trace_time) {
   }
   recovery_notices_pending_ = static_cast<int>(notices.size());
   if (notices.empty()) write_gap_active_ = false;
-  // Recovery notices always take the unbatched path (fault semantics are
-  // untouched by batching); in decoupled mode a targeted invalidation goes
-  // out on its URL's shard sender, INVSRV broadcasts on shard 0.
-  for (net::Invalidation& notice : notices) {
-    if (notice.type == net::MessageType::kInvalidateUrl) {
+  // Each notice is a one-URL frame on the push path; in decoupled mode a
+  // targeted invalidation goes out on its URL's shard sender, INVSRV
+  // broadcasts on shard 0.
+  for (const net::Invalidation& notice : notices) {
+    const bool targeted = notice.type == net::MessageType::kInvalidateUrl;
+    if (targeted) {
       ++metrics_.recovery_invalidations_sent;
     } else {
       ++metrics_.invsrv_sent;
     }
-    metrics_.message_bytes += net::WireSize(notice);
+    const std::uint64_t wire = net::WireSize(notice);
+    metrics_.message_bytes += wire;
     sim::FifoStation& sender =
         config_.serialized_invalidation
             ? server_cpu_
-            : *inval_senders_[notice.type == net::MessageType::kInvalidateUrl
-                                  ? site_.accelerator().ShardOf(notice.url)
-                                  : 0];
+            : *inval_senders_[targeted ? site_.accelerator().ShardOf(notice.url)
+                                       : 0];
     sender.Enqueue(config_.server_costs.invalidation_send_cpu,
-                   [this, notice = std::move(notice)]() mutable {
-                     SendInvalidation(std::move(notice), 0);
+                   [this, push = PushOf(notice, 0), wire]() mutable {
+                     SendPush(std::move(push), wire);
                    });
   }
 }

@@ -488,6 +488,71 @@ TEST(FaultScenarios, CrashDuringBatchedSendRecoversAtEveryShardCount) {
   }
 }
 
+// --- hierarchy under faults ------------------------------------------------------
+
+// A server crash under `hierarchical` sends every recovery notice to the
+// parent proxy: with the journal, the targeted invalidations it forwards
+// to the leaves that fetched each document; without it, the INVSRV it
+// turns into a mark-everything-questionable notice for every leaf. A proxy
+// crash over the pre-crash writes gets some leaf forwards refused. Both
+// runs are pinned to their trace digest and push counters, and neither may
+// serve a copy stale after its write completed.
+TEST(FaultScenarios, HierarchyRecoveryNoticesReachEveryLeaf) {
+  fault::FaultPlan plan;
+  plan.name = "hierarchy-server-and-proxy-crash";
+  // Each window spans whole 5-minute lock-step intervals.
+  plan.events.push_back({.at = 30 * kMinute,
+                         .kind = fault::FaultKind::kProxyCrash,
+                         .target = 1,
+                         .duration = 10 * kMinute});
+  plan.events.push_back({.at = 40 * kMinute,
+                         .kind = fault::FaultKind::kServerCrash,
+                         .target = -1,
+                         .duration = 10 * kMinute});
+
+  struct Pinned {
+    bool journal;
+    std::uint64_t trace_digest;
+    std::uint64_t invsrv_sent;
+    std::uint64_t recovery_invalidations_sent;
+    std::uint64_t hierarchy_forwards;
+    std::uint64_t invalidations_delivered;
+    std::uint64_t invalidations_refused;
+    std::uint64_t write_completions;
+    std::uint64_t message_bytes;
+  };
+  const Pinned pinned[] = {
+      {true, 11158867615251961856u, 0, 12, 73, 102, 12, 40, 6860950},
+      {false, 13781115085464904937u, 1, 0, 59, 72, 12, 40, 6940588},
+  };
+  for (const Pinned& expect : pinned) {
+    SCOPED_TRACE(expect.journal ? "journal" : "no journal");
+    obs::BufferTraceSink sink;
+    ReplayConfig config = FaultBaseConfig(Protocol::kInvalidation);
+    config.hierarchical = true;
+    config.journaled_recovery = expect.journal;
+    config.fault_plan = &plan;
+    // Writes while proxy 1 is down fan out through the parent; writes
+    // while the server is down reach the leaves only as recovery notices.
+    for (trace::DocId doc = 0; doc < 40; ++doc) {
+      config.explicit_modifications.push_back({35 * kMinute, doc});
+      config.explicit_modifications.push_back({45 * kMinute, doc});
+    }
+    config.trace_sink = &sink;
+    const ReplayMetrics metrics = RunReplay(config);
+    EXPECT_EQ(obs::DigestJsonl(sink.Text()), expect.trace_digest);
+    EXPECT_EQ(metrics.invsrv_sent, expect.invsrv_sent);
+    EXPECT_EQ(metrics.recovery_invalidations_sent,
+              expect.recovery_invalidations_sent);
+    EXPECT_EQ(metrics.hierarchy_forwards, expect.hierarchy_forwards);
+    EXPECT_EQ(metrics.invalidations_delivered, expect.invalidations_delivered);
+    EXPECT_EQ(metrics.invalidations_refused, expect.invalidations_refused);
+    EXPECT_EQ(metrics.write_completions, expect.write_completions);
+    EXPECT_EQ(metrics.message_bytes, expect.message_bytes);
+    EXPECT_EQ(metrics.strong_violations, 0u);
+  }
+}
+
 // The exact-union claim at the core layer: after a crash, per-shard journal
 // rebuild restores the same (url, site, lease) entry set the single-journal
 // accelerator restores — not a subset, not a superset.

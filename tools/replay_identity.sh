@@ -1,5 +1,5 @@
 #!/bin/sh
-# Checks that two webcc builds replay identically. Runs the same seven
+# Checks that two webcc builds replay identically. Runs the same eleven
 # replays with each binary and compares, per replay:
 #   - stdout, without the `wrote ...` lines;
 #   - the --trace-out JSONL streams, byte for byte;
@@ -119,6 +119,17 @@ replay nasa_psi_lossy --preset NASA --protocol psi \
   --fault-plan "$plans/lossy_links.json"
 replay sdsc_pcv_lossy --preset SDSC --protocol pcv --fault-seed 5 \
   --fault-plan "$plans/lossy_links.json"
+# Every invalidation send mode: multicast group sends with refused copies,
+# the journal-less INVSRV broadcast, multi-URL INVB frames with refusals,
+# and decoupled unbatched sends with targeted recovery invalidations.
+replay clarknet_multicast --preset ClarkNet --multicast --fault-seed 9
+replay epa_invsrv --preset EPA --no-journal \
+  --fault-plan "$plans/server_crash_journal_recovery.json"
+replay flash_crowd_batched \
+  --scenario tests/data/scenarios/flash_crowd_mid_write.json \
+  --protocol invalidation --decoupled --shards 3 --batch-window 5000 \
+  --fault-seed 2
+replay sdsc_decoupled --preset SDSC --decoupled --shards 3 --fault-seed 6
 
 if [ "$status" -eq 0 ]; then
   echo "replay identity: PASS"
