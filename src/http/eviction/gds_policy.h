@@ -5,20 +5,20 @@
 // to the victim's H — a hit or insert then re-credits the entry above the
 // floor, so recently-useful small objects outlive large cold ones.
 //
-// This is the one policy that keeps per-entry state: a key -> (H, order)
-// map plus a lazy-deletion min-heap of (H, order, key). `order` is a
+// This is the one policy that keeps per-entry state: one indexed min-heap
+// of (H, order, key) credits, exactly one per resident tier-1 entry (a
+// re-credit replaces the entry's credit in place). `order` is a
 // policy-private monotone counter, so credit ties break toward the older
-// record — the same older-first convention as the TTL heap's stamp order —
+// credit — the same older-first convention as the TTL index's stamp order —
 // and the whole decision sequence is deterministic (doubles included: the
 // arithmetic is a fixed-order sum of exact inputs).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "http/eviction/policy.h"
+#include "util/indexed_heap.h"
 
 namespace webcc::http::eviction {
 
@@ -30,23 +30,16 @@ class GdsPolicy : public EvictionPolicy {
 
   void OnInsert(const EntryView& entry) override { Credit(entry); }
   void OnHit(const EntryView& entry) override { Credit(entry); }
-  void OnErase(const EntryView& entry) override { live_.erase(entry.key); }
+  void OnErase(const EntryView& entry) override { credits_.Erase(entry.key); }
 
-  Victim PickVictim(Time /*now*/, EvictionHost& /*host*/) override {
-    for (;;) {
-      // PickVictim is only called with a resident tier-1 entry, and every
-      // resident entry has a live heap record, so the heap cannot run dry.
-      std::pop_heap(heap_.begin(), heap_.end(), Costlier);
-      const HeapRecord top = heap_.back();
-      heap_.pop_back();
-      const auto it = live_.find(top.key);
-      if (it == live_.end() || it->second.order != top.order) {
-        continue;  // stale: entry erased or re-credited since this push
-      }
-      inflation_ = top.h;
-      ++stats_.picks;
-      return Victim{top.key, /*expired_rule=*/false};
-    }
+  Victim PickVictim(Time /*now*/, const EvictionHost& /*host*/) override {
+    // PickVictim is only called with a resident tier-1 entry, and each one
+    // holds a credit, so the heap is not empty. The victim's OnErase drops
+    // its credit.
+    const CreditRecord& lowest = credits_.top();
+    inflation_ = lowest.h;
+    ++stats_.picks;
+    return Victim{lowest.id, /*expired_rule=*/false};
   }
 
   void ExportStats(obs::MetricsRegistry& registry,
@@ -60,49 +53,30 @@ class GdsPolicy : public EvictionPolicy {
   double inflation() const { return inflation_; }
 
  private:
-  struct Credit_ {
+  struct CreditRecord {
     double h = 0.0;
     std::uint64_t order = 0;
-  };
-  struct HeapRecord {
-    double h = 0.0;
-    std::uint64_t order = 0;
-    core::InternId key = core::kNoInternId;
+    core::InternId id = core::kNoInternId;  // the entry's key id
   };
 
-  // Min-heap by (h, order): ties in credit evict the older record first.
-  static bool Costlier(const HeapRecord& a, const HeapRecord& b) {
-    if (a.h != b.h) return a.h > b.h;
-    return a.order > b.order;
-  }
+  // Min-heap by (h, order): ties in credit evict the older credit first.
+  struct CheaperFirst {
+    bool operator()(const CreditRecord& a, const CreditRecord& b) const {
+      return a.h != b.h ? a.h < b.h : a.order < b.order;
+    }
+  };
 
   void Credit(const EntryView& entry) {
     const double h =
         inflation_ + 1.0 / static_cast<double>(std::max<std::uint64_t>(
                                entry.size_bytes, 1));
-    const std::uint64_t order = next_order_++;
-    live_[entry.key] = Credit_{h, order};
-    heap_.push_back(HeapRecord{h, order, entry.key});
-    std::push_heap(heap_.begin(), heap_.end(), Costlier);
-    // Every re-credit leaks one stale record; rebuild once they outnumber
-    // the live ones (same policy as ExpiryHeap::CompactIfStale).
-    if (heap_.size() >= kCompactFloor && heap_.size() > 2 * live_.size()) {
-      auto keep = heap_.begin();
-      for (const HeapRecord& r : heap_) {
-        const auto it = live_.find(r.key);
-        if (it != live_.end() && it->second.order == r.order) *keep++ = r;
-      }
-      heap_.erase(keep, heap_.end());
-      std::make_heap(heap_.begin(), heap_.end(), Costlier);
-    }
+    credits_.Erase(entry.key);
+    credits_.Push(CreditRecord{h, next_order_++, entry.key});
   }
-
-  static constexpr std::size_t kCompactFloor = 64;
 
   double inflation_ = 0.0;
   std::uint64_t next_order_ = 0;
-  std::unordered_map<core::InternId, Credit_> live_;
-  std::vector<HeapRecord> heap_;
+  util::IndexedHeap<CreditRecord, CheaperFirst> credits_;
 };
 
 }  // namespace webcc::http::eviction

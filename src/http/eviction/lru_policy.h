@@ -1,12 +1,9 @@
 // Plain LRU and the paper's expired-first variant (Harvest's rule: prefer
 // evicting entries whose TTL has already lapsed, in expiry order, before
 // touching the recency order). Both are stateless over the host: recency
-// comes from the cache's LRU list and expiry candidates from its TTL heap,
-// which is what makes the extraction byte-identical to the pre-kernel
-// inlined EvictOne.
+// comes from the cache's LRU list and expiry candidates from its TTL index.
 #pragma once
 
-#include "http/eviction/expiry_heap.h"
 #include "http/eviction/policy.h"
 
 namespace webcc::http::eviction {
@@ -20,7 +17,7 @@ class LruPolicy : public EvictionPolicy {
   void OnHit(const EntryView&) override {}
   void OnErase(const EntryView&) override {}
 
-  Victim PickVictim(Time /*now*/, EvictionHost& host) override {
+  Victim PickVictim(Time /*now*/, const EvictionHost& host) override {
     ++stats_.picks;
     return Victim{host.LruTailKey(), /*expired_rule=*/false};
   }
@@ -35,25 +32,18 @@ class ExpiredFirstLruPolicy : public EvictionPolicy {
   void OnHit(const EntryView&) override {}
   void OnErase(const EntryView&) override {}
 
-  Victim PickVictim(Time now, EvictionHost& host) override {
-    ExpiryHeap& heap = host.TtlHeap();
-    while (!heap.empty()) {
-      const ExpiryRecord top = heap.Top();
-      if (!host.TtlRecordLive(top.key, top.stamp)) {
-        heap.PopStale();  // superseded by SetTtlExpiry or a removed entry
-        continue;
-      }
-      if (top.expires > now) break;  // earliest expiry still fresh
-      // Expired but living in tier 2: not ours to evict (tier-2 cleanup
-      // reclaims it); fall back to LRU like the still-fresh case.
-      if (!host.InEvictableTier(top.key)) break;
-      host.NoteTtlRecordConsumed(top.key);
-      heap.PopLive();
-      ++stats_.picks;
-      ++stats_.expired_picks;
-      return Victim{top.key, /*expired_rule=*/true};
-    }
+  Victim PickVictim(Time now, const EvictionHost& host) override {
     ++stats_.picks;
+    const TtlIndex& ttl = host.Ttl();
+    // The earliest expiry, when it has lapsed — unless it lives in tier 2,
+    // which is not ours to evict (tier-2 cleanup reclaims it): then fall
+    // back to LRU like the still-fresh case. The victim's removal erases
+    // its record.
+    if (!ttl.empty() && ttl.top().expires <= now &&
+        host.InEvictableTier(ttl.top().id)) {
+      ++stats_.expired_picks;
+      return Victim{ttl.top().id, /*expired_rule=*/true};
+    }
     return Victim{host.LruTailKey(), /*expired_rule=*/false};
   }
 };

@@ -3,22 +3,22 @@
 //
 // This repeats the refactor shape of core/consistency (PR 3): the cache
 // owns all entry storage and indexes — the LRU list, the interned key/url
-// maps, and the TTL expiry heap — and the policy is a pure strategy that is
+// maps, and the TTL index — and the policy is a pure strategy that is
 // notified of entry lifecycle events (OnInsert/OnHit/OnErase) and asked to
 // choose victims (PickVictim). The policy reads the cache's indexes through
 // the narrow EvictionHost view instead of duplicating them, so the
-// expired-first policy consults the *same* lazy-deletion TTL heap that
-// PCV's TakeExpired consumes, exactly as the pre-refactor inlined code did.
+// expired-first policy reads the *same* TTL index that PCV's TakeExpired
+// consumes.
 //
 // Decision table (see DESIGN.md §13 for the paper mapping):
 //
 //   policy           PickVictim chooses                 state kept
 //   ---------------  --------------------------------   -----------------
 //   lru              the LRU-list tail                  none (host order)
-//   expired-first    earliest-expiring entry whose TTL  none (host heap)
-//                    has lapsed, else the LRU tail
-//   gds              smallest GreedyDual-Size credit    per-entry H values
-//                    H = L + 1/size (inflation L)       + a lazy min-heap
+//   expired-first    earliest-expiring entry whose TTL  none (host TTL
+//                    has lapsed, else the LRU tail      index)
+//   gds              smallest GreedyDual-Size credit    one indexed heap of
+//                    H = L + 1/size (inflation L)       per-entry credits
 //
 // Policies never allocate entry storage and never see strings: entries are
 // identified by their interned key id (core::InternId).
@@ -31,6 +31,7 @@
 
 #include "core/intern.h"
 #include "obs/metrics.h"
+#include "util/indexed_heap.h"
 #include "util/time.h"
 
 namespace webcc::http {
@@ -51,14 +52,10 @@ std::string_view ToString(EvictionPolicyKind kind);
 bool ParseEvictionPolicyKind(std::string_view name, EvictionPolicyKind& out);
 std::string_view ValidEvictionPolicyNames();
 
-// The per-entry facts a policy may see. `stamp` is the cache's tie-break
-// stamp (monotone insertion/update order, shared with the TTL heap), so
-// every policy's tie-breaks agree with TtlHeapItem's ordering.
+// The per-entry facts a policy may see.
 struct EntryView {
   core::InternId key = core::kNoInternId;
   std::uint64_t size_bytes = 0;
-  Time ttl_expires = kNeverExpires;
-  std::uint64_t stamp = 0;
 };
 
 struct Victim {
@@ -72,10 +69,24 @@ struct EvictionPolicyStats {
   std::uint64_t expired_picks = 0;  // ... via the expired-first rule
 };
 
-class ExpiryHeap;
+// One record of the cache's TTL index: a resident entry (either tier) whose
+// TTL is finite and has not been taken by ProxyCache::TakeExpired. `stamp`
+// is the cache's monotone insert/re-arm stamp, so expiry ties go to the
+// older stamp.
+struct TtlRecord {
+  Time expires = 0;
+  std::uint64_t stamp = 0;
+  core::InternId id = core::kNoInternId;  // the entry's key id
+};
+struct ExpiresBefore {
+  bool operator()(const TtlRecord& a, const TtlRecord& b) const {
+    return a.expires != b.expires ? a.expires < b.expires : a.stamp < b.stamp;
+  }
+};
+using TtlIndex = util::IndexedHeap<TtlRecord, ExpiresBefore>;
 
 // The narrow view of the owning cache a policy may consult while picking a
-// victim. Only tier-1 entries are visible: the second tier evicts by its
+// victim. Only tier-1 entries are evictable: the second tier evicts by its
 // own LRU order inside the cache.
 class EvictionHost {
  public:
@@ -85,19 +96,8 @@ class EvictionHost {
   // tier.
   virtual core::InternId LruTailKey() const = 0;
 
-  // The cache's lazy-deletion TTL expiry heap (shared with TakeExpired).
-  virtual ExpiryHeap& TtlHeap() = 0;
-
-  // True when (key, stamp) names the live heap record of a resident entry:
-  // the entry exists, carries this stamp, and its record has not been
-  // consumed by TakeExpired.
-  virtual bool TtlRecordLive(core::InternId key,
-                             std::uint64_t stamp) const = 0;
-
-  // The policy is about to pop `key`'s live heap record (the expired-first
-  // victim path); the cache clears its record-live flag so the entry's
-  // later removal does not double-count the record as newly stale.
-  virtual void NoteTtlRecordConsumed(core::InternId key) = 0;
+  // The cache's TTL index (shared with TakeExpired).
+  virtual const TtlIndex& Ttl() const = 0;
 
   // True when `key` resides in tier 1 and may be returned as a victim. TTL
   // records cover both tiers (TakeExpired needs them), but only tier-1
@@ -121,8 +121,9 @@ class EvictionPolicy {
   virtual void OnErase(const EntryView& entry) = 0;
 
   // Chooses the next tier-1 victim. Only called with at least one resident
-  // tier-1 entry; must return a live key.
-  virtual Victim PickVictim(Time now, EvictionHost& host) = 0;
+  // tier-1 entry; must return a live key. The cache then erases or demotes
+  // the victim, so the policy sees its OnErase.
+  virtual Victim PickVictim(Time now, const EvictionHost& host) = 0;
 
   const EvictionPolicyStats& stats() const { return stats_; }
 

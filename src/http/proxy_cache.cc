@@ -33,16 +33,10 @@ CacheEntry* ProxyCache::Peek(const std::string& key) {
   return it == nullptr ? nullptr : &**it;
 }
 
-void ProxyCache::PushTtlItem(CacheEntry& entry) {
+void ProxyCache::IndexTtl(CacheEntry& entry) {
+  entry.heap_stamp_ = next_stamp_++;
   if (entry.ttl_expires == kNeverExpires) return;
-  ttl_heap_.Push(entry.ttl_expires, entry.heap_stamp_, entry.key_id_);
-  entry.heap_record_live_ = true;
-}
-
-void ProxyCache::CompactTtlHeap() {
-  ttl_heap_.CompactIfStale([this](const eviction::ExpiryRecord& r) {
-    return TtlRecordLive(r.key, r.stamp);
-  });
+  ttl_index_.Push({entry.ttl_expires, entry.heap_stamp_, entry.key_id_});
 }
 
 std::uint64_t ProxyCache::DemotionWatermark() const {
@@ -73,13 +67,12 @@ void ProxyCache::Insert(CacheEntry entry, Time now) {
   }
   while (bytes_used_ + entry.size_bytes > capacity_bytes_) DisplaceOne(now);
 
-  entry.heap_stamp_ = next_stamp_++;
   bytes_used_ += entry.size_bytes;
   ++stats_.insertions;
   lru_.push_front(std::move(entry));
   index_[lru_.front().key_id_] = {lru_.begin(), true};
   url_index_[lru_.front().url_id_].push_back(lru_.front().key_id_);
-  PushTtlItem(lru_.front());
+  IndexTtl(lru_.front());
   policy_->OnInsert(ViewOf(lru_.front()));
 
   if (tier_.enabled()) {
@@ -91,7 +84,6 @@ void ProxyCache::Insert(CacheEntry entry, Time now) {
 }
 
 void ProxyCache::InsertIntoTier2(CacheEntry entry, Time now) {
-  entry.heap_stamp_ = next_stamp_++;
   entry.tier2_ = true;
   entry.tier2_hits_ = 0;
   while (tier2_bytes_used_ + entry.size_bytes > tier_.tier2_capacity_bytes) {
@@ -103,7 +95,7 @@ void ProxyCache::InsertIntoTier2(CacheEntry entry, Time now) {
   index_[tier2_lru_.front().key_id_] = {tier2_lru_.begin(), true};
   url_index_[tier2_lru_.front().url_id_].push_back(
       tier2_lru_.front().key_id_);
-  PushTtlItem(tier2_lru_.front());
+  IndexTtl(tier2_lru_.front());
 }
 
 bool ProxyCache::Erase(const std::string& key) {
@@ -119,7 +111,7 @@ bool ProxyCache::EraseById(core::InternId key_id) {
 }
 
 void ProxyCache::RemoveEntry(LruList::iterator it) {
-  if (it->heap_record_live_) ttl_heap_.NoteStale();
+  ttl_index_.Erase(it->key_id_);
   std::vector<core::InternId>& keys = url_index_[it->url_id_];
   keys.erase(std::find(keys.begin(), keys.end(), it->key_id_));
   index_[it->key_id_].resident = false;
@@ -131,9 +123,6 @@ void ProxyCache::RemoveEntry(LruList::iterator it) {
     policy_->OnErase(ViewOf(*it));
     lru_.erase(it);
   }
-  // Any TTL-heap records pointing at this key became stale (NoteStale
-  // above) and are skipped lazily; compaction keeps them from piling up.
-  CompactTtlHeap();
 }
 
 std::size_t ProxyCache::EraseByUrl(const std::string& url) {
@@ -149,46 +138,22 @@ std::size_t ProxyCache::EraseByUrl(const std::string& url) {
 std::vector<CacheEntry*> ProxyCache::TakeExpired(Time now,
                                                  std::size_t max_items) {
   std::vector<CacheEntry*> expired;
-  while (expired.size() < max_items && !ttl_heap_.empty()) {
-    const eviction::ExpiryRecord top = ttl_heap_.Top();
-    if (top.expires > now) break;
-    const LruList::iterator* it = FindResident(top.key);
-    if (it != nullptr && (*it)->heap_stamp_ == top.stamp) {
-      expired.push_back(&**it);
-      (*it)->heap_record_live_ = false;  // record consumed
-      ttl_heap_.PopLive();
-    } else {
-      ttl_heap_.PopStale();
-    }
+  while (expired.size() < max_items && !ttl_index_.empty() &&
+         ttl_index_.top().expires <= now) {
+    // Every record names a resident entry.
+    expired.push_back(&**FindResident(ttl_index_.Pop().id));
   }
   return expired;
 }
 
 void ProxyCache::SetTtlExpiry(CacheEntry& entry, Time expires) {
-  if (entry.heap_record_live_) {
-    ttl_heap_.NoteStale();  // the re-push supersedes the old record
-    entry.heap_record_live_ = false;
-  }
+  ttl_index_.Erase(entry.key_id_);
   entry.ttl_expires = expires;
-  entry.heap_stamp_ = next_stamp_++;
-  PushTtlItem(entry);
-  CompactTtlHeap();
+  IndexTtl(entry);
 }
 
 core::InternId ProxyCache::LruTailKey() const {
   return std::prev(lru_.end())->key_id_;
-}
-
-bool ProxyCache::TtlRecordLive(core::InternId key,
-                               std::uint64_t stamp) const {
-  const LruList::iterator* it = FindResident(key);
-  return it != nullptr && (*it)->heap_stamp_ == stamp;
-}
-
-void ProxyCache::NoteTtlRecordConsumed(core::InternId key) {
-  LruList::iterator* it = FindResident(key);
-  WEBCC_CHECK_MSG(it != nullptr, "consuming a record with no entry");
-  (*it)->heap_record_live_ = false;
 }
 
 bool ProxyCache::InEvictableTier(core::InternId key) const {

@@ -6,8 +6,8 @@
 //
 // Replacement is delegated to the eviction kernel (src/http/eviction/): the
 // cache owns all storage and indexes — the LRU list, the interned key/url
-// maps, and the TTL expiry heap — and an EvictionPolicy strategy chooses
-// every victim through the narrow EvictionHost view. Three policies ship:
+// maps, and the TTL index — and an EvictionPolicy strategy chooses every
+// victim through the narrow EvictionHost view. Three policies ship:
 // plain LRU, Harvest's expired-first LRU (the paper traces its SASK
 // hit-ratio anomaly to this policy interacting with adaptive TTL's
 // conservative lifetimes — a freshly modified document gets a short TTL and
@@ -24,9 +24,14 @@
 //
 // Internally every key and URL is interned to a dense integer id
 // (core::Interner) once, where it enters the cache: the entry index and the
-// per-URL index are vectors indexed by id and the TTL heap keys on ids, so
-// a lookup hashes its string exactly once and the heap never copies
+// per-URL index are vectors indexed by id and the TTL index keys on ids, so
+// a lookup hashes its string exactly once and the index never copies
 // strings. The public interface stays string-keyed.
+//
+// The TTL index is a util::IndexedHeap holding exactly one (expiry, stamp)
+// record per resident entry whose TTL is finite and not yet taken by
+// TakeExpired: removing an entry erases its record, and SetTtlExpiry
+// replaces it.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +42,6 @@
 #include <vector>
 
 #include "core/intern.h"
-#include "http/eviction/expiry_heap.h"
 #include "http/eviction/policy.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
@@ -59,7 +63,7 @@ struct TierConfig {
   // capacity, keeping headroom so bursts demote instead of evicting.
   double demotion_pressure = 0.90;
   // Expired tier-2 entries reclaimed per Insert (tier 2 is scanned from the
-  // cold end; tier-1 expiry is the TTL heap's job).
+  // cold end; tier-1 expiry is the TTL index's job).
   std::size_t ttl_cleanup_per_tick = 8;
 
   bool enabled() const { return tier2_capacity_bytes > 0; }
@@ -81,12 +85,11 @@ struct CacheEntry {
 
  private:
   friend class ProxyCache;
-  std::uint64_t heap_stamp_ = 0;  // lazy-deletion marker for the TTL heap
+  // Drawn at every insert, tier-2 insert and re-arm: breaks TTL-index ties
+  // toward the older stamp.
+  std::uint64_t heap_stamp_ = 0;
   core::InternId key_id_ = core::kNoInternId;
   core::InternId url_id_ = core::kNoInternId;
-  // This entry's (key, heap_stamp_) record is in the TTL heap and has not
-  // been consumed — the heap's exact live count hangs off this flag.
-  bool heap_record_live_ = false;
   bool tier2_ = false;            // resident in the second tier
   std::uint32_t tier2_hits_ = 0;  // hits since demotion (promotion counter)
 };
@@ -167,9 +170,8 @@ class ProxyCache : private eviction::EvictionHost {
   ReplacementPolicy policy_kind() const { return policy_->kind(); }
   const TierConfig& tier_config() const { return tier_; }
 
-  // Exposed for the heap-growth regression test: total records including
-  // stale ones awaiting compaction.
-  std::size_t ttl_heap_size() const { return ttl_heap_.size(); }
+  // Records in the TTL index, for the heap-growth regression test.
+  std::size_t ttl_heap_size() const { return ttl_index_.size(); }
 
   // Optional tracing: when set, every eviction emits a kEviction event
   // stamped with the `now` the mutating call received. detail codes:
@@ -197,14 +199,11 @@ class ProxyCache : private eviction::EvictionHost {
 
   // EvictionHost — the policy's window into the indexes.
   core::InternId LruTailKey() const override;
-  eviction::ExpiryHeap& TtlHeap() override { return ttl_heap_; }
-  bool TtlRecordLive(core::InternId key, std::uint64_t stamp) const override;
-  void NoteTtlRecordConsumed(core::InternId key) override;
+  const eviction::TtlIndex& Ttl() const override { return ttl_index_; }
   bool InEvictableTier(core::InternId key) const override;
 
   static eviction::EntryView ViewOf(const CacheEntry& entry) {
-    return eviction::EntryView{entry.key_id_, entry.size_bytes,
-                               entry.ttl_expires, entry.heap_stamp_};
+    return eviction::EntryView{entry.key_id_, entry.size_bytes};
   }
 
   bool EraseById(core::InternId key_id);
@@ -217,8 +216,9 @@ class ProxyCache : private eviction::EvictionHost {
   void PromoteFromTier2(LruList::iterator it, Time now);
   void Tier2TtlCleanup(Time now);
   void RemoveEntry(LruList::iterator it);
-  void PushTtlItem(CacheEntry& entry);
-  void CompactTtlHeap();
+  // Draws `entry`'s next stamp and, when its TTL is finite, queues its
+  // TTL-index record. The entry must have no queued record.
+  void IndexTtl(CacheEntry& entry);
   std::uint64_t DemotionWatermark() const;
 
   std::uint64_t capacity_bytes_;
@@ -243,7 +243,7 @@ class ProxyCache : private eviction::EvictionHost {
   // By url id: the key ids of the entries caching it (one per owner), in
   // insertion order (keeps EraseByUrl deterministic).
   std::vector<std::vector<core::InternId>> url_index_;
-  eviction::ExpiryHeap ttl_heap_;
+  eviction::TtlIndex ttl_index_;  // keyed by key id
   ProxyCacheStats stats_;
   obs::TraceSink* trace_sink_ = nullptr;
 };

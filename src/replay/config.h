@@ -97,10 +97,6 @@ struct ReplayConfig {
   // Protocol::kInvalidation.
   bool hierarchical = false;
 
-  // Documents are stored scaled down by this factor (the paper uses 100);
-  // transfer delays use scaled sizes, byte accounting scales back up.
-  double size_scale = 100.0;
-
   sim::NetworkConfig network = sim::NetworkConfig::Lan();
   http::ServerCosts server_costs;
   ClientCosts client_costs;

@@ -611,8 +611,10 @@ void Engine::CountReply(const net::Reply& reply, std::string_view site,
 }
 
 std::uint64_t Engine::TransferBytes(const net::Reply& reply) const {
+  // Documents travel scaled down by the paper's factor of 100: transfer
+  // delays use the scaled size, while message_bytes counts the full one.
   const auto scaled_body = static_cast<std::uint64_t>(
-      static_cast<double>(reply.body_bytes) / config_.size_scale);
+      static_cast<double>(reply.body_bytes) / 100.0);
   return net::kControlHeaderBytes + reply.url.size() + scaled_body;
 }
 

@@ -229,13 +229,17 @@ void Engine::ParentDeliverInvalidation(const std::string& url,
 void Engine::ParentDeliverServerNotice(std::uint64_t wire) {
   // Server-site recovery reaches the parent, which must assume everything
   // below it may be stale: its own cache and every leaf's become
-  // questionable.
+  // questionable. The forwards go over TCP like the URL forwards: a lost
+  // one would leave that leaf serving stale copies. A refused forward
+  // needs no follow-up, since a down leaf revalidates everything when it
+  // restarts.
   parent_cache_->MarkAllQuestionable();
   for (PseudoClient& pc : clients_) {
     ++metrics_.hierarchy_forwards;
     metrics_.message_bytes += wire;
-    net_.Send(ParentNode(), pc.node, wire,
-              [&pc] { pc.cache->MarkAllQuestionable(); });
+    net_.SendReliable(ParentNode(), pc.node, wire,
+                      [&pc] { pc.cache->MarkAllQuestionable(); },
+                      /*done=*/nullptr);
   }
 }
 

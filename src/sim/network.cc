@@ -57,20 +57,12 @@ void Network::SendReliable(NodeId from, NodeId to, std::uint64_t bytes,
                            DeliverFn on_deliver, ReliableDoneFn done,
                            int max_retries) {
   TryReliable(from, to, bytes, std::move(on_deliver), std::move(done),
-              max_retries, config_.retry_interval);
-}
-
-Time Network::NextRetryInterval(Time current) const {
-  if (config_.retry_backoff <= 1.0) return current;
-  const double scaled =
-      static_cast<double>(current) * config_.retry_backoff;
-  const double cap = static_cast<double>(config_.retry_max_interval);
-  return static_cast<Time>(scaled < cap ? scaled : cap);
+              max_retries);
 }
 
 void Network::TryReliable(NodeId from, NodeId to, std::uint64_t bytes,
                           DeliverFn on_deliver, ReliableDoneFn done,
-                          int retries_left, Time current_interval) {
+                          int retries_left) {
   if (!IsNodeUp(from)) {
     // The sender itself died; its pending sends evaporate with it.
     return;
@@ -84,7 +76,7 @@ void Network::TryReliable(NodeId from, NodeId to, std::uint64_t bytes,
   }
   // Injected loss on a reliable link models a lost TCP segment: the
   // connection is not torn down, the sender just retransmits after the
-  // current retry interval. No duplication on this path — TCP sequence
+  // retry interval. No duplication on this path — TCP sequence
   // numbers discard duplicate segments before they reach the application.
   bool segment_lost = false;
   Time extra_delay = 0;
@@ -106,12 +98,11 @@ void Network::TryReliable(NodeId from, NodeId to, std::uint64_t bytes,
     }
     ++retries_;
     const int next = retries_left > 0 ? retries_left - 1 : -1;
-    const Time next_interval = NextRetryInterval(current_interval);
-    sim_.After(current_interval,
+    sim_.After(config_.retry_interval,
                [this, from, to, bytes, on_deliver = std::move(on_deliver),
-                done = std::move(done), next, next_interval]() mutable {
+                done = std::move(done), next]() mutable {
                  TryReliable(from, to, bytes, std::move(on_deliver),
-                             std::move(done), next, next_interval);
+                             std::move(done), next);
                });
     return;
   }

@@ -56,11 +56,6 @@ struct NetworkConfig {
   std::uint32_t per_message_overhead_bytes = 40;
   // Interval between retries of a reliable send across a partition.
   Time retry_interval = 5 * kSecond;
-  // Each successive retry multiplies the interval by this factor (TCP-style
-  // exponential backoff), capped at retry_max_interval. 1.0 = fixed interval,
-  // which keeps pre-fault replay timings unchanged.
-  double retry_backoff = 1.0;
-  Time retry_max_interval = 60 * kSecond;
 
   // A wide-area profile for the Section 5.2 "on the real Internet"
   // extrapolation: ~35 ms one-way, 1.5 Mb/s.
@@ -196,17 +191,14 @@ class Network {
   }
 
   void TryReliable(NodeId from, NodeId to, std::uint64_t bytes,
-                   DeliverFn on_deliver, ReliableDoneFn done, int retries_left,
-                   Time current_interval);
+                   DeliverFn on_deliver, ReliableDoneFn done,
+                   int retries_left);
 
   // Counter bumps + kLinkDrop/kLinkDelay/kLinkDup trace emission, shared by
   // the header-template Send and the reliable path.
   void RecordInjectedDrop(NodeId from, NodeId to);
   void RecordInjectedDup(NodeId from, NodeId to);
   void RecordInjectedDelay(NodeId from, NodeId to, Time extra);
-
-  // Next retry interval under exponential backoff, capped.
-  Time NextRetryInterval(Time current) const;
 
   Simulator& sim_;
   NetworkConfig config_;

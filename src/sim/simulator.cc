@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <limits>
 #include <utility>
 
 #include "util/check.h"
@@ -7,9 +8,8 @@
 namespace webcc::sim {
 
 void Simulator::Reserve(std::size_t events) {
-  heap_.reserve(events);
+  queue_.Reserve(events);
   slab_.reserve(events);
-  heap_pos_.reserve(events);
   free_slots_.reserve(events);
 }
 
@@ -22,15 +22,15 @@ EventId Simulator::At(Time t, Action action) {
     free_slots_.pop_back();
     slab_[slot] = std::move(action);
   } else {
-    WEBCC_CHECK_MSG(slab_.size() < kFree, "too many pending events");
+    WEBCC_CHECK_MSG(
+        slab_.size() < std::numeric_limits<std::uint32_t>::max(),
+        "too many pending events");
     slot = static_cast<std::uint32_t>(slab_.size());
     slab_.push_back(std::move(action));
-    heap_pos_.push_back(kFree);
   }
   const Key key{t, next_seq_++, slot};
-  heap_.push_back(key);
-  SiftUp(heap_.size() - 1, key);
-  if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
+  queue_.Push(key);
+  if (queue_.size() > peak_pending_) peak_pending_ = queue_.size();
   return {slot, key.seq};
 }
 
@@ -40,24 +40,22 @@ EventId Simulator::After(Time delay, Action action) {
 }
 
 bool Simulator::Cancel(EventId id) {
-  if (id.slot >= heap_pos_.size()) return false;
-  const std::uint32_t pos = heap_pos_[id.slot];
-  if (pos == kFree || heap_[pos].seq != id.seq) return false;
-  RemoveAt(pos);
+  const Key* key = queue_.Find(id.slot);
+  if (key == nullptr || key->seq != id.seq) return false;
+  queue_.Erase(id.slot);
   // Destroyed at return, once the queue is consistent again.
   const Task cancelled = std::move(slab_[id.slot]);
-  FreeSlot(id.slot);
+  free_slots_.push_back(id.slot);
   return true;
 }
 
 bool Simulator::Step() {
-  if (heap_.empty()) return false;
-  const Key top = heap_.front();
-  RemoveAt(0);
+  if (queue_.empty()) return false;
+  const Key top = queue_.Pop();
   // Move the action out before running it: it may schedule new events,
   // which can reuse its slot or grow the slab.
-  Task action = std::move(slab_[top.slot]);
-  FreeSlot(top.slot);
+  Task action = std::move(slab_[top.id]);
+  free_slots_.push_back(top.id);
   now_ = top.at;
   ++executed_;
   action();
@@ -71,33 +69,8 @@ void Simulator::Run() {
 
 void Simulator::RunUntil(Time t) {
   WEBCC_CHECK_MSG(t >= now_, "cannot run backwards");
-  while (!heap_.empty() && heap_.front().at <= t) Step();
+  while (!queue_.empty() && queue_.top().at <= t) Step();
   now_ = t;
-}
-
-void Simulator::SiftUp(std::size_t pos, const Key& key) {
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 2;
-    if (!Before(key, heap_[parent])) break;
-    Place(pos, heap_[parent]);
-    pos = parent;
-  }
-  Place(pos, key);
-}
-
-void Simulator::RemoveAt(std::size_t pos) {
-  const Key last = heap_.back();
-  heap_.pop_back();
-  const std::size_t size = heap_.size();
-  if (pos == size) return;
-  // Walk the hole down to a leaf along the smaller children, then seat the
-  // old last key there and sift it up (it may rise past `pos`).
-  for (std::size_t child = 2 * pos + 1; child < size; child = 2 * pos + 1) {
-    if (child + 1 < size && Before(heap_[child + 1], heap_[child])) ++child;
-    Place(pos, heap_[child]);
-    pos = child;
-  }
-  SiftUp(pos, last);
 }
 
 }  // namespace webcc::sim

@@ -8,22 +8,22 @@
 //
 // Layout: each pending event's action (a sim::Task, inline storage for
 // small captures, so scheduling the common event allocates nothing) lives
-// in a slot of a free-listed slab, and the queue itself is a binary min-heap
-// of 24-byte {at, seq, slot} keys. An action is moved once into its slot
-// (At) and once out of it (Step); a heap sift moves only keys, and every
-// slot records its key's heap position.
+// in a slot of a free-listed slab, and the queue itself is a
+// util::IndexedHeap of 24-byte {at, seq, slot} keys, keyed by slot. An
+// action is moved once into its slot (At) and once out of it (Step); a heap
+// sift moves only keys.
 //
-// Cancellation: At/After return an EventId, and Cancel removes that event
-// from the heap in O(log n) through the slot's heap position. A cancelled
-// event never runs and leaves the queue at once, so pending() and
-// peak_pending() count live events only; executed() counts events run.
+// Cancellation: At/After return an EventId, and Cancel erases that event's
+// key from the heap in O(log n) by its slot. A cancelled event never runs
+// and leaves the queue at once, so pending() and peak_pending() count live
+// events only; executed() counts events run.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "sim/task.h"
+#include "util/indexed_heap.h"
 #include "util/time.h"
 
 namespace webcc::sim {
@@ -66,7 +66,7 @@ class Simulator {
   // events.
   void Reserve(std::size_t events);
 
-  std::size_t pending() const { return heap_.size(); }
+  std::size_t pending() const { return queue_.size(); }
   std::uint64_t executed() const { return executed_; }
   // Largest number of simultaneously pending events so far.
   std::size_t peak_pending() const { return peak_pending_; }
@@ -75,35 +75,21 @@ class Simulator {
   struct Key {
     Time at;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint32_t id;  // the action's slot in slab_
   };
   static_assert(sizeof(Key) == 24);
-  static bool Before(const Key& a, const Key& b) {
-    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-  }
-  // heap_pos_ value of a free slot.
-  static constexpr std::uint32_t kFree =
-      std::numeric_limits<std::uint32_t>::max();
-
-  void Place(std::size_t pos, const Key& key) {
-    heap_[pos] = key;
-    heap_pos_[key.slot] = static_cast<std::uint32_t>(pos);
-  }
-  void SiftUp(std::size_t pos, const Key& key);
-  // Takes the key at `pos` out of the heap; its action stays in its slot.
-  void RemoveAt(std::size_t pos);
-  void FreeSlot(std::uint32_t slot) {
-    heap_pos_[slot] = kFree;
-    free_slots_.push_back(slot);
-  }
+  struct Before {
+    bool operator()(const Key& a, const Key& b) const {
+      return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+    }
+  };
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t peak_pending_ = 0;
-  std::vector<Key> heap_;
+  util::IndexedHeap<Key, Before> queue_;   // keyed by slot
   std::vector<Task> slab_;                 // actions, by slot
-  std::vector<std::uint32_t> heap_pos_;    // by slot: index in heap_ or kFree
   std::vector<std::uint32_t> free_slots_;  // LIFO: the warmest slot first
 };
 

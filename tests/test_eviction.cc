@@ -1,5 +1,5 @@
 // The eviction kernel's contract: policies pick the documented victims with
-// deterministic tie-breaks, the TTL expiry heap stays bounded under renewal
+// deterministic tie-breaks, the TTL index stays bounded under renewal
 // churn (the PR 8 stale-record leak), oversize inserts are counted and
 // traced, and the optional second tier preserves every consistency-facing
 // semantic (TakeExpired, EraseByUrl, MarkAllQuestionable) across both
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "http/cache_key.h"
-#include "http/eviction/expiry_heap.h"
 #include "http/eviction/policy.h"
 #include "http/proxy_cache.h"
 #include "obs/event.h"
@@ -22,7 +21,6 @@ namespace webcc::http {
 namespace {
 
 using eviction::EvictionPolicyKind;
-using eviction::ExpiryHeap;
 
 struct RecordedEvent {
   obs::EventType type;
@@ -74,55 +72,26 @@ TEST(EvictionPolicyKindTest, ToStringParseRoundTrip) {
   EXPECT_EQ(out, EvictionPolicyKind::kGds);  // untouched on failure
 }
 
-// --- expiry heap ------------------------------------------------------------
+// --- TTL index --------------------------------------------------------------
 
-TEST(ExpiryHeapTest, PopsByExpiryThenStamp) {
+TEST(TtlIndexTest, PopsByExpiryThenStamp) {
   // Same tie-break as the pre-kernel TtlHeapItem: expiry first, then the
   // insertion stamp, regardless of push order.
-  ExpiryHeap heap;
-  heap.Push(50, 7, 1);
-  heap.Push(10, 9, 2);
-  heap.Push(10, 3, 3);
-  heap.Push(50, 2, 4);
+  eviction::TtlIndex heap;
+  heap.Push({50, 7, 1});
+  heap.Push({10, 9, 2});
+  heap.Push({10, 3, 3});
+  heap.Push({50, 2, 4});
   std::vector<core::InternId> order;
-  while (!heap.empty()) {
-    order.push_back(heap.Top().key);
-    heap.PopLive();
-  }
+  while (!heap.empty()) order.push_back(heap.Pop().id);
   EXPECT_EQ(order, (std::vector<core::InternId>{3, 2, 4, 1}));
 }
 
-TEST(ExpiryHeapTest, CompactionDropsOnlyStaleRecords) {
-  ExpiryHeap heap;
-  // 100 records; every even stamp goes stale. Below 2x live nothing
-  // compacts; one more stale record crosses the threshold.
-  for (std::uint64_t i = 0; i < 100; ++i) heap.Push(1000 + i, i, 1);
-  for (std::uint64_t i = 0; i < 50; ++i) heap.NoteStale();
-  const auto is_live = [](const eviction::ExpiryRecord& r) {
-    return r.stamp % 2 == 1;
-  };
-  heap.CompactIfStale(is_live);
-  EXPECT_EQ(heap.size(), 100u);  // 100 <= 2 * 50: not yet
-  heap.NoteStale();
-  const auto is_live_after = [](const eviction::ExpiryRecord& r) {
-    return r.stamp % 2 == 1 && r.stamp != 1;
-  };
-  heap.CompactIfStale(is_live_after);
-  EXPECT_EQ(heap.size(), 49u);
-  EXPECT_EQ(heap.live(), 49u);
-  // Survivors still pop in (expiry, stamp) order.
-  Time last = 0;
-  while (!heap.empty()) {
-    EXPECT_GE(heap.Top().expires, last);
-    last = heap.Top().expires;
-    heap.PopLive();
-  }
-}
-
 TEST(ProxyCacheTtlHeapTest, RenewChurnKeepsHeapBounded) {
-  // The satellite regression: before compaction, every SetTtlExpiry leaked
-  // one stale heap record, so this loop grew the heap to ~30010 records.
-  // Compaction at stale-fraction 1/2 (floor 64) pins it at the floor.
+  // The stale-record regression: when the TTL heap deleted lazily, every
+  // SetTtlExpiry leaked one stale record, so this loop grew it to ~30010
+  // records. The TTL index replaces an entry's record in place, so it
+  // holds exactly the 10 resident entries' records.
   ProxyCache cache(1 << 20, EvictionPolicyKind::kExpiredFirstLru);
   for (int i = 0; i < 10; ++i) {
     cache.Insert(MakeEntry("/doc" + std::to_string(i), 100, 1000), 0);

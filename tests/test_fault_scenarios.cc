@@ -553,6 +553,42 @@ TEST(FaultScenarios, HierarchyRecoveryNoticesReachEveryLeaf) {
   }
 }
 
+// The parent forwards a recovering server's INVSRV to every leaf over the
+// reliable transport, as it forwards URL invalidations: a forward lost on a
+// lossy link would leave that leaf serving stale copies after the recovery
+// closed the write gap. This random plan crashes the server and drops
+// frames on the parent's links while the notice is in flight.
+TEST(FaultScenarios, HierarchyServerNoticeForwardSurvivesLossyLinks) {
+  trace::WorkloadConfig workload;
+  workload.duration = 3 * kHour;
+  workload.total_requests = 3000;
+  workload.num_documents = 120;
+  workload.num_clients = 60;
+  workload.seed = 11;
+  const trace::Trace trace = trace::GenerateTrace(workload);
+  fault::RandomPlanConfig plan_config;
+  plan_config.horizon = 3 * kHour;
+  plan_config.clients = 4;
+  const fault::FaultPlan plan = fault::Random(plan_config, 8);
+
+  ReplayConfig config;
+  config.protocol = Protocol::kInvalidation;
+  config.trace = &trace;
+  config.mean_lifetime = 4 * kHour;
+  config.client_costs.request_timeout = 5 * kSecond;
+  config.hierarchical = true;
+  config.serialized_invalidation = false;
+  config.accelerator_shards = 3;
+  config.journaled_recovery = false;
+  config.fault_plan = &plan;
+  config.fault_seed = 8;
+  const ReplayMetrics metrics = RunReplay(config);
+  EXPECT_EQ(metrics.invsrv_sent, 1u);
+  EXPECT_GT(metrics.injected_drops, 0u);
+  EXPECT_EQ(metrics.strong_violations, 0u);
+  EXPECT_EQ(metrics.stale_serves, metrics.stale_while_invalidation_in_flight);
+}
+
 // The exact-union claim at the core layer: after a crash, per-shard journal
 // rebuild restores the same (url, site, lease) entry set the single-journal
 // accelerator restores — not a subset, not a superset.

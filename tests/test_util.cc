@@ -1,15 +1,17 @@
 // Unit tests for util/: RNG, distributions, formatting, time helpers, the
-// mini JSON parser.
+// mini JSON parser, the indexed heap.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/distributions.h"
 #include "util/format.h"
+#include "util/indexed_heap.h"
 #include "util/mini_json.h"
 #include "util/rng.h"
 #include "util/time.h"
@@ -313,6 +315,70 @@ TEST(MiniJson, RawValueCapturesNestedValuesVerbatim) {
   MiniJsonParser unterminated(R"([1, "]")");
   EXPECT_FALSE(unterminated.ParseRawValue(out));
   EXPECT_NE(unterminated.error().find("unterminated value"), std::string::npos);
+}
+
+// --- IndexedHeap -------------------------------------------------------------
+
+struct KeyedRecord {
+  std::uint64_t key = 0;
+  std::uint32_t id = 0;
+};
+struct KeyThenId {
+  bool operator()(const KeyedRecord& a, const KeyedRecord& b) const {
+    return a.key != b.key ? a.key < b.key : a.id < b.id;
+  }
+};
+
+TEST(IndexedHeap, MatchesOrderedSetUnderRandomPushErasePop) {
+  // 20,000 seeded steps on 300 ids against a std::set of (key, id). Half
+  // the steps push (replacing the id's record when it is queued, as a TTL
+  // re-arm does), a quarter erase (absent ids too), a quarter pop. Keys
+  // repeat, so ties fall to the id. After every step top, size and Find of
+  // every id agree with the set.
+  constexpr std::uint32_t kIds = 300;
+  IndexedHeap<KeyedRecord, KeyThenId> heap;
+  std::set<std::pair<std::uint64_t, std::uint32_t>> model;
+  std::vector<std::uint64_t> key_of(kIds, 0);
+  std::vector<bool> queued(kIds, false);
+  Rng rng(19);
+  for (int step = 0; step < 20000; ++step) {
+    const auto id = static_cast<std::uint32_t>(rng.NextBelow(kIds));
+    const std::uint64_t op = rng.NextBelow(4);
+    if (op < 2) {
+      if (queued[id]) {
+        ASSERT_TRUE(heap.Erase(id));
+        model.erase({key_of[id], id});
+      }
+      key_of[id] = rng.NextBelow(1000);
+      heap.Push({key_of[id], id});
+      model.insert({key_of[id], id});
+      queued[id] = true;
+    } else if (op == 2) {
+      ASSERT_EQ(heap.Erase(id), queued[id]) << "step " << step;
+      if (queued[id]) model.erase({key_of[id], id});
+      queued[id] = false;
+    } else if (!model.empty()) {
+      const KeyedRecord top = heap.Pop();
+      ASSERT_EQ(std::pair(top.key, top.id), *model.begin()) << "step " << step;
+      model.erase(model.begin());
+      queued[top.id] = false;
+    }
+    ASSERT_EQ(heap.size(), model.size()) << "step " << step;
+    ASSERT_EQ(heap.empty(), model.empty());
+    if (!model.empty()) {
+      ASSERT_EQ(std::pair(heap.top().key, heap.top().id), *model.begin())
+          << "step " << step;
+    }
+    for (std::uint32_t i = 0; i < kIds; ++i) {
+      const KeyedRecord* found = heap.Find(i);
+      ASSERT_EQ(found != nullptr, static_cast<bool>(queued[i]))
+          << "step " << step << " id " << i;
+      if (found != nullptr) {
+        ASSERT_EQ(found->id, i);
+        ASSERT_EQ(found->key, key_of[i]);
+      }
+    }
+  }
 }
 
 }  // namespace
