@@ -56,15 +56,4 @@ WriteDelivery::Completion WriteDelivery::completion() const {
   return any_expired_ ? Completion::kLeasesExpired : Completion::kAllAcked;
 }
 
-Time WriteDelivery::NextExpiry() const {
-  Time next = net::kNoLease;
-  for (const auto& [site, target] : targets_) {
-    if (target.resolved || target.lease_until == net::kNoLease) continue;
-    if (next == net::kNoLease || target.lease_until < next) {
-      next = target.lease_until;
-    }
-  }
-  return next;
-}
-
 }  // namespace webcc::core

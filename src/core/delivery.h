@@ -4,8 +4,8 @@
 // only when every site that might hold the old copy has either acknowledged
 // its INVALIDATE or stopped mattering — its lease expired (Section 6's
 // bound on how long a partition can block a write) or it is known dead
-// (connection refused / retry budget exhausted; safe because a recovering
-// proxy re-enters with every entry marked unverified).
+// (connection refused; safe because a recovering proxy re-enters with every
+// entry marked unverified).
 //
 // WriteDelivery tracks those targets for one modification. It is pure
 // bookkeeping — no I/O, no clocks of its own — driven by the replay engine
@@ -50,9 +50,9 @@ class WriteDelivery {
   // call resolved the whole delivery.
   bool Ack(std::string_view site);
 
-  // The site will never acknowledge (connection refused, retry budget
-  // exhausted). Consistency is preserved by the proxy-recovery rule, so the
-  // write need not block on it. Returns true when this resolved delivery.
+  // The site will never acknowledge (connection refused). Consistency is
+  // preserved by the proxy-recovery rule, so the write need not block on
+  // it. Returns true when this resolved delivery.
   bool MarkDead(std::string_view site);
 
   // Resolves every target whose lease has lapsed at `now` (half-open: a
@@ -67,10 +67,6 @@ class WriteDelivery {
 
   // Meaningful once complete(); kPending before that.
   Completion completion() const;
-
-  // Earliest lease expiry among unresolved targets; net::kNoLease when none
-  // expires. The engine uses it to know a sweep cannot matter yet.
-  Time NextExpiry() const;
 
  private:
   struct Target {

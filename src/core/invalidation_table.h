@@ -102,8 +102,9 @@ class InvalidationTable {
 
   // Silently discards `url`'s whole list: journal replay applying an 'I'
   // record. History replay is not protocol execution — it must not emit
-  // events or touch the expiry counters (RebuildFromJournal's phase 1
-  // contract is "no events"), so it does not go through the Take path.
+  // events or touch the expiry counters (phase 1 of the accelerator's
+  // RecoverFromJournal emits no events), so it does not go through the
+  // Take path.
   void DropList(std::string_view url);
 
   // Re-inserts one entry (journal recovery: rebuilding the table the crash

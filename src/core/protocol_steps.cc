@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "http/cache_key.h"
+#include "http/origin.h"
 #include "util/check.h"
 
 namespace webcc::core {
@@ -128,14 +129,13 @@ ServerSite::ServerSite(const consistency::Traits& traits, LeaseConfig lease,
                        const PiggybackConfig& piggyback)
     : traits_(traits),
       max_psi_notices_(piggyback.max_invalidations_per_reply),
-      accel_(docs_, lease, shards > 0 ? shards : 1, std::move(server_name)),
-      origin_(docs_) {}
+      accel_(docs_, lease, shards > 0 ? shards : 1, std::move(server_name)) {}
 
 std::optional<net::Reply> ServerSite::Serve(const net::Request& request,
                                             Time now, Time* psi_cursor) {
   std::optional<net::Reply> reply = traits_.invalidation_callbacks
                                         ? accel_.HandleRequest(request, now)
-                                        : origin_.Handle(request, now);
+                                        : http::OriginReply(docs_, request);
   if (!reply.has_value()) return reply;
   if (traits_.piggyback_validation && !request.pcv_queries.empty()) {
     reply->pcv_invalid = ValidatePiggyback(docs_, request.pcv_queries);

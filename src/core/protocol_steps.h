@@ -17,7 +17,6 @@
 #include "core/piggyback.h"
 #include "core/sharded_accelerator.h"
 #include "http/document_store.h"
-#include "http/origin.h"
 #include "http/proxy_cache.h"
 #include "net/message.h"
 #include "util/time.h"
@@ -75,10 +74,9 @@ http::CacheEntry* Revalidate(http::ProxyCache& cache,
 
 // --- server side -------------------------------------------------------------
 
-// The document store, the accelerator that fronts it under invalidation,
-// the plain origin the other protocols talk to, and the PSI modification
-// log. Not copyable: the accelerator and the origin hold the store's
-// address.
+// The document store, the accelerator that fronts it under invalidation
+// (the other protocols talk to the plain origin), and the PSI modification
+// log. Not copyable: the accelerator holds the store's address.
 class ServerSite {
  public:
   ServerSite(const consistency::Traits& traits, LeaseConfig lease,
@@ -107,7 +105,6 @@ class ServerSite {
   std::size_t max_psi_notices_;
   http::DocumentStore docs_;
   ShardedAccelerator accel_;
-  http::OriginServer origin_;
   ModificationLog mod_log_;
 };
 

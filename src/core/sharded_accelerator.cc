@@ -1,49 +1,176 @@
 #include "core/sharded_accelerator.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
+#include "core/lease.h"
+#include "http/origin.h"
+
 namespace webcc::core {
+namespace {
+
+std::string MetricName(std::string_view prefix, std::string_view leaf) {
+  std::string full(prefix);
+  full += leaf;
+  return full;
+}
+
+void ExportStats(const AcceleratorStats& stats,
+                 obs::MetricsRegistry& registry, std::string_view prefix) {
+  registry.SetCounter(MetricName(prefix, "requests"), stats.requests);
+  registry.SetCounter(MetricName(prefix, "notifies"), stats.notifies);
+  registry.SetCounter(MetricName(prefix, "modifications_detected"),
+                      stats.modifications_detected);
+  registry.SetCounter(MetricName(prefix, "invalidations_generated"),
+                      stats.invalidations_generated);
+  obs::Histogram* lists = registry.FindOrCreateHistogram(
+      MetricName(prefix, "site_list_length_at_modification"));
+  for (const std::size_t length : stats.list_lengths_at_modification) {
+    lists->Record(static_cast<double>(length));
+  }
+}
+
+}  // namespace
 
 ShardedAccelerator::ShardedAccelerator(const http::DocumentStore& store,
                                        LeaseConfig lease,
                                        std::uint32_t num_shards,
                                        std::string server_name)
-    : ring_(num_shards), server_name_(std::move(server_name)) {
-  shards_.reserve(num_shards);
-  for (std::uint32_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Accelerator>(store, lease));
-  }
+    : store_(&store), ring_(num_shards), server_name_(std::move(server_name)) {
+  for (std::uint32_t i = 0; i < num_shards; ++i) shards_.emplace_back(lease);
 }
 
 std::optional<net::Reply> ShardedAccelerator::HandleRequest(
     const net::Request& request, Time now) {
-  return shards_[ring_.ShardOf(request.url)]->HandleRequest(request, now);
+  std::optional<net::Reply> reply = http::OriginReply(*store_, request);
+  if (!reply.has_value()) return reply;
+  Shard& shard = ShardFor(request.url);
+  InvalidationTable& table = shard.table;
+  ++shard.stats.requests;
+
+  // Resolve both names once; everything below keys on the ids. Interning
+  // the requester before the lease check is what makes the site interners
+  // the ever-seen list: a two-tier GET earns no list entry, but its site
+  // must still hear the recovery broadcast.
+  const InternId url_id = table.InternUrl(request.url);
+  const InternId site_id = table.InternSite(request.client_id);
+
+  // First sighting of a document pins the version baseline so a later
+  // notify can tell "changed since last invalidation" from "never seen".
+  // The reply carries the store's current version.
+  VersionPin& pin = shard.PinOf(url_id);
+  const bool first_sighting = !pin.seen;
+  if (first_sighting) pin = {reply->version, true};
+  if (journal_enabled_) {
+    // Append-before-act: the journal records the registration before the
+    // table mutates, so a torn tail can only describe an entry that was
+    // never created. GrantLease is pure, so computing it here and again
+    // inside Register cannot disagree.
+    if (first_sighting) {
+      shard.journal.AppendVersion(request.url, reply->version);
+    }
+    const Time lease = GrantLease(table.lease_config(), request.type, now);
+    if (LeaseActive(lease, now)) {
+      shard.journal.AppendRegister(request.url, request.client_id, lease);
+    }
+  }
+
+  // Pessimistic registration: any requester might cache the document.
+  reply->lease_until = table.Register(url_id, site_id, request.type, now);
+  if (reply->lease_until != net::kNoLease) {
+    obs::Emit(trace_sink_, {.type = obs::EventType::kLeaseGrant,
+                            .at = now,
+                            .url = request.url,
+                            .site = request.client_id,
+                            .detail = reply->lease_until});
+  }
+  return reply;
 }
 
 std::vector<net::Invalidation> ShardedAccelerator::HandleNotify(
     const net::Notify& notify, Time now) {
-  return shards_[ring_.ShardOf(notify.url)]->HandleNotify(notify, now);
+  Shard& shard = ShardFor(notify.url);
+  ++shard.stats.notifies;
+  obs::Emit(trace_sink_,
+            {.type = obs::EventType::kNotify, .at = now, .url = notify.url});
+  return DetectAndInvalidate(shard, notify.url, now);
 }
 
 std::vector<net::Invalidation> ShardedAccelerator::CheckDocument(
     std::string_view url, Time now) {
-  return shards_[ring_.ShardOf(url)]->CheckDocument(url, now);
+  return DetectAndInvalidate(ShardFor(url), url, now);
+}
+
+std::vector<net::Invalidation> ShardedAccelerator::DetectAndInvalidate(
+    Shard& shard, std::string_view url, Time now) {
+  std::vector<net::Invalidation> out;
+  const http::Document* doc = store_->Find(url);
+  if (doc == nullptr) return out;
+
+  const InternId url_id = shard.table.InternUrl(url);
+  VersionPin& pin = shard.PinOf(url_id);
+  const bool first_sighting = !pin.seen;
+  if (first_sighting || doc->version == pin.version) {
+    if (first_sighting) {
+      pin = {doc->version, true};
+      if (journal_enabled_) shard.journal.AppendVersion(url, doc->version);
+    }
+    return out;  // unchanged (or nothing could have cached it yet)
+  }
+  pin.version = doc->version;
+  ++shard.stats.modifications_detected;
+  if (journal_enabled_) {
+    // Journal the new baseline and the list wipe before taking the list.
+    shard.journal.AppendVersion(url, doc->version);
+    shard.journal.AppendInvalidate(url);
+  }
+
+  std::vector<InvalidationTable::TakenSite> sites =
+      shard.table.TakeSitesWithLeases(url_id, now);
+  shard.stats.list_lengths_at_modification.push_back(sites.size());
+  out.reserve(sites.size());
+  for (InvalidationTable::TakenSite& taken : sites) {
+    net::Invalidation inv;
+    inv.type = net::MessageType::kInvalidateUrl;
+    inv.url = std::string(url);
+    inv.client_id = std::move(taken.site);
+    inv.lease_until = taken.lease_until;
+    obs::Emit(trace_sink_, {.type = obs::EventType::kInvalidateGenerated,
+                            .at = now,
+                            .url = inv.url,
+                            .site = inv.client_id});
+    out.push_back(std::move(inv));
+  }
+  shard.stats.invalidations_generated += out.size();
+  return out;
 }
 
 void ShardedAccelerator::Crash() {
-  for (const std::unique_ptr<Accelerator>& shard : shards_) shard->Crash();
+  for (Shard& shard : shards_) {
+    shard.table.Clear();
+    shard.pins.clear();
+    // The stats survive: they are the experiment's measurement record, not
+    // server state.
+  }
+}
+
+bool ShardedAccelerator::SiteEverSeen(std::string_view site) const {
+  return std::any_of(shards_.begin(), shards_.end(), [site](const Shard& s) {
+    return s.table.sites().Find(site) != kNoInternId;
+  });
 }
 
 std::vector<net::Invalidation> ShardedAccelerator::Recover() {
-  // Union the per-shard ever-seen lists first: a site that requested
-  // documents on several shards must receive exactly one server-address
-  // invalidation, and sorting keeps the emission order identical to the
-  // unsharded tier.
+  // A site that requested documents on several shards must receive exactly
+  // one server-address invalidation, and sorting keeps the emission order
+  // identical to the unsharded tier.
   std::vector<std::string_view> sites;
-  for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    const std::vector<std::string_view> shard_sites = shard->SitesEverSeen();
-    sites.insert(sites.end(), shard_sites.begin(), shard_sites.end());
+  for (const Shard& shard : shards_) {
+    const Interner& names = shard.table.sites();
+    for (InternId id = 0; id < names.size(); ++id) {
+      sites.push_back(names.NameOf(id));
+    }
   }
   std::sort(sites.begin(), sites.end());
   sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
@@ -63,49 +190,74 @@ std::vector<net::Invalidation> ShardedAccelerator::Recover() {
   return out;
 }
 
-void ShardedAccelerator::EnableJournal(bool enabled) {
-  for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    shard->EnableJournal(enabled);
-  }
-}
-
-bool ShardedAccelerator::journal_enabled() const {
-  return shards_.front()->journal_enabled();
-}
-
 ShardedAccelerator::RecoveryOutcome ShardedAccelerator::RecoverFromJournal(
     Time now) {
   RecoveryOutcome outcome;
-  for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    const Accelerator::RebuildOutcome rebuilt = shard->RebuildFromJournal(now);
-    if (rebuilt.journal_damaged) ++outcome.shards_damaged;
-    outcome.records_applied += rebuilt.records_applied;
-    outcome.records_rejected += rebuilt.records_rejected;
-    outcome.entries_restored += rebuilt.entries_restored;
+  std::vector<std::string_view> urls;  // every shard's pinned URLs
+  for (Shard& shard : shards_) {
+    const SiteJournal::ReplayResult replayed = shard.journal.Replay();
+    if (replayed.damaged) ++outcome.shards_damaged;
+    outcome.records_applied += replayed.records_applied;
+    outcome.records_rejected += replayed.records_rejected;
+    for (const SiteJournal::Entry& entry : replayed.entries) {
+      switch (entry.kind) {
+        case 'R':
+          // Restore drops entries whose lease lapsed while the server was
+          // down — resurrecting them would inflate the rebuilt table's
+          // entries/storage_bytes until the next prune.
+          shard.table.Restore(entry.url, entry.site, entry.lease_until, now);
+          break;
+        case 'I':
+          // History replay, not protocol execution: discard the list
+          // silently. The Take path would emit kLeaseExpiry for lapsed
+          // entries, and rebuild must emit no events.
+          shard.table.DropList(entry.url);
+          break;
+        case 'V':
+          shard.PinOf(shard.table.InternUrl(entry.url)) = {entry.version,
+                                                           true};
+          break;
+        default:
+          break;  // Replay never yields other kinds
+      }
+    }
+
+    // Compact: the history is now embodied in the table, so rewrite the
+    // journal as a snapshot of the restored state (version pins first,
+    // then live registrations, both in sorted order for determinism).
+    std::vector<InternId> pinned;
+    for (InternId id = 0; id < shard.pins.size(); ++id) {
+      if (shard.pins[id].seen) pinned.push_back(id);
+    }
+    std::sort(pinned.begin(), pinned.end(), [&shard](InternId a, InternId b) {
+      return shard.table.UrlName(a) < shard.table.UrlName(b);
+    });
+    shard.journal.Clear();
+    for (const InternId id : pinned) {
+      const std::string& url = shard.table.UrlName(id);
+      shard.journal.AppendVersion(url, shard.pins[id].version);
+      urls.push_back(url);
+    }
+    const std::vector<InvalidationTable::Snapshot> entries =
+        shard.table.SnapshotEntries();
+    outcome.entries_restored += entries.size();
+    for (const InvalidationTable::Snapshot& entry : entries) {
+      shard.journal.AppendRegister(entry.url, entry.site, entry.lease_until);
+    }
   }
   outcome.journal_damaged = outcome.shards_damaged > 0;
 
   if (outcome.journal_damaged) {
-    // One damaged shard journal degrades the whole recovery to the blanket
-    // broadcast: mixing targeted invalidations from intact shards with a
-    // broadcast for the damaged one would invalidate the same sites twice.
     outcome.invalidations = Recover();
     return outcome;
   }
 
-  // Phase 2 in global URL order: the concatenation of disjoint per-shard
-  // URL sets, sorted, walks the same sequence the unsharded journal would.
-  std::vector<std::string> urls;
-  for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    std::vector<std::string> shard_urls = shard->JournaledUrls();
-    urls.insert(urls.end(), std::make_move_iterator(shard_urls.begin()),
-                std::make_move_iterator(shard_urls.end()));
-  }
+  // Phase 2 in global URL order: the shards' URL sets are disjoint, so
+  // their sorted concatenation walks the sequence one journal would. The
+  // views stay valid: the interners never discard a name.
   std::sort(urls.begin(), urls.end());
-  for (const std::string& url : urls) {
-    std::vector<net::Invalidation> changed =
-        shards_[ring_.ShardOf(url)]->CheckDocument(url, now);
-    for (net::Invalidation& inv : changed) {
+  for (const std::string_view url : urls) {
+    for (net::Invalidation& inv : CheckDocument(url, now)) {
       inv.recovery = true;
       outcome.invalidations.push_back(std::move(inv));
     }
@@ -116,8 +268,8 @@ ShardedAccelerator::RecoveryOutcome ShardedAccelerator::RecoverFromJournal(
 std::size_t ShardedAccelerator::PruneExpired(Time now) {
   std::vector<InvalidationTable::ExpiredEntry> expired;
   std::size_t pruned = 0;
-  for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    pruned += shard->table().PruneExpiredInto(now, expired);
+  for (Shard& shard : shards_) {
+    pruned += shard.table.PruneExpiredInto(now, expired);
   }
   if (trace_sink_ != nullptr) {
     std::sort(expired.begin(), expired.end(),
@@ -139,17 +291,13 @@ std::size_t ShardedAccelerator::PruneExpired(Time now) {
 
 std::uint64_t ShardedAccelerator::StorageBytes() const {
   std::uint64_t bytes = 0;
-  for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    bytes += shard->table().StorageBytes();
-  }
+  for (const Shard& shard : shards_) bytes += shard.table.StorageBytes();
   return bytes;
 }
 
 std::size_t ShardedAccelerator::TotalEntries() const {
   std::size_t entries = 0;
-  for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    entries += shard->table().TotalEntries();
-  }
+  for (const Shard& shard : shards_) entries += shard.table.TotalEntries();
   return entries;
 }
 
@@ -157,16 +305,16 @@ std::size_t ShardedAccelerator::MaxListLength() const {
   // A (url, site) list lives wholly inside one shard, so the global longest
   // list is the max over shards — invariant across shard counts.
   std::size_t longest = 0;
-  for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    longest = std::max(longest, shard->table().MaxListLength());
+  for (const Shard& shard : shards_) {
+    longest = std::max(longest, shard.table.MaxListLength());
   }
   return longest;
 }
 
 AcceleratorStats ShardedAccelerator::AggregateStats() const {
   AcceleratorStats total;
-  for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    const AcceleratorStats& stats = shard->stats();
+  for (const Shard& shard : shards_) {
+    const AcceleratorStats& stats = shard.stats;
     total.requests += stats.requests;
     total.notifies += stats.notifies;
     total.modifications_detected += stats.modifications_detected;
@@ -182,9 +330,9 @@ AcceleratorStats ShardedAccelerator::AggregateStats() const {
 std::vector<InvalidationTable::Snapshot> ShardedAccelerator::SnapshotEntries()
     const {
   std::vector<InvalidationTable::Snapshot> out;
-  for (const std::unique_ptr<Accelerator>& shard : shards_) {
+  for (const Shard& shard : shards_) {
     std::vector<InvalidationTable::Snapshot> entries =
-        shard->table().SnapshotEntries();
+        shard.table.SnapshotEntries();
     out.insert(out.end(), std::make_move_iterator(entries.begin()),
                std::make_move_iterator(entries.end()));
   }
@@ -198,59 +346,45 @@ std::vector<InvalidationTable::Snapshot> ShardedAccelerator::SnapshotEntries()
 }
 
 void ShardedAccelerator::set_trace_sink(obs::TraceSink* sink) {
-  // Shards emit the per-URL events (lease grants, notifies, generated
-  // invalidations) directly — those route to exactly one shard, so their
-  // order is shard-count invariant. Cross-shard streams (lease expiry,
-  // recovery broadcast) are emitted here after a global sort.
+  // A take's lease expiries come from one URL's list, so the table emits
+  // them itself; PruneExpired's cross-shard stream is emitted here.
   trace_sink_ = sink;
-  for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    shard->set_trace_sink(sink);
-  }
+  for (Shard& shard : shards_) shard.table.set_trace_sink(sink);
 }
 
 void ShardedAccelerator::ExportMetrics(obs::MetricsRegistry& registry,
                                        std::string_view prefix) const {
+  const auto export_shard = [&registry](const Shard& shard,
+                                        std::string_view shard_prefix) {
+    ExportStats(shard.stats, registry, shard_prefix);
+    shard.table.ExportMetrics(registry, MetricName(shard_prefix, "table."));
+  };
   if (shards_.size() == 1) {
-    shards_.front()->ExportMetrics(registry, prefix);
+    export_shard(shards_.front(), prefix);
     return;
   }
-  const auto name = [&prefix](std::string_view leaf) {
-    std::string full(prefix);
-    full += leaf;
-    return full;
-  };
-  const AcceleratorStats total = AggregateStats();
-  registry.SetCounter(name("requests"), total.requests);
-  registry.SetCounter(name("notifies"), total.notifies);
-  registry.SetCounter(name("modifications_detected"),
-                      total.modifications_detected);
-  registry.SetCounter(name("invalidations_generated"),
-                      total.invalidations_generated);
-  obs::Histogram* lists = registry.FindOrCreateHistogram(
-      name("site_list_length_at_modification"));
-  for (const std::size_t length : total.list_lengths_at_modification) {
-    lists->Record(static_cast<double>(length));
-  }
-  registry.SetCounter(name("table.entries"), TotalEntries());
-  registry.SetCounter(name("table.max_list_length"), MaxListLength());
-  registry.SetCounter(name("table.storage_bytes"), StorageBytes());
+  ExportStats(AggregateStats(), registry, prefix);
+  registry.SetCounter(MetricName(prefix, "table.entries"), TotalEntries());
+  registry.SetCounter(MetricName(prefix, "table.max_list_length"),
+                      MaxListLength());
+  registry.SetCounter(MetricName(prefix, "table.storage_bytes"),
+                      StorageBytes());
   // Expiry/renewal counters sum across shards and stay shard-count
   // invariant: each (url, site) entry lives on exactly one shard, and the
   // wheel never changes WHICH entries a prune at `now` retires.
   std::uint64_t leases_expired = 0;
   std::uint64_t lease_renewals = 0;
-  for (const std::unique_ptr<Accelerator>& shard : shards_) {
-    leases_expired += shard->table().leases_expired();
-    lease_renewals += shard->table().lease_renewals();
+  for (const Shard& shard : shards_) {
+    leases_expired += shard.table.leases_expired();
+    lease_renewals += shard.table.lease_renewals();
   }
-  registry.SetCounter(name("table.leases_expired"), leases_expired);
-  registry.SetCounter(name("table.lease_renewals"), lease_renewals);
+  registry.SetCounter(MetricName(prefix, "table.leases_expired"),
+                      leases_expired);
+  registry.SetCounter(MetricName(prefix, "table.lease_renewals"),
+                      lease_renewals);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::string shard_prefix(prefix);
-    shard_prefix += "shard";
-    shard_prefix += std::to_string(i);
-    shard_prefix += '.';
-    shards_[i]->ExportMetrics(registry, shard_prefix);
+    export_shard(shards_[i],
+                 MetricName(prefix, "shard" + std::to_string(i) + "."));
   }
 }
 

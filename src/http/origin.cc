@@ -1,13 +1,10 @@
 #include "http/origin.h"
 
-#include "util/check.h"
-
 namespace webcc::http {
 
-std::optional<net::Reply> OriginServer::Handle(const net::Request& request,
-                                               Time now) const {
-  (void)now;
-  const Document* doc = store_->Find(request.url);
+std::optional<net::Reply> OriginReply(const DocumentStore& store,
+                                      const net::Request& request) {
+  const Document* doc = store.Find(request.url);
   if (doc == nullptr) return std::nullopt;
 
   net::Reply reply;

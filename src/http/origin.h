@@ -1,11 +1,11 @@
 // Origin web server logic and service costs.
 //
-// OriginServer is the pure protocol half of the pseudo-server (the NCSA
+// OriginReply is the pure protocol half of the pseudo-server (the NCSA
 // HTTPD of the paper's testbed): it answers GET with a 200 and
 // If-Modified-Since with a 200 or 304 against the document store. Leases and
-// invalidation live in the accelerator (core/accelerator.h), which wraps
-// these replies. ServerCosts quantifies what each operation charges to the
-// server's CPU and disk stations during a replay.
+// invalidation live in the accelerator (core/sharded_accelerator.h), which
+// wraps these replies. ServerCosts quantifies what each operation charges to
+// the server's CPU and disk stations during a replay.
 #pragma once
 
 #include <cstdint>
@@ -39,19 +39,11 @@ struct ServerCosts {
   Time piggyback_item_cpu = 2 * kMillisecond;
 };
 
-class OriginServer {
- public:
-  explicit OriginServer(const DocumentStore& store) : store_(&store) {}
-
-  // Answers a GET or IMS at protocol (trace) time `now`. Returns
-  // std::nullopt when the URL does not exist (the replay's traces only
-  // reference known documents, but live mode can see arbitrary URLs).
-  // The reply's lease_until is kNoLease; the accelerator stamps leases.
-  std::optional<net::Reply> Handle(const net::Request& request,
-                                   Time now) const;
-
- private:
-  const DocumentStore* store_;
-};
+// Answers a GET or IMS from `store`. Returns std::nullopt when the URL does
+// not exist (the replay's traces only reference known documents, but live
+// mode can see arbitrary URLs). The reply's lease_until is kNoLease; the
+// accelerator stamps leases.
+std::optional<net::Reply> OriginReply(const DocumentStore& store,
+                                      const net::Request& request);
 
 }  // namespace webcc::http

@@ -10,6 +10,19 @@
 #include "util/log.h"
 
 namespace webcc::live {
+namespace {
+
+// INVALIDATE push delivery policy: every frame bound for one proxy travels
+// on one connection per attempt. A push that times out (the proxy is alive
+// but stalled) reconnects and resumes at the first unwritten frame, up to
+// kPushRetries times with linear backoff; a refused connection (proxy down)
+// is never retried — the proxy's restart path revalidates everything it
+// holds.
+constexpr int kPushRetries = 2;
+constexpr int kPushRetryBackoffMs = 50;
+constexpr int kPushTimeoutMs = 1000;  // SO_SNDTIMEO per push attempt
+
+}  // namespace
 
 std::string MakeClientId(std::string_view name, std::uint16_t proxy_port) {
   return std::string(name) + "@" + std::to_string(proxy_port);
@@ -142,22 +155,19 @@ std::size_t LiveServer::PushInvalidations(
   for (const ProxyFrames& proxy : proxies) {
     std::size_t written = 0;  // frames delivered so far, in order
     IoError error = IoError::kOther;
-    for (int attempt = 0; attempt <= options_.push_retries; ++attempt) {
+    for (int attempt = 0; attempt <= kPushRetries; ++attempt) {
       if (attempt > 0) {
-        // A stalled (but alive) proxy gets the bounded retry the replay
-        // models with SendReliable's backoff; a refused connection means
-        // the proxy is down and is not retried — its recovery path
+        // Only a stalled (but alive) proxy gets here; a refused connection
+        // means the proxy is down and is not retried — its recovery path
         // (mark-all-questionable) covers consistency, exactly the paper's
         // failure handling.
         push_retries_.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            options_.push_retry_backoff_ms * attempt));
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(kPushRetryBackoffMs * attempt));
       }
       TcpStream stream = Connect(proxy.port);
       if (stream.valid()) {
-        if (options_.push_timeout_ms > 0) {
-          stream.SetWriteTimeout(options_.push_timeout_ms);
-        }
+        stream.SetWriteTimeout(kPushTimeoutMs);
         for (; written < proxy.frames.size(); ++written) {
           if (!stream.WriteAll(proxy.frames[written].line)) break;
           // Delivery is traced at the proxy when it applies the message

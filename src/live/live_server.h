@@ -55,17 +55,8 @@ class LiveServer {
     std::string server_name = "origin";
     // Accelerator shard count (consistent-hashed by URL). The observable
     // push stream is shard-invariant; shards only change which internal
-    // table a URL lives in and which journal records it on recovery.
+    // table a URL lives in (the live server keeps no journal).
     std::uint32_t shards = 1;
-    // INVALIDATE push delivery policy: every frame bound for one proxy
-    // travels on one connection per attempt. A push that times out (the
-    // proxy is alive but stalled) reconnects and resumes at the first
-    // unwritten frame, up to push_retries times with linear backoff; a
-    // refused connection (proxy down) is never retried — the proxy's
-    // restart path revalidates everything it holds.
-    int push_retries = 2;
-    int push_retry_backoff_ms = 50;
-    int push_timeout_ms = 1000;  // SO_SNDTIMEO per push attempt
     // Optional structured-event sink (not owned; must outlive the server).
     // Live timestamps are wall-clock microseconds from Now(), and the sink
     // must be internally synchronized (JsonlTraceSink is) because handler

@@ -47,7 +47,8 @@ enum class EventType : std::uint8_t {
                          //   == invalidations_generated
   kInvalidateDelivered,  // the INVALIDATE reached its proxy
   kInvalidateRefused,    // target proxy down: connection refused
-  kInvalidateGaveUp,     // partition outlived the retry budget
+  kInvalidateGaveUp,     // live push: every attempt to a stalled proxy
+                         //   timed out
   kInvalidateServer,     // server-address INVALIDATE (recovery broadcast)
 
   // --- cache / infrastructure ----------------------------------------------

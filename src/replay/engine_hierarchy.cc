@@ -1,8 +1,10 @@
 // Hierarchical-caching mode (Section 7): a shared parent proxy between the
 // pseudo-clients and the server. The parent serves leaf GETs from its own
-// cache, fetches through as site "parent", remembers per-document leaf
-// interest, and forwards invalidations down to the leaves that fetched the
-// document since the last invalidation.
+// cache while the server's lease on its copy holds, fetches through as site
+// "parent", remembers per-document leaf interest, and forwards
+// invalidations down to the leaves that fetched the document since the
+// last invalidation.
+#include "core/lease.h"
 #include "http/cache_key.h"
 #include "obs/event.h"
 #include "replay/engine.h"
@@ -19,8 +21,11 @@ void Engine::ParentHandle(const net::Request& request, int client_index,
   http::CacheEntry* entry = parent_cache_->Lookup(
       http::ComposeCacheKey(request.url, "parent"), trace_time);
   if (entry != nullptr && !entry->questionable &&
+      core::LeaseActive(entry->lease_expires, trace_time) &&
       request.type == net::MessageType::kGet) {
-    // Served from the parent's shared cache: no server involvement.
+    // Served from the parent's shared cache: no server involvement. The
+    // leaf's copy holds the parent's lease, past which the server no
+    // longer promises the parent an invalidation.
     ++metrics_.parent_hits;
     net::Reply reply;
     reply.type = net::MessageType::kReply200;
@@ -28,6 +33,7 @@ void Engine::ParentHandle(const net::Request& request, int client_index,
     reply.body_bytes = entry->size_bytes;
     reply.last_modified = entry->last_modified;
     reply.version = entry->version;
+    reply.lease_until = entry->lease_expires;
     CountReply(reply, request.client_id, trace_time);
     metrics_.message_bytes += net::WireSize(reply);
     const std::uint64_t wire_bytes = TransferBytes(reply);
@@ -46,7 +52,8 @@ void Engine::ParentHandle(const net::Request& request, int client_index,
     return;
   }
 
-  // Miss (or a validation): fetch through to the server as "parent".
+  // Miss, a validation, or a lapsed lease: fetch through to the server as
+  // "parent".
   ++metrics_.parent_fetches;
   const bool leaf_wanted_body = request.type == net::MessageType::kGet;
   net::Request upstream = request;
@@ -108,6 +115,7 @@ void Engine::ParentReceiveReply(net::Reply reply, int client_index,
     entry.last_modified = reply.last_modified;
     entry.version = reply.version;
     entry.fetched_at = trace_time;
+    entry.lease_expires = reply.lease_until;  // kNoLease never expires
     parent_cache_->Insert(std::move(entry), trace_time);
   } else {
     http::CacheEntry* entry = parent_cache_->Peek(parent_key);
@@ -133,6 +141,7 @@ void Engine::ParentReceiveReply(net::Reply reply, int client_index,
     }
     if (entry != nullptr) {
       entry->questionable = false;
+      entry->lease_expires = reply.lease_until;
       if (leaf_wanted_body) {
         // The leaf asked for a body but the server certified the parent's
         // copy fresh: serve the revalidated copy as a 200.
@@ -210,16 +219,12 @@ void Engine::ParentDeliverInvalidation(const std::string& url,
                                 Time done_at) {
           if (result == sim::Network::SendResult::kDelivered) return;
           ++metrics_.invalidations_refused;
-          obs::Emit(sink_,
-                    {.type = result == sim::Network::SendResult::kGaveUp
-                                 ? obs::EventType::kInvalidateGaveUp
-                                 : obs::EventType::kInvalidateRefused,
-                     .at = done_at,
-                     .url = forward.url,
-                     .site = forward.client_id});
+          obs::Emit(sink_, {.type = obs::EventType::kInvalidateRefused,
+                            .at = done_at,
+                            .url = forward.url,
+                            .site = forward.client_id});
           ResolveWriteTarget(mod_id, forward.client_id, /*dead=*/true);
-        },
-        /*max_retries=*/-1);
+        });
   }
 
   // The parent's own slot (the server targeted "parent") is now resolved.

@@ -165,8 +165,7 @@ class Engine {
   void SendPush(Push push, std::uint64_t wire);
   // `client_index` is -1 for the parent.
   void DeliverPush(const Push& push, int client_index, std::uint64_t wire);
-  void RefusePush(const Push& push, sim::Network::SendResult result,
-                  Time done_at);
+  void RefusePush(const Push& push, Time done_at);
   void ResolveFirstAttempt(std::uint64_t mod_id);
   void CompleteWrite(const std::string& url);
   void FinishRecoveryNotice();

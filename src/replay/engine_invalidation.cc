@@ -247,9 +247,8 @@ void Engine::SendPush(Push push, std::uint64_t wire) {
           sim::Network::SendResult result, Time done_at) {
         if (result == sim::Network::SendResult::kDelivered) return;
         if (!gate_released) release_gate();
-        RefusePush(*frame, result, done_at);
-      },
-      /*max_retries=*/-1);
+        RefusePush(*frame, done_at);
+      });
 }
 
 void Engine::DeliverPush(const Push& push, int client_index,
@@ -296,13 +295,10 @@ void Engine::DeliverPush(const Push& push, int client_index,
   if (push.recovery) FinishRecoveryNotice();
 }
 
-void Engine::RefusePush(const Push& push, sim::Network::SendResult result,
-                        Time done_at) {
+void Engine::RefusePush(const Push& push, Time done_at) {
   for (std::size_t i = 0; i < push.urls.size(); ++i) {
     ++metrics_.invalidations_refused;
-    obs::Emit(sink_, {.type = result == sim::Network::SendResult::kGaveUp
-                                  ? obs::EventType::kInvalidateGaveUp
-                                  : obs::EventType::kInvalidateRefused,
+    obs::Emit(sink_, {.type = obs::EventType::kInvalidateRefused,
                       .at = done_at,
                       .url = push.urls[i],
                       .site = push.site});

@@ -54,15 +54,7 @@ Time Network::TransferDelay(std::uint64_t bytes) const {
 }
 
 void Network::SendReliable(NodeId from, NodeId to, std::uint64_t bytes,
-                           DeliverFn on_deliver, ReliableDoneFn done,
-                           int max_retries) {
-  TryReliable(from, to, bytes, std::move(on_deliver), std::move(done),
-              max_retries);
-}
-
-void Network::TryReliable(NodeId from, NodeId to, std::uint64_t bytes,
-                          DeliverFn on_deliver, ReliableDoneFn done,
-                          int retries_left) {
+                           DeliverFn on_deliver, ReliableDoneFn done) {
   if (!IsNodeUp(from)) {
     // The sender itself died; its pending sends evaporate with it.
     return;
@@ -91,18 +83,12 @@ void Network::TryReliable(NodeId from, NodeId to, std::uint64_t bytes,
     }
   }
   if (IsPartitioned(from, to) || segment_lost) {
-    if (retries_left == 0) {
-      ++messages_dropped_;
-      if (done) done(SendResult::kGaveUp, sim_.now());
-      return;
-    }
     ++retries_;
-    const int next = retries_left > 0 ? retries_left - 1 : -1;
     sim_.After(config_.retry_interval,
                [this, from, to, bytes, on_deliver = std::move(on_deliver),
-                done = std::move(done), next]() mutable {
-                 TryReliable(from, to, bytes, std::move(on_deliver),
-                             std::move(done), next);
+                done = std::move(done)]() mutable {
+                 SendReliable(from, to, bytes, std::move(on_deliver),
+                              std::move(done));
                });
     return;
   }

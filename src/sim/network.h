@@ -3,9 +3,9 @@
 //
 // Models the replay testbed's interconnect: a fixed one-way latency plus a
 // bandwidth term per message. Failure injection mirrors the paper's three
-// scenarios — a down proxy (connection refused; sender may give up, the
-// proxy revalidates everything on recovery), a down server site, and a
-// network partition (sender retries periodically until the link heals).
+// scenarios — a down proxy (connection refused; the proxy revalidates
+// everything on recovery), a down server site, and a network partition
+// (sender retries periodically until the link heals).
 #pragma once
 
 #include <cstdint>
@@ -72,9 +72,8 @@ class Network {
  public:
   // Outcome reported to SendReliable's completion callback.
   enum class SendResult {
-    kDelivered,      // arrived at the destination
-    kRefused,        // destination node down: TCP connect refused
-    kGaveUp,         // partition outlived the retry budget
+    kDelivered,  // arrived at the destination
+    kRefused,    // destination node down: TCP connect refused
   };
 
   // Delivery handlers are scheduled on the simulator queue; sim::Task keeps
@@ -156,12 +155,12 @@ class Network {
   // TCP-with-retry, the paper's transport for invalidations. If the
   // destination node is down the connection is refused immediately (the
   // recovering proxy revalidates, so the sender need not persist). If the
-  // path is partitioned, the send retries every retry_interval up to
-  // `max_retries` times (-1 = unbounded). `on_deliver` runs at delivery;
-  // `done` reports the outcome at the sender.
+  // path is partitioned, or an injected fault loses the segment, the send
+  // retries every retry_interval until it gets through, is refused, or the
+  // sender dies. `on_deliver` runs at delivery; `done` reports the outcome
+  // at the sender.
   void SendReliable(NodeId from, NodeId to, std::uint64_t bytes,
-                    DeliverFn on_deliver, ReliableDoneFn done,
-                    int max_retries = -1);
+                    DeliverFn on_deliver, ReliableDoneFn done);
 
   // --- fault injection hook ----------------------------------------------
   // Installs (or clears, with nullptr) the per-link fault injector. Not
@@ -189,10 +188,6 @@ class Network {
   static std::pair<NodeId, NodeId> Ordered(NodeId a, NodeId b) {
     return a < b ? std::pair{a, b} : std::pair{b, a};
   }
-
-  void TryReliable(NodeId from, NodeId to, std::uint64_t bytes,
-                   DeliverFn on_deliver, ReliableDoneFn done,
-                   int retries_left);
 
   // Counter bumps + kLinkDrop/kLinkDelay/kLinkDup trace emission, shared by
   // the header-template Send and the reliable path.

@@ -16,10 +16,8 @@ void LatencyStats::Record(double value) {
   }
   ++count_;
   sum_ += value;
-  if (max_samples_ == 0 || samples_.size() < max_samples_) {
-    samples_.push_back(value);
-    sorted_ = false;
-  }
+  samples_.push_back(value);
+  sorted_ = false;
 }
 
 void LatencyStats::Merge(const LatencyStats& other) {
@@ -33,11 +31,8 @@ void LatencyStats::Merge(const LatencyStats& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-  for (double v : other.samples_) {
-    if (max_samples_ == 0 || samples_.size() < max_samples_) {
-      samples_.push_back(v);
-    }
-  }
+  samples_.insert(samples_.end(), other.samples_.begin(),
+                  other.samples_.end());
   sorted_ = false;
 }
 

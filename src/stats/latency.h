@@ -2,7 +2,7 @@
 //
 // Replays record one sample per client request (tens of thousands), so the
 // aggregate keeps the full sample set for exact percentiles; Min/Max/Mean are
-// maintained online so they are valid even if the sample cap is hit.
+// maintained online.
 #pragma once
 
 #include <cstddef>
@@ -14,11 +14,6 @@ namespace webcc::stats {
 
 class LatencyStats {
  public:
-  // `max_samples` bounds memory for percentile computation; the running
-  // min/max/mean/count remain exact regardless. 0 keeps every sample.
-  explicit LatencyStats(std::size_t max_samples = 0)
-      : max_samples_(max_samples) {}
-
   void Record(double value);
   void Merge(const LatencyStats& other);
 
@@ -28,7 +23,7 @@ class LatencyStats {
   double mean() const;
   double sum() const { return sum_; }
 
-  // Exact percentile over retained samples, p in [0, 100]. Returns 0 when
+  // Exact percentile over every sample, p in [0, 100]. Returns 0 when
   // empty. Sorts lazily, amortized across queries.
   double Percentile(double p) const;
 
@@ -38,7 +33,6 @@ class LatencyStats {
   bool SameSamples(const LatencyStats& other) const;
 
  private:
-  std::size_t max_samples_ = 0;
   std::size_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

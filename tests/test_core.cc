@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "core/accelerator.h"
 #include "core/adaptive_ttl.h"
 #include "core/invalidation_table.h"
 #include "core/lease.h"
@@ -322,27 +321,27 @@ class AcceleratorTest : public ::testing::Test {
   }
 
   http::DocumentStore docs_;
-  Accelerator accel_;
+  ShardedAccelerator accel_;
 };
 
 TEST_F(AcceleratorTest, RequestRegistersSite) {
   const auto reply = accel_.HandleRequest(Get("/a", "c1"), 10);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, net::MessageType::kReply200);
-  EXPECT_EQ(accel_.table().ListLength("/a", 10), 1u);
+  EXPECT_EQ(accel_.table(0).ListLength("/a", 10), 1u);
   EXPECT_TRUE(accel_.SiteEverSeen("c1"));
 }
 
 TEST_F(AcceleratorTest, UnknownUrlNotRegistered) {
   EXPECT_FALSE(accel_.HandleRequest(Get("/zzz", "c1"), 0).has_value());
-  EXPECT_EQ(accel_.table().TotalEntries(), 0u);
+  EXPECT_EQ(accel_.table(0).TotalEntries(), 0u);
 }
 
 TEST_F(AcceleratorTest, NotifyWithoutChangeProducesNothing) {
   accel_.HandleRequest(Get("/a", "c1"), 0);
   const auto invs = accel_.HandleNotify(net::Notify{"/a"}, 10);
   EXPECT_TRUE(invs.empty());
-  EXPECT_EQ(accel_.stats().modifications_detected, 0u);
+  EXPECT_EQ(accel_.AggregateStats().modifications_detected, 0u);
 }
 
 TEST_F(AcceleratorTest, NotifyAfterTouchInvalidatesRegisteredSites) {
@@ -357,10 +356,10 @@ TEST_F(AcceleratorTest, NotifyAfterTouchInvalidatesRegisteredSites) {
   EXPECT_EQ(invs[0].client_id, "c1");
   EXPECT_EQ(invs[1].client_id, "c2");
   // Sites are forgotten after invalidation.
-  EXPECT_EQ(accel_.table().ListLength("/a", 100), 0u);
-  EXPECT_EQ(accel_.stats().invalidations_generated, 2u);
-  EXPECT_EQ(accel_.stats().list_lengths_at_modification.size(), 1u);
-  EXPECT_EQ(accel_.stats().list_lengths_at_modification[0], 2u);
+  EXPECT_EQ(accel_.table(0).ListLength("/a", 100), 0u);
+  EXPECT_EQ(accel_.AggregateStats().invalidations_generated, 2u);
+  EXPECT_EQ(accel_.AggregateStats().list_lengths_at_modification.size(), 1u);
+  EXPECT_EQ(accel_.AggregateStats().list_lengths_at_modification[0], 2u);
 }
 
 TEST_F(AcceleratorTest, SecondNotifySameVersionSilent) {
@@ -397,7 +396,7 @@ TEST_F(AcceleratorTest, ClientNotReInvalidatedWithoutReRequest) {
 TEST_F(AcceleratorTest, CrashLosesTableButNotRegistry) {
   accel_.HandleRequest(Get("/a", "c1"), 0);
   accel_.Crash();
-  EXPECT_EQ(accel_.table().TotalEntries(), 0u);
+  EXPECT_EQ(accel_.table(0).TotalEntries(), 0u);
   EXPECT_TRUE(accel_.SiteEverSeen("c1"));
   EXPECT_FALSE(accel_.SiteEverSeen("c2"));
 }
@@ -431,7 +430,7 @@ TEST_F(AcceleratorTest, TwoTierGetOnlySiteStillHearsRecovery) {
   accel.HandleRequest(ims, kHour);
   accel.HandleRequest(Get("/b", "a-viewer"), kHour);
   EXPECT_EQ(accel.TotalEntries(), 1u);  // only the IMS holds a lease
-  EXPECT_TRUE(accel.shard(0).SiteEverSeen("b-viewer"));
+  EXPECT_TRUE(accel.SiteEverSeen("b-viewer"));
 
   accel.Crash();
   std::vector<std::string> sites;
@@ -457,7 +456,7 @@ TEST_F(AcceleratorTest, TwoTierLeaseStampedIntoReply) {
   lease.mode = LeaseMode::kTwoTier;
   lease.duration = 2 * kDay;
   lease.short_duration = 0;
-  Accelerator accel(docs_, lease);
+  ShardedAccelerator accel(docs_, lease);
   const auto get_reply = accel.HandleRequest(Get("/a", "c1"), kHour);
   ASSERT_TRUE(get_reply.has_value());
   EXPECT_EQ(get_reply->lease_until, kHour);  // zero-length lease

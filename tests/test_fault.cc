@@ -274,7 +274,6 @@ TEST(WriteDelivery, LeaseExpiryResolvesStragglerHalfOpen) {
   delivery.AddTarget("fast", net::kNoLease);
   delivery.AddTarget("stuck", /*lease_until=*/100);
   EXPECT_FALSE(delivery.Ack("fast"));
-  EXPECT_EQ(delivery.NextExpiry(), 100);
   // Half-open lease interval: still active at 99, dead at exactly 100.
   EXPECT_FALSE(delivery.ExpireLeases(99));
   EXPECT_FALSE(delivery.complete());
@@ -288,7 +287,6 @@ TEST(WriteDelivery, NoLeaseTargetOnlyResolvesByAckOrDeath) {
   delivery.AddTarget("forever", net::kNoLease);
   EXPECT_FALSE(delivery.ExpireLeases(365 * kDay));
   EXPECT_FALSE(delivery.complete());
-  EXPECT_EQ(delivery.NextExpiry(), net::kNoLease);
   EXPECT_TRUE(delivery.MarkDead("forever"));
   // Death is not a clean ack set: the completion records the bound.
   EXPECT_EQ(delivery.completion(),
@@ -301,7 +299,6 @@ TEST(WriteDelivery, ReAddingTargetKeepsLaterExpiry) {
   delivery.AddTarget("s", 200);
   EXPECT_EQ(delivery.total_targets(), 1);
   EXPECT_FALSE(delivery.ExpireLeases(100));  // 50 would have lapsed; 200 holds
-  EXPECT_EQ(delivery.NextExpiry(), 200);
   EXPECT_TRUE(delivery.ExpireLeases(200));
 }
 
@@ -472,13 +469,13 @@ TEST(AcceleratorJournal, DamagedJournalRestoresSupersetAndBroadcasts) {
   const auto before_crash = fx.accel.SnapshotEntries();
   ASSERT_EQ(before_crash.size(), 1u);  // only /b.html remains
 
-  std::string text = fx.accel.shard(0).journal().text();
+  std::string text = fx.accel.journal(0).text();
   // Corrupt the journaled wipe: damage the final 'I' record's checksum.
   const std::size_t wipe = text.rfind(" I /a.html");
   ASSERT_NE(wipe, std::string::npos);
   const std::size_t line_start = text.rfind('\n', wipe) + 1;
   text[line_start] = text[line_start] == '0' ? '1' : '0';
-  fx.accel.shard(0).journal().SetText(std::move(text));
+  fx.accel.journal(0).SetText(std::move(text));
 
   fx.accel.Crash();
   const core::ShardedAccelerator::RecoveryOutcome outcome =
@@ -543,8 +540,7 @@ TEST(AcceleratorJournal, RebuildDropsLeasesThatLapsedWhileDown) {
 
 TEST(AcceleratorJournal, RecoveryCompactsJournalToSnapshot) {
   RecoveryFixture fx;
-  const std::uint64_t appends_before =
-      fx.accel.shard(0).journal().appends();
+  const std::uint64_t appends_before = fx.accel.journal(0).appends();
   EXPECT_GT(appends_before, 0u);
   fx.accel.Crash();
   (void)fx.accel.RecoverFromJournal(kMinute);
@@ -552,7 +548,7 @@ TEST(AcceleratorJournal, RecoveryCompactsJournalToSnapshot) {
   // The compacted journal replays cleanly to exactly the restored state:
   // one V per known document, one R per live table entry.
   const core::SiteJournal::ReplayResult compacted =
-      fx.accel.shard(0).journal().Replay();
+      fx.accel.journal(0).Replay();
   EXPECT_FALSE(compacted.damaged);
   std::size_t versions = 0;
   std::size_t registrations = 0;

@@ -74,7 +74,7 @@ TEST(DocumentStore, NegativeInitialMtimeAllowed) {
   EXPECT_EQ(store.Find("/old")->last_modified, -50 * kDay);
 }
 
-// --- OriginServer -----------------------------------------------------------------
+// --- OriginReply ------------------------------------------------------------------
 
 net::Request MakeGet(const std::string& url) {
   net::Request request;
@@ -96,8 +96,7 @@ net::Request MakeIms(const std::string& url, Time since) {
 TEST(OriginServer, GetReturns200WithBody) {
   DocumentStore store;
   store.Add("/a", 4096, 10);
-  OriginServer origin(store);
-  const auto reply = origin.Handle(MakeGet("/a"), 100);
+  const auto reply = OriginReply(store, MakeGet("/a"));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, net::MessageType::kReply200);
   EXPECT_EQ(reply->body_bytes, 4096u);
@@ -107,15 +106,13 @@ TEST(OriginServer, GetReturns200WithBody) {
 
 TEST(OriginServer, UnknownUrlIsNullopt) {
   DocumentStore store;
-  OriginServer origin(store);
-  EXPECT_FALSE(origin.Handle(MakeGet("/missing"), 0).has_value());
+  EXPECT_FALSE(OriginReply(store, MakeGet("/missing")).has_value());
 }
 
 TEST(OriginServer, ImsFreshReturns304) {
   DocumentStore store;
   store.Add("/a", 4096, 10);
-  OriginServer origin(store);
-  const auto reply = origin.Handle(MakeIms("/a", 10), 100);
+  const auto reply = OriginReply(store, MakeIms("/a", 10));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, net::MessageType::kReply304);
   EXPECT_EQ(reply->body_bytes, 0u);
@@ -125,8 +122,7 @@ TEST(OriginServer, ImsStaleReturns200) {
   DocumentStore store;
   store.Add("/a", 4096, 10);
   store.Touch("/a", 50);
-  OriginServer origin(store);
-  const auto reply = origin.Handle(MakeIms("/a", 10), 100);
+  const auto reply = OriginReply(store, MakeIms("/a", 10));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, net::MessageType::kReply200);
   EXPECT_EQ(reply->version, 2u);
@@ -137,8 +133,7 @@ TEST(OriginServer, ImsWithLaterTimestampStill304) {
   // A client clock ahead of the server must not force a transfer.
   DocumentStore store;
   store.Add("/a", 100, 10);
-  OriginServer origin(store);
-  const auto reply = origin.Handle(MakeIms("/a", 999), 1000);
+  const auto reply = OriginReply(store, MakeIms("/a", 999));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, net::MessageType::kReply304);
 }
@@ -146,8 +141,7 @@ TEST(OriginServer, ImsWithLaterTimestampStill304) {
 TEST(OriginServer, LeaseLeftUnstamped) {
   DocumentStore store;
   store.Add("/a", 100, 0);
-  OriginServer origin(store);
-  EXPECT_EQ(origin.Handle(MakeGet("/a"), 0)->lease_until, net::kNoLease);
+  EXPECT_EQ(OriginReply(store, MakeGet("/a"))->lease_until, net::kNoLease);
 }
 
 // --- ProxyCache -------------------------------------------------------------------

@@ -289,8 +289,6 @@ TEST(LivePush, RefusedPushIsCountedAndNeverRetried) {
   obs::BufferTraceSink sink;
   LiveServer::Options options;
   options.protocol = core::Protocol::kInvalidation;
-  options.push_retries = 3;
-  options.push_retry_backoff_ms = 1;
   options.trace_sink = &sink;
   LiveServer server(options);
   ASSERT_TRUE(server.Start());

@@ -353,6 +353,28 @@ TEST(ReplayHierarchy, DeterministicAndStaleOnlyInFlight) {
   EXPECT_EQ(a.stale_serves, a.stale_while_invalidation_in_flight);
 }
 
+TEST(ReplayHierarchy, ParentServesOnlyUnderItsLease) {
+  // Once the parent's lease lapses the server stops tracking it, so a later
+  // write completes without reaching it. The parent must then revalidate
+  // rather than serve its copy, and a copy it serves carries its lease down
+  // to the leaf.
+  const trace::Trace trace = SmallTrace(/*seed=*/29, /*requests=*/3000);
+  for (const core::LeaseMode mode :
+       {core::LeaseMode::kFixed, core::LeaseMode::kTwoTier}) {
+    SCOPED_TRACE(core::ToString(mode));
+    ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
+    config.hierarchical = true;
+    config.mean_lifetime = 2 * kHour;
+    config.lease.mode = mode;
+    config.lease.duration = 30 * kMinute;
+    config.lease.short_duration = 0;
+    const ReplayMetrics metrics = RunReplay(config);
+    EXPECT_EQ(metrics.strong_violations, 0u);
+    EXPECT_EQ(metrics.stale_serves, metrics.stale_while_invalidation_in_flight);
+    EXPECT_GT(metrics.parent_hits, 0u);
+  }
+}
+
 // --- conformance with the analytic model ----------------------------------------------
 
 // Builds a single-client single-document trace plus explicit modification

@@ -487,23 +487,55 @@ TEST(Network, ReliableSendRetriesAcrossPartitionUntilHeal) {
   EXPECT_GE(net.retries(), 3u);
 }
 
-TEST(Network, ReliableSendGivesUpAfterMaxRetries) {
+TEST(Network, ReliableSendOutlastsAnyPartition) {
   Simulator sim;
   Network net(sim, FastConfig());
   net.Partition(0, 1);
+  Time delivered = -1;
+  int done_calls = 0;
   Network::SendResult result{};
-  bool done = false;
+  Time done_at = -1;
   net.SendReliable(
-      0, 1, 0, [] {},
-      [&](Network::SendResult r, Time) {
+      0, 1, 0, [&] { delivered = sim.now(); },
+      [&](Network::SendResult r, Time at) {
+        ++done_calls;
         result = r;
-        done = true;
-      },
-      /*max_retries=*/3);
+        done_at = at;
+      });
+  // A reliable send has no retry budget: it retries every 100 ms for a
+  // full minute and gets through on the first retry after the heal.
+  sim.At(60 * kSecond - 50 * kMillisecond, [&] { net.Heal(0, 1); });
   sim.Run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(result, Network::SendResult::kGaveUp);
-  EXPECT_EQ(sim.now(), 3 * 100 * kMillisecond);
+  EXPECT_EQ(done_calls, 1);
+  EXPECT_EQ(result, Network::SendResult::kDelivered);
+  EXPECT_EQ(delivered, 60 * kSecond + 1000);
+  EXPECT_EQ(done_at, delivered);
+  EXPECT_EQ(net.retries(), 600u);
+}
+
+TEST(Network, ReliableSendRefusedWhenReceiverDiesWhilePartitioned) {
+  Simulator sim;
+  Network net(sim, FastConfig());
+  net.Partition(0, 1);
+  bool delivered = false;
+  int done_calls = 0;
+  Network::SendResult result{};
+  Time done_at = -1;
+  net.SendReliable(
+      0, 1, 0, [&] { delivered = true; },
+      [&](Network::SendResult r, Time at) {
+        ++done_calls;
+        result = r;
+        done_at = at;
+      });
+  // The receiver dies at 150 ms; the retry at 200 ms is refused, the only
+  // way besides delivery that a reliable send ends while its sender lives.
+  sim.At(150 * kMillisecond, [&] { net.SetNodeUp(1, false); });
+  sim.Run();
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(done_calls, 1);
+  EXPECT_EQ(result, Network::SendResult::kRefused);
+  EXPECT_EQ(done_at, 200 * kMillisecond);
 }
 
 TEST(Network, SenderDeathSilencesPendingRetries) {

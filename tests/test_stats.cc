@@ -58,14 +58,6 @@ TEST(LatencyStats, RecordAfterPercentileKeepsSorting) {
   EXPECT_DOUBLE_EQ(stats.Percentile(0), 0.5);
 }
 
-TEST(LatencyStats, SampleCapBoundsMemoryNotAggregates) {
-  LatencyStats stats(/*max_samples=*/10);
-  for (int i = 1; i <= 1000; ++i) stats.Record(i);
-  EXPECT_EQ(stats.count(), 1000u);
-  EXPECT_DOUBLE_EQ(stats.max(), 1000.0);  // exact despite the cap
-  EXPECT_DOUBLE_EQ(stats.mean(), 500.5);
-}
-
 TEST(LatencyStats, MergeCombines) {
   LatencyStats a;
   LatencyStats b;
@@ -77,6 +69,22 @@ TEST(LatencyStats, MergeCombines) {
   EXPECT_DOUBLE_EQ(a.min(), 1.0);
   EXPECT_DOUBLE_EQ(a.max(), 10.0);
   EXPECT_NEAR(a.mean(), 13.0 / 3, 1e-9);
+}
+
+TEST(LatencyStats, MergedPercentilesDescribeEverySample) {
+  LatencyStats low;
+  LatencyStats high;
+  LatencyStats whole;
+  for (int i = 1; i <= 500; ++i) low.Record(i);
+  for (int i = 1000; i > 500; --i) high.Record(i);
+  for (int i = 1000; i >= 1; --i) whole.Record(i);
+  low.Merge(high);
+  EXPECT_EQ(low.count(), 1000u);
+  EXPECT_DOUBLE_EQ(low.mean(), 500.5);
+  EXPECT_DOUBLE_EQ(low.Percentile(0), 1.0);
+  EXPECT_DOUBLE_EQ(low.Percentile(50), 500.5);
+  EXPECT_DOUBLE_EQ(low.Percentile(100), 1000.0);
+  EXPECT_TRUE(low.SameSamples(whole));
 }
 
 TEST(LatencyStats, MergeEmptyIsNoop) {

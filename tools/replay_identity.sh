@@ -1,5 +1,5 @@
 #!/bin/sh
-# Checks that two webcc builds replay identically. Runs the same fifteen
+# Checks that two webcc builds replay identically. Runs the same eighteen
 # replays with each binary and compares, per replay:
 #   - stdout, without the `wrote ...` lines;
 #   - the --trace-out JSONL streams, byte for byte;
@@ -141,6 +141,15 @@ replay sask_gds_tier2 --preset SASK --protocol all --cache-bytes 1000000 \
   --cache-tier2-bytes 4000000 --cache-policy gds
 replay sask_pcv_tier2 --preset SASK --protocol pcv --cache-bytes 1000000 \
   --cache-tier2-bytes 4000000
+# Leases: none of the runs above grants one. These reach lease grants and
+# expiries across shards (two-tier, batched), and the INVSRV broadcast and
+# journal recovery built from three shards' site lists.
+replay sask_twotier_sharded --preset SASK --protocol invalidation --two-tier \
+  --lease-days 1 --shards 4 --decoupled --batch-window 50
+replay epa_invsrv_leases_sharded --preset EPA --lease-days 0.01 --shards 3 \
+  --no-journal --fault-plan "$plans/server_crash_journal_recovery.json"
+replay epa_journal_leases_sharded --preset EPA --lease-days 0.01 --shards 3 \
+  --fault-plan "$plans/server_crash_journal_recovery.json"
 
 if [ "$status" -eq 0 ]; then
   echo "replay identity: PASS"
