@@ -5,11 +5,11 @@
 // a thin dispatcher.
 //
 //   webcc generate  --preset SASK --out sask.log
-//   webcc generate  --requests 50000 --documents 2000 --clients 800 \
+//   webcc generate  --requests 50000 --documents 2000 --clients 800
 //                   --duration-hours 24 --out synth.log
 //   webcc summarize --in access.log
 //   webcc filter    --in client.log --out server.log --browser-ttl-minutes 60
-//   webcc replay    --in access.log --protocol invalidation \
+//   webcc replay    --in access.log --protocol invalidation
 //                   --lifetime-days 14 [--lease-days 3]
 //                   [--lease none|fixed|two-tier] [--two-tier]
 //                   [--multicast] [--decoupled] [--cache-mb 128]

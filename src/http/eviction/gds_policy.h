@@ -6,7 +6,7 @@
 // floor, so recently-useful small objects outlive large cold ones.
 //
 // This is the one policy that keeps per-entry state: one indexed min-heap
-// of (H, order, key) credits, exactly one per resident tier-1 entry (a
+// of (H, order, entry id) credits, exactly one per resident tier-1 entry (a
 // re-credit replaces the entry's credit in place). `order` is a
 // policy-private monotone counter, so credit ties break toward the older
 // credit — the same older-first convention as the TTL index's stamp order —
@@ -30,7 +30,7 @@ class GdsPolicy : public EvictionPolicy {
 
   void OnInsert(const EntryView& entry) override { Credit(entry); }
   void OnHit(const EntryView& entry) override { Credit(entry); }
-  void OnErase(const EntryView& entry) override { credits_.Erase(entry.key); }
+  void OnErase(const EntryView& entry) override { credits_.Erase(entry.id); }
 
   Victim PickVictim(Time /*now*/, const EvictionHost& /*host*/) override {
     // PickVictim is only called with a resident tier-1 entry, and each one
@@ -50,13 +50,17 @@ class GdsPolicy : public EvictionPolicy {
     registry.SetGauge(name, inflation_);
   }
 
+  std::uint64_t MemoryFootprintBytes() const override {
+    return credits_.MemoryFootprintBytes();
+  }
+
   double inflation() const { return inflation_; }
 
  private:
   struct CreditRecord {
     double h = 0.0;
     std::uint64_t order = 0;
-    core::InternId id = core::kNoInternId;  // the entry's key id
+    EntryId id = kNoEntryId;
   };
 
   // Min-heap by (h, order): ties in credit evict the older credit first.
@@ -70,8 +74,8 @@ class GdsPolicy : public EvictionPolicy {
     const double h =
         inflation_ + 1.0 / static_cast<double>(std::max<std::uint64_t>(
                                entry.size_bytes, 1));
-    credits_.Erase(entry.key);
-    credits_.Push(CreditRecord{h, next_order_++, entry.key});
+    credits_.Erase(entry.id);
+    credits_.Push(CreditRecord{h, next_order_++, entry.id});
   }
 
   double inflation_ = 0.0;

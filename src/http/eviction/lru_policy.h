@@ -19,7 +19,7 @@ class LruPolicy : public EvictionPolicy {
 
   Victim PickVictim(Time /*now*/, const EvictionHost& host) override {
     ++stats_.picks;
-    return Victim{host.LruTailKey(), /*expired_rule=*/false};
+    return Victim{host.LruTailId(), /*expired_rule=*/false};
   }
 };
 
@@ -44,7 +44,7 @@ class ExpiredFirstLruPolicy : public EvictionPolicy {
       ++stats_.expired_picks;
       return Victim{ttl.top().id, /*expired_rule=*/true};
     }
-    return Victim{host.LruTailKey(), /*expired_rule=*/false};
+    return Victim{host.LruTailId(), /*expired_rule=*/false};
   }
 };
 

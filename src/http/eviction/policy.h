@@ -2,8 +2,8 @@
 // every victim choice the proxy cache makes.
 //
 // This repeats the refactor shape of core/consistency (PR 3): the cache
-// owns all entry storage and indexes — the LRU list, the interned key/url
-// maps, and the TTL index — and the policy is a pure strategy that is
+// owns all entry storage and indexes — the LRU list, the key and url
+// indexes, and the TTL index — and the policy is a pure strategy that is
 // notified of entry lifecycle events (OnInsert/OnHit/OnErase) and asked to
 // choose victims (PickVictim). The policy reads the cache's indexes through
 // the narrow EvictionHost view instead of duplicating them, so the
@@ -21,7 +21,8 @@
 //                    H = L + 1/size (inflation L)       per-entry credits
 //
 // Policies never allocate entry storage and never see strings: entries are
-// identified by their interned key id (core::InternId).
+// identified by their entry id (EntryId), which the cache recycles once the
+// entry leaves, so a policy drops an entry's state at its OnErase.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +30,6 @@
 #include <memory>
 #include <string_view>
 
-#include "core/intern.h"
 #include "obs/metrics.h"
 #include "util/indexed_heap.h"
 #include "util/time.h"
@@ -52,14 +52,20 @@ std::string_view ToString(EvictionPolicyKind kind);
 bool ParseEvictionPolicyKind(std::string_view name, EvictionPolicyKind& out);
 std::string_view ValidEvictionPolicyNames();
 
+// A resident entry's id. The cache hands one out when an entry becomes
+// resident and takes it back when the entry leaves, so ids stay below the
+// peak number of resident entries.
+using EntryId = std::uint32_t;
+inline constexpr EntryId kNoEntryId = 0xffffffffu;
+
 // The per-entry facts a policy may see.
 struct EntryView {
-  core::InternId key = core::kNoInternId;
+  EntryId id = kNoEntryId;
   std::uint64_t size_bytes = 0;
 };
 
 struct Victim {
-  core::InternId key = core::kNoInternId;
+  EntryId id = kNoEntryId;
   // The expired-first rule chose it (kEviction trace detail 1).
   bool expired_rule = false;
 };
@@ -76,7 +82,7 @@ struct EvictionPolicyStats {
 struct TtlRecord {
   Time expires = 0;
   std::uint64_t stamp = 0;
-  core::InternId id = core::kNoInternId;  // the entry's key id
+  EntryId id = kNoEntryId;
 };
 struct ExpiresBefore {
   bool operator()(const TtlRecord& a, const TtlRecord& b) const {
@@ -92,18 +98,18 @@ class EvictionHost {
  public:
   virtual ~EvictionHost() = default;
 
-  // Key of the least-recently-used tier-1 entry. Never called on an empty
+  // Id of the least-recently-used tier-1 entry. Never called on an empty
   // tier.
-  virtual core::InternId LruTailKey() const = 0;
+  virtual EntryId LruTailId() const = 0;
 
   // The cache's TTL index (shared with TakeExpired).
   virtual const TtlIndex& Ttl() const = 0;
 
-  // True when `key` resides in tier 1 and may be returned as a victim. TTL
+  // True when entry `id` resides in tier 1 and may be returned as a victim. TTL
   // records cover both tiers (TakeExpired needs them), but only tier-1
   // entries are the policy's to evict; tier 2 reclaims its own expired
   // entries. Always true with tiering off.
-  virtual bool InEvictableTier(core::InternId key) const = 0;
+  virtual bool InEvictableTier(EntryId id) const = 0;
 };
 
 class EvictionPolicy {
@@ -121,7 +127,7 @@ class EvictionPolicy {
   virtual void OnErase(const EntryView& entry) = 0;
 
   // Chooses the next tier-1 victim. Only called with at least one resident
-  // tier-1 entry; must return a live key. The cache then erases or demotes
+  // tier-1 entry; must return a resident id. The cache then erases or demotes
   // the victim, so the policy sees its OnErase.
   virtual Victim PickVictim(Time now, const EvictionHost& host) = 0;
 
@@ -131,6 +137,9 @@ class EvictionPolicy {
   // The base implementation exports the shared pick counters.
   virtual void ExportStats(obs::MetricsRegistry& registry,
                            std::string_view prefix) const;
+
+  // Bytes held by per-entry policy state (capacity, not live count).
+  virtual std::uint64_t MemoryFootprintBytes() const { return 0; }
 
  protected:
   EvictionPolicyStats stats_;

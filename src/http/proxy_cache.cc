@@ -8,7 +8,7 @@
 namespace webcc::http {
 
 CacheEntry* ProxyCache::Lookup(const std::string& key, Time now) {
-  const LruList::iterator* it = FindResident(keys_.Find(key));
+  const LruList::iterator* it = FindResident(key, core::HashName(key));
   if (it == nullptr) return nullptr;
   CacheEntry& entry = **it;
   if (entry.tier2_) {
@@ -29,14 +29,14 @@ CacheEntry* ProxyCache::Lookup(const std::string& key, Time now) {
 }
 
 CacheEntry* ProxyCache::Peek(const std::string& key) {
-  const LruList::iterator* it = FindResident(keys_.Find(key));
+  const LruList::iterator* it = FindResident(key, core::HashName(key));
   return it == nullptr ? nullptr : &**it;
 }
 
 void ProxyCache::IndexTtl(CacheEntry& entry) {
   entry.heap_stamp_ = next_stamp_++;
   if (entry.ttl_expires == kNeverExpires) return;
-  ttl_index_.Push({entry.ttl_expires, entry.heap_stamp_, entry.key_id_});
+  ttl_index_.Push({entry.ttl_expires, entry.heap_stamp_, entry.id_});
 }
 
 std::uint64_t ProxyCache::DemotionWatermark() const {
@@ -45,11 +45,8 @@ std::uint64_t ProxyCache::DemotionWatermark() const {
 }
 
 void ProxyCache::Insert(CacheEntry entry, Time now) {
-  entry.key_id_ = keys_.Intern(entry.key);
-  entry.url_id_ = urls_.Intern(entry.url);
-  if (index_.size() < keys_.size()) index_.resize(keys_.size());
-  if (url_index_.size() < urls_.size()) url_index_.resize(urls_.size());
-  EraseById(entry.key_id_);  // replace semantics
+  entry.key_hash_ = core::HashName(entry.key);
+  EraseKey(entry.key, entry.key_hash_);  // replace semantics
   if (tier_.enabled()) Tier2TtlCleanup(now);
   if (entry.size_bytes > capacity_bytes_) {
     // Too large for tier 1; the second tier takes it when it fits there.
@@ -70,9 +67,7 @@ void ProxyCache::Insert(CacheEntry entry, Time now) {
   bytes_used_ += entry.size_bytes;
   ++stats_.insertions;
   lru_.push_front(std::move(entry));
-  index_[lru_.front().key_id_] = {lru_.begin(), true};
-  url_index_[lru_.front().url_id_].push_back(lru_.front().key_id_);
-  IndexTtl(lru_.front());
+  Admit(lru_.begin());
   policy_->OnInsert(ViewOf(lru_.front()));
 
   if (tier_.enabled()) {
@@ -92,18 +87,32 @@ void ProxyCache::InsertIntoTier2(CacheEntry entry, Time now) {
   tier2_bytes_used_ += entry.size_bytes;
   ++stats_.insertions;
   tier2_lru_.push_front(std::move(entry));
-  index_[tier2_lru_.front().key_id_] = {tier2_lru_.begin(), true};
-  url_index_[tier2_lru_.front().url_id_].push_back(
-      tier2_lru_.front().key_id_);
-  IndexTtl(tier2_lru_.front());
+  Admit(tier2_lru_.begin());
+}
+
+void ProxyCache::Admit(LruList::iterator it) {
+  CacheEntry& entry = *it;
+  if (free_ids_.empty()) {
+    entry.id_ = static_cast<eviction::EntryId>(index_.size());
+    index_.emplace_back();
+  } else {
+    entry.id_ = free_ids_.back();
+    free_ids_.pop_back();
+  }
+  index_[entry.id_] = {it, true};
+  keys_.Insert(entry.id_, entry.key_hash_);
+  entry.url_id_ = urls_.Intern(entry.url);
+  if (url_index_.size() < urls_.size()) url_index_.resize(urls_.size());
+  url_index_[entry.url_id_].push_back(entry.id_);
+  IndexTtl(entry);
 }
 
 bool ProxyCache::Erase(const std::string& key) {
-  return EraseById(keys_.Find(key));
+  return EraseKey(key, core::HashName(key));
 }
 
-bool ProxyCache::EraseById(core::InternId key_id) {
-  const LruList::iterator* it = FindResident(key_id);
+bool ProxyCache::EraseKey(std::string_view key, std::uint32_t hash) {
+  const LruList::iterator* it = FindResident(key, hash);
   if (it == nullptr) return false;
   ++stats_.erased;
   RemoveEntry(*it);
@@ -111,10 +120,12 @@ bool ProxyCache::EraseById(core::InternId key_id) {
 }
 
 void ProxyCache::RemoveEntry(LruList::iterator it) {
-  ttl_index_.Erase(it->key_id_);
-  std::vector<core::InternId>& keys = url_index_[it->url_id_];
-  keys.erase(std::find(keys.begin(), keys.end(), it->key_id_));
-  index_[it->key_id_].resident = false;
+  ttl_index_.Erase(it->id_);
+  std::vector<eviction::EntryId>& ids = url_index_[it->url_id_];
+  ids.erase(std::find(ids.begin(), ids.end(), it->id_));
+  keys_.Erase(it->id_, it->key_hash_);
+  index_[it->id_].resident = false;
+  free_ids_.push_back(it->id_);
   if (it->tier2_) {
     tier2_bytes_used_ -= it->size_bytes;
     tier2_lru_.erase(it);
@@ -128,11 +139,12 @@ void ProxyCache::RemoveEntry(LruList::iterator it) {
 std::size_t ProxyCache::EraseByUrl(const std::string& url) {
   const core::InternId url_id = urls_.Find(url);
   if (url_id >= url_index_.size() || url_index_[url_id].empty()) return 0;
-  // Copy out: EraseById mutates the vector we are iterating.
-  const std::vector<core::InternId> keys = url_index_[url_id];
-  std::size_t erased = 0;
-  for (const core::InternId key_id : keys) erased += EraseById(key_id);
-  return erased;
+  // Copy out: RemoveEntry mutates the vector we are iterating. No entry is
+  // admitted meanwhile, so no id in the copy is handed out again.
+  const std::vector<eviction::EntryId> ids = url_index_[url_id];
+  for (const eviction::EntryId id : ids) RemoveEntry(index_[id].entry);
+  stats_.erased += ids.size();
+  return ids.size();
 }
 
 std::vector<CacheEntry*> ProxyCache::TakeExpired(Time now,
@@ -147,24 +159,24 @@ std::vector<CacheEntry*> ProxyCache::TakeExpired(Time now,
 }
 
 void ProxyCache::SetTtlExpiry(CacheEntry& entry, Time expires) {
-  ttl_index_.Erase(entry.key_id_);
+  ttl_index_.Erase(entry.id_);
   entry.ttl_expires = expires;
   IndexTtl(entry);
 }
 
-core::InternId ProxyCache::LruTailKey() const {
-  return std::prev(lru_.end())->key_id_;
+eviction::EntryId ProxyCache::LruTailId() const {
+  return std::prev(lru_.end())->id_;
 }
 
-bool ProxyCache::InEvictableTier(core::InternId key) const {
-  const LruList::iterator* it = FindResident(key);
+bool ProxyCache::InEvictableTier(eviction::EntryId id) const {
+  const LruList::iterator* it = FindResident(id);
   return it != nullptr && !(*it)->tier2_;
 }
 
 void ProxyCache::DisplaceOne(Time now) {
   WEBCC_CHECK_MSG(!lru_.empty(), "eviction from an empty cache");
   const eviction::Victim victim = policy_->PickVictim(now, *this);
-  LruList::iterator* it = FindResident(victim.key);
+  LruList::iterator* it = FindResident(victim.id);
   WEBCC_CHECK_MSG(it != nullptr, "policy picked a non-resident victim");
 
   // Pressure demotes instead of evicting when the second tier can hold the
@@ -253,6 +265,18 @@ void ProxyCache::Tier2TtlCleanup(Time now) {
                             .detail = 4});
     RemoveEntry(victim);
   }
+}
+
+std::uint64_t ProxyCache::MemoryFootprintBytes() const {
+  std::uint64_t bytes =
+      keys_.MemoryFootprintBytes() + index_.capacity() * sizeof(IndexSlot) +
+      free_ids_.capacity() * sizeof(eviction::EntryId) +
+      url_index_.capacity() * sizeof(url_index_[0]) +
+      ttl_index_.MemoryFootprintBytes() + policy_->MemoryFootprintBytes();
+  for (const std::vector<eviction::EntryId>& ids : url_index_) {
+    bytes += ids.capacity() * sizeof(eviction::EntryId);
+  }
+  return bytes;
 }
 
 void ProxyCache::ExportMetrics(obs::MetricsRegistry& registry,

@@ -5,8 +5,8 @@
 // hosts many independent per-client caches exactly as the paper does).
 //
 // Replacement is delegated to the eviction kernel (src/http/eviction/): the
-// cache owns all storage and indexes — the LRU list, the interned key/url
-// maps, and the TTL index — and an EvictionPolicy strategy chooses every
+// cache owns all storage and indexes — the LRU list, the key and url
+// indexes, and the TTL index — and an EvictionPolicy strategy chooses every
 // victim through the narrow EvictionHost view. Three policies ship:
 // plain LRU, Harvest's expired-first LRU (the paper traces its SASK
 // hit-ratio anomaly to this policy interacting with adaptive TTL's
@@ -22,11 +22,17 @@
 // tiered cache. With tiering off (the default) behavior is bit-identical
 // to the single-tier cache.
 //
-// Internally every key and URL is interned to a dense integer id
-// (core::Interner) once, where it enters the cache: the entry index and the
-// per-URL index are vectors indexed by id and the TTL index keys on ids, so
-// a lookup hashes its string exactly once and the index never copies
-// strings. The public interface stays string-keyed.
+// Internally every resident entry has a dense entry id: it is handed out
+// when the entry becomes resident in either tier and goes back to a free
+// list when the entry leaves. The key index is a core::IdTable of (entry
+// id, key hash) slots whose probes compare against the resident entry's
+// own key, so a lookup hashes its string exactly once and no key is stored
+// twice. The entry index, the TTL index and the policy's state are indexed
+// by entry id, so all of them are bounded by peak residency, not by the
+// keys ever inserted. No victim choice depends on an id value: every tie
+// breaks on a stamp or an order counter. URLs are interned (core::Interner)
+// for the per-URL index; that table is bounded by the distinct URLs. The
+// public interface stays string-keyed.
 //
 // The TTL index is a util::IndexedHeap holding exactly one (expiry, stamp)
 // record per resident entry whose TTL is finite and not yet taken by
@@ -39,6 +45,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/intern.h"
@@ -88,7 +95,8 @@ struct CacheEntry {
   // Drawn at every insert, tier-2 insert and re-arm: breaks TTL-index ties
   // toward the older stamp.
   std::uint64_t heap_stamp_ = 0;
-  core::InternId key_id_ = core::kNoInternId;
+  eviction::EntryId id_ = eviction::kNoEntryId;
+  std::uint32_t key_hash_ = 0;  // core::HashName(key)
   core::InternId url_id_ = core::kNoInternId;
   bool tier2_ = false;            // resident in the second tier
   std::uint32_t tier2_hits_ = 0;  // hits since demotion (promotion counter)
@@ -173,6 +181,15 @@ class ProxyCache : private eviction::EvictionHost {
   // Records in the TTL index, for the heap-growth regression test.
   std::size_t ttl_heap_size() const { return ttl_index_.size(); }
 
+  // One past the largest entry id handed out so far: at most the peak
+  // number of resident entries.
+  std::size_t entry_id_limit() const { return index_.size(); }
+
+  // Bytes held by the cache's indexes (capacity, not live count): the key
+  // table, the entry index and its free list, the per-URL index, the TTL
+  // index and the policy's state. The entries themselves are not counted.
+  std::uint64_t MemoryFootprintBytes() const;
+
   // Optional tracing: when set, every eviction emits a kEviction event
   // stamped with the `now` the mutating call received. detail codes:
   // 0 = policy victim, 1 = expired-first rule, 2 = oversize rejection,
@@ -188,25 +205,34 @@ class ProxyCache : private eviction::EvictionHost {
  private:
   using LruList = std::list<CacheEntry>;
 
-  // The resident entry for `key_id`, or nullptr.
-  LruList::iterator* FindResident(core::InternId key_id) {
-    if (key_id >= index_.size() || !index_[key_id].resident) return nullptr;
-    return &index_[key_id].entry;
+  // The resident entry with id `id`, or nullptr.
+  LruList::iterator* FindResident(eviction::EntryId id) {
+    if (id >= index_.size() || !index_[id].resident) return nullptr;
+    return &index_[id].entry;
   }
-  const LruList::iterator* FindResident(core::InternId key_id) const {
-    return const_cast<ProxyCache*>(this)->FindResident(key_id);
+  const LruList::iterator* FindResident(eviction::EntryId id) const {
+    return const_cast<ProxyCache*>(this)->FindResident(id);
+  }
+  // The resident entry with `key`, whose core::HashName is `hash`.
+  LruList::iterator* FindResident(std::string_view key, std::uint32_t hash) {
+    return FindResident(keys_.Find(hash, [this, key](eviction::EntryId id) {
+      return index_[id].entry->key == key;
+    }));
   }
 
   // EvictionHost — the policy's window into the indexes.
-  core::InternId LruTailKey() const override;
+  eviction::EntryId LruTailId() const override;
   const eviction::TtlIndex& Ttl() const override { return ttl_index_; }
-  bool InEvictableTier(core::InternId key) const override;
+  bool InEvictableTier(eviction::EntryId id) const override;
 
   static eviction::EntryView ViewOf(const CacheEntry& entry) {
-    return eviction::EntryView{entry.key_id_, entry.size_bytes};
+    return eviction::EntryView{entry.id_, entry.size_bytes};
   }
 
-  bool EraseById(core::InternId key_id);
+  // Gives the entry at `it`, just placed in a list, an entry id and enters
+  // it in every index.
+  void Admit(LruList::iterator it);
+  bool EraseKey(std::string_view key, std::uint32_t hash);
   // Frees tier-1 space for one entry: the policy's victim is demoted into
   // tier 2 when it fits (and is not already expired), evicted otherwise.
   void DisplaceOne(Time now);
@@ -228,9 +254,7 @@ class ProxyCache : private eviction::EvictionHost {
   std::uint64_t tier2_bytes_used_ = 0;  // tier 2
   std::uint64_t next_stamp_ = 1;
 
-  // Interned namespaces. Ids are dense and never recycled, so the tables
-  // are bounded by the distinct keys/URLs ever inserted, not residency.
-  core::Interner keys_;
+  core::IdTable keys_;  // resident keys -> entry id
   core::Interner urls_;
 
   LruList lru_;        // tier 1; front = most recently used
@@ -239,11 +263,12 @@ class ProxyCache : private eviction::EvictionHost {
     LruList::iterator entry;
     bool resident = false;
   };
-  std::vector<IndexSlot> index_;  // by key id
-  // By url id: the key ids of the entries caching it (one per owner), in
+  std::vector<IndexSlot> index_;             // by entry id
+  std::vector<eviction::EntryId> free_ids_;  // ids of entries that left
+  // By url id: the ids of the entries caching it (one per owner), in
   // insertion order (keeps EraseByUrl deterministic).
-  std::vector<std::vector<core::InternId>> url_index_;
-  eviction::TtlIndex ttl_index_;  // keyed by key id
+  std::vector<std::vector<eviction::EntryId>> url_index_;
+  eviction::TtlIndex ttl_index_;  // keyed by entry id
   ProxyCacheStats stats_;
   obs::TraceSink* trace_sink_ = nullptr;
 };

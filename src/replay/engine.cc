@@ -67,8 +67,11 @@ void Engine::Setup() {
   // Trace clients are routed lazily (NoteServerContact): a million-site
   // scenario names far more clients than its requests ever reach.
   client_routed_.assign(trace_.clients.size(), 0);
-  // Size each pseudo-client's slice exactly (a counting pass is cheaper
-  // than the doubling reallocations of tens of thousands of push_backs).
+  // Each pseudo-client reads the shared trace through its slice of record
+  // indices. Size each slice exactly (a counting pass is cheaper than the
+  // doubling reallocations of tens of thousands of push_backs).
+  WEBCC_CHECK_MSG(trace_.records.size() <= UINT32_MAX,
+                  "trace too long for 32-bit record indices");
   std::vector<std::size_t> slice_sizes(config_.num_pseudo_clients, 0);
   for (const trace::TraceRecord& record : trace_.records) {
     ++slice_sizes[record.client % config_.num_pseudo_clients];
@@ -76,9 +79,9 @@ void Engine::Setup() {
   for (std::uint32_t i = 0; i < config_.num_pseudo_clients; ++i) {
     clients_[i].records.reserve(slice_sizes[i]);
   }
-  for (const trace::TraceRecord& record : trace_.records) {
-    clients_[record.client % config_.num_pseudo_clients].records.push_back(
-        record);
+  for (std::size_t i = 0; i < trace_.records.size(); ++i) {
+    clients_[trace_.records[i].client % config_.num_pseudo_clients]
+        .records.push_back(static_cast<std::uint32_t>(i));
   }
   // The queue holds live events only: per pseudo-client its in-flight hop
   // and reply timeout (a delivered reply cancels the timeout), the
@@ -288,7 +291,7 @@ ReplayMetrics Engine::Run() {
       parent_table_->ExportMetrics(registry, "parent.table.");
     }
   }
-  return metrics_;
+  return std::move(metrics_);
 }
 
 // --- lock-step coordinator ---------------------------------------------------
@@ -320,7 +323,7 @@ void Engine::StartInterval() {
 
   for (PseudoClient& pc : clients_) {
     while (pc.window_end < pc.records.size() &&
-           pc.records[pc.window_end].timestamp < window_end) {
+           trace_.records[pc.records[pc.window_end]].timestamp < window_end) {
       ++pc.window_end;
     }
     sim_.After(0, [this, &pc] { IssueNext(pc); });
@@ -398,7 +401,7 @@ void Engine::IssueNext(PseudoClient& pc) {
     ParticipantDone();
     return;
   }
-  const trace::TraceRecord& record = pc.records[pc.cursor++];
+  const trace::TraceRecord& record = trace_.records[pc.records[pc.cursor++]];
   ++metrics_.requests_issued;
 
   const std::string& url = DocPath(record.doc);

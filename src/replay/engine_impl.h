@@ -73,7 +73,7 @@ class Engine {
     int index = 0;
     sim::NodeId node = 0;
     std::unique_ptr<http::ProxyCache> cache;
-    std::vector<trace::TraceRecord> records;
+    std::vector<std::uint32_t> records;  // its slice: indices into trace_
     std::size_t cursor = 0;        // next record to issue
     std::size_t window_end = 0;    // bound for the current interval
     bool down = false;

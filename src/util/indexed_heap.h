@@ -58,6 +58,13 @@ class IndexedHeap {
     return true;
   }
 
+  // Bytes held by the records and the position table (capacity, not live
+  // count). The table spans the largest id ever queued.
+  std::uint64_t MemoryFootprintBytes() const {
+    return records_.capacity() * sizeof(Record) +
+           pos_.capacity() * sizeof(std::uint32_t);
+  }
+
   // Pre-sizes for `records` queued records with ids below `records`.
   void Reserve(std::size_t records) {
     records_.reserve(records);

@@ -7,6 +7,7 @@
 // test_cache_model.cc; these are the targeted unit cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -82,9 +83,9 @@ TEST(TtlIndexTest, PopsByExpiryThenStamp) {
   heap.Push({10, 9, 2});
   heap.Push({10, 3, 3});
   heap.Push({50, 2, 4});
-  std::vector<core::InternId> order;
+  std::vector<eviction::EntryId> order;
   while (!heap.empty()) order.push_back(heap.Pop().id);
-  EXPECT_EQ(order, (std::vector<core::InternId>{3, 2, 4, 1}));
+  EXPECT_EQ(order, (std::vector<eviction::EntryId>{3, 2, 4, 1}));
 }
 
 TEST(ProxyCacheTtlHeapTest, RenewChurnKeepsHeapBounded) {
@@ -108,6 +109,36 @@ TEST(ProxyCacheTtlHeapTest, RenewChurnKeepsHeapBounded) {
   EXPECT_EQ(cache.entry_count(), 10u);
   // The renewed expiries still work: everything expires at the last value.
   EXPECT_EQ(cache.TakeExpired(10000, 100).size(), 10u);
+}
+
+TEST(ProxyCacheTest, FootprintFollowsResidentsNotHistory) {
+  // 10^5 distinct keys (1,000 URLs x 100 owners) stream through a budget
+  // of 1,000 entries. Every index the cache keeps is sized by the entries
+  // it holds, so the footprint after 10^5 inserts matches the one after
+  // 2x10^4, and entry ids stay below the peak residency. An index sized by
+  // every key ever inserted grows fivefold between the two.
+  for (const EvictionPolicyKind kind :
+       {EvictionPolicyKind::kLru, EvictionPolicyKind::kExpiredFirstLru,
+        EvictionPolicyKind::kGds}) {
+    SCOPED_TRACE(std::string(eviction::ToString(kind)));
+    ProxyCache cache(100'000, kind);
+    std::size_t peak_entries = 0;
+    std::uint64_t footprint_at_20k = 0;
+    for (int i = 0; i < 100'000; ++i) {
+      // Finite TTLs keep the TTL index populated; some have lapsed by the
+      // time their entry is a victim.
+      cache.Insert(MakeEntry("/doc" + std::to_string(i % 1000), 100,
+                             i + 500 + i % 1000,
+                             "c" + std::to_string(i / 1000)),
+                   i);
+      peak_entries = std::max(peak_entries, cache.entry_count());
+      if (i + 1 == 20'000) footprint_at_20k = cache.MemoryFootprintBytes();
+    }
+    EXPECT_EQ(peak_entries, 1000u);
+    EXPECT_LE(cache.entry_id_limit(), peak_entries);
+    ASSERT_GT(footprint_at_20k, 0u);
+    EXPECT_LE(cache.MemoryFootprintBytes(), footprint_at_20k * 11 / 10);
+  }
 }
 
 // --- policy semantics -------------------------------------------------------

@@ -244,5 +244,52 @@ TEST(Interner, MatchesHashMapOracleOverRandomizedInternAndFind) {
   EXPECT_EQ(interner.size(), oracle.size());
 }
 
+TEST(IdTable, MatchesMapOracleUnderRandomInsertAndErase) {
+  // The proxy cache's resident-key index: ids are recycled through a free
+  // list and keys come and go. Keys below 32 share the last nine home
+  // slots of the table, whatever its size, so their probe runs wrap around
+  // its end and every erase shifts a long run back; the rest hash
+  // normally. After every operation each live key must still be found, and
+  // the table must stay sized by the 64 keys that can be live at once.
+  const auto hash_of = [](int key) {
+    return key < 32 ? 0xffffffffu - static_cast<std::uint32_t>(key % 9)
+                    : core::HashName(std::to_string(key));
+  };
+  core::IdTable table;
+  std::vector<int> key_of;  // by id
+  std::vector<core::InternId> free_ids;
+  std::map<int, core::InternId> oracle;
+  const auto find = [&](int key) {
+    return table.Find(hash_of(key),
+                      [&](core::InternId id) { return key_of[id] == key; });
+  };
+  util::Rng rng(20261018);
+  for (int step = 0; step < 20000; ++step) {
+    const int key = static_cast<int>(rng.NextBelow(64));
+    const auto known = oracle.find(key);
+    ASSERT_EQ(find(key),
+              known == oracle.end() ? core::kNoInternId : known->second);
+    if (known != oracle.end()) {
+      table.Erase(known->second, hash_of(key));
+      free_ids.push_back(known->second);
+      oracle.erase(known);
+    } else {
+      core::InternId id = static_cast<core::InternId>(key_of.size());
+      if (free_ids.empty()) {
+        key_of.push_back(key);
+      } else {
+        id = free_ids.back();
+        free_ids.pop_back();
+        key_of[id] = key;
+      }
+      table.Insert(id, hash_of(key));
+      oracle.emplace(key, id);
+    }
+    for (const auto& [live, id] : oracle) ASSERT_EQ(find(live), id);
+  }
+  EXPECT_LE(key_of.size(), 64u);
+  EXPECT_LE(table.MemoryFootprintBytes(), 128u * 8u);
+}
+
 }  // namespace
 }  // namespace webcc::replay

@@ -128,6 +128,10 @@ INSTANTIATE_TEST_SUITE_P(Protocols, ProtocolTest,
                                return "PollEveryTime";
                              case Protocol::kInvalidation:
                                return "Invalidation";
+                             case Protocol::kPiggybackValidation:
+                               return "PiggybackValidation";
+                             case Protocol::kPiggybackInvalidation:
+                               return "PiggybackInvalidation";
                            }
                            return "Unknown";
                          });

@@ -271,7 +271,9 @@ class SimulatorModelRun {
     const bool expect_event = !pending_.empty();
     const Time expect_now = expect_event ? pending_.begin()->first : 0;
     EXPECT_EQ(sim_.Step(), expect_event);
-    if (expect_event) EXPECT_EQ(sim_.now(), expect_now);
+    if (expect_event) {
+      EXPECT_EQ(sim_.now(), expect_now);
+    }
   }
 
   void RunUntil(Time t) {

@@ -296,7 +296,9 @@ TEST(MiniJson, RawValueCapturesNestedValuesVerbatim) {
   std::map<std::string, std::string> raw;
   ASSERT_TRUE(p.Consume('{'));
   while (!p.Peek('}')) {
-    if (!raw.empty()) ASSERT_TRUE(p.Consume(','));
+    if (!raw.empty()) {
+      ASSERT_TRUE(p.Consume(','));
+    }
     std::string key;
     ASSERT_TRUE(p.ParseString(key));
     ASSERT_TRUE(p.Consume(':'));
