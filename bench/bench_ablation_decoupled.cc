@@ -135,7 +135,7 @@ int main() {
     configs.push_back(decoupled);
   }
   const std::vector<replay::ReplayMetrics> runs =
-      replay::Farm::RunAll(configs);
+      replay::RunAll(configs);
 
   stats::Table table({"Trace", "avg ser.", "avg dec.", "max ser.", "max dec.",
                       "p99 ser.", "p99 dec."});
@@ -177,7 +177,7 @@ int main() {
     }
   }
   const std::vector<replay::ReplayMetrics> sweep_runs =
-      replay::Farm::RunAll(sweep_configs);
+      replay::RunAll(sweep_configs);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     cells[i].metrics = sweep_runs[i];
   }

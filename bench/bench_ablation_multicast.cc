@@ -29,7 +29,7 @@ int main() {
     configs.push_back(multicast);
   }
   const std::vector<replay::ReplayMetrics> runs =
-      replay::Farm::RunAll(configs);
+      replay::RunAll(configs);
 
   stats::Table table({"Trace", "inv msgs uni", "inv msgs multi", "bytes uni",
                       "bytes multi", "max lat uni", "max lat multi",

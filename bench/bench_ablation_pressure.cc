@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
 
   std::printf("=== Ablation: policy × pressure (%zu replay cells) ===\n\n",
               cells.size());
-  const std::vector<replay::ReplayMetrics> runs = replay::Farm::RunAll(configs);
+  const std::vector<replay::ReplayMetrics> runs = replay::RunAll(configs);
   for (std::size_t i = 0; i < cells.size(); ++i) cells[i].metrics = runs[i];
 
   // One table per (trace, protocol): policy rows × capacity columns.

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "synth/generate.h"
 #include "synth/scenario.h"
 
 using namespace webcc;
@@ -99,15 +100,16 @@ int main(int argc, char** argv) {
     protocols = {core::Protocol::kAdaptiveTtl, core::Protocol::kInvalidation};
   }
 
-  // Scenario storage must outlive the farm: ReplayConfig carries a pointer
-  // and each worker regenerates the workload from it in-process.
-  std::deque<synth::ScenarioConfig> scenarios;
+  // Each scenario is generated once and replayed under every protocol as
+  // its trace plus its write stream. The workloads must outlive the farm:
+  // ReplayConfig points at the trace.
+  std::deque<synth::SynthWorkload> workloads;
   std::vector<GridCell> cells;
   std::vector<replay::ReplayConfig> configs;
   for (const std::uint32_t sites : scales) {
     for (const double write_fraction : kWriteFractions) {
-      scenarios.push_back(ScenarioFor(sites, write_fraction));
-      const synth::ScenarioConfig& scenario = scenarios.back();
+      workloads.push_back(synth::Generate(ScenarioFor(sites, write_fraction)));
+      const synth::SynthWorkload& workload = workloads.back();
       for (const core::Protocol protocol : protocols) {
         GridCell cell;
         cell.sites = sites;
@@ -115,7 +117,9 @@ int main(int argc, char** argv) {
         cell.protocol = protocol;
         cells.push_back(cell);
         replay::ReplayConfig config;
-        config.scenario = &scenario;
+        config.trace = &workload.trace;
+        config.explicit_modifications = workload.writes;
+        config.suppress_generated_modifications = true;
         config.protocol = protocol;
         configs.push_back(config);
       }
@@ -125,7 +129,7 @@ int main(int argc, char** argv) {
   std::printf("=== Ablation: protocol × synth scale × write rate "
               "(%zu replay cells) ===\n\n",
               cells.size());
-  const std::vector<replay::ReplayMetrics> runs = replay::Farm::RunAll(configs);
+  const std::vector<replay::ReplayMetrics> runs = replay::RunAll(configs);
   for (std::size_t i = 0; i < cells.size(); ++i) cells[i].metrics = runs[i];
 
   // One table per write rate: protocol rows × scale columns.

@@ -205,7 +205,7 @@ inline void RunAndPrintExperiments(
     }
   }
   const std::vector<replay::ReplayMetrics> all =
-      replay::Farm::RunAll(configs, workers);
+      replay::RunAll(configs, workers);
 
   const std::size_t per_spec = PaperProtocolOrder().size();
   for (std::size_t s = 0; s < specs.size(); ++s) {

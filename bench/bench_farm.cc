@@ -76,7 +76,7 @@ BatchRun RunBatch(const std::vector<replay::ReplayConfig>& configs,
                   unsigned workers) {
   BatchRun run;
   const auto start = Clock::now();
-  run.metrics = replay::Farm::RunAll(configs, workers);
+  run.metrics = replay::RunAll(configs, workers);
   run.wall_ms = MillisSince(start);
   return run;
 }
@@ -130,7 +130,9 @@ int main(int argc, char** argv) {
 
   std::string sweep_json = "[";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const unsigned used = replay::Farm(sweep[i]).workers();
+    // RunAll never starts more workers than there are cells.
+    const auto used = static_cast<unsigned>(
+        std::min<std::size_t>(sweep[i], all_cells.size()));
     char cell[160];
     std::snprintf(cell, sizeof(cell),
                   "%s{\"workers\": %u, \"used_workers\": %u, "

@@ -26,7 +26,7 @@ void PrintTable5() {
         spec, core::Protocol::kInvalidation, bench::TraceFor(spec.trace)));
   }
   const std::vector<replay::ReplayMetrics> runs =
-      replay::Farm::RunAll(configs);
+      replay::RunAll(configs);
 
   std::vector<std::string> headers{"Trace"};
   for (const replay::ExperimentSpec& spec : specs) headers.push_back(spec.id);

@@ -43,6 +43,16 @@ void ReportInputError(std::ostream& err, const std::string& input,
   if (!hint.empty()) err << "  hint: " << hint << "\n";
 }
 
+// A generated scenario replays as its trace plus its write stream, even an
+// empty one: a read-only scenario must not fall back to the mean-lifetime
+// modifier process.
+void ReplayWorkload(const synth::SynthWorkload& workload,
+                    replay::ReplayConfig& config) {
+  config.trace = &workload.trace;
+  config.explicit_modifications = workload.writes;
+  config.suppress_generated_modifications = true;
+}
+
 // "cannot open (No such file or directory)"-style problem text for a path
 // that failed to open; errno is only meaningful right after the failure.
 std::string CannotOpenProblem() {
@@ -307,8 +317,9 @@ int RunReplayCommand(const Flags& flags, std::ostream& out,
                      std::ostream& err) {
   replay::ReplayConfig config;
   // Input is either a trace (--preset/--in) or a synthetic scenario
-  // (--scenario): with a scenario the engine regenerates the workload
-  // in-process, so nothing but the JSON needs to exist on disk.
+  // (--scenario): a scenario is generated once the flags check out, so
+  // nothing but the JSON needs to exist on disk, and every protocol replays
+  // that one workload.
   synth::ScenarioFile scenario_file;
   std::optional<trace::Trace> trace;
   const std::string scenario_path = flags.GetString("scenario", "");
@@ -319,7 +330,6 @@ int RunReplayCommand(const Flags& flags, std::ostream& out,
       return 2;
     }
     if (!LoadScenarioFile(scenario_path, scenario_file, err)) return 2;
-    config.scenario = &scenario_file.config;
   } else {
     trace = LoadTrace(flags, err);
     if (!trace.has_value()) return 2;
@@ -477,14 +487,18 @@ int RunReplayCommand(const Flags& flags, std::ostream& out,
   if (RejectUnusedFlags(flags, err)) return 2;
 
   std::ofstream trace_file;
-  std::unique_ptr<obs::JsonlTraceSink> trace_sink;
   if (!trace_out.empty()) {
     trace_file.open(trace_out);
     if (!trace_file) {
       err << "error: cannot write " << trace_out << "\n";
       return 1;
     }
-    trace_sink = std::make_unique<obs::JsonlTraceSink>(trace_file);
+  }
+
+  synth::SynthWorkload workload;
+  if (!scenario_path.empty()) {
+    workload = synth::Generate(scenario_file.config);
+    ReplayWorkload(workload, config);
   }
 
   // A multi-protocol sweep is a set of independent deterministic replays
@@ -502,12 +516,11 @@ int RunReplayCommand(const Flags& flags, std::ostream& out,
     }
     configs.push_back(config);
   }
-  replay::Farm farm(static_cast<unsigned>(*workers));
-  // The farm's per-job buffers merge in submission order, so --trace-out is
+  // The traces stream in submission order, so --trace-out is
   // byte-identical for any --workers value.
-  if (trace_sink != nullptr) farm.set_merged_trace_sink(trace_sink.get());
-  for (const replay::ReplayConfig& c : configs) farm.Submit(c);
-  const std::vector<replay::ReplayMetrics> results = farm.Collect();
+  const std::vector<replay::ReplayMetrics> results =
+      replay::RunAll(configs, static_cast<unsigned>(*workers),
+                     trace_out.empty() ? nullptr : &trace_file);
 
   if (!metrics_out.empty()) {
     std::ofstream metrics_file(metrics_out);
@@ -527,7 +540,7 @@ int RunReplayCommand(const Flags& flags, std::ostream& out,
     }
     err << "wrote metrics to " << metrics_out << "\n";
   }
-  if (trace_sink != nullptr) {
+  if (!trace_out.empty()) {
     err << "wrote trace events to " << trace_out << "\n";
   }
 
@@ -661,23 +674,24 @@ int RunSynth(const Flags& flags, std::ostream& out, std::ostream& err) {
       }
       protocols = {*protocol};
     }
-    // Workers regenerate the workload from the scenario independently, so
-    // the merged trace digest below is invariant in --workers.
-    replay::ReplayConfig replay_config;
-    replay_config.scenario = &config;
-    obs::BufferTraceSink merged;
-    replay::Farm farm(static_cast<unsigned>(*workers));
-    farm.set_merged_trace_sink(&merged);
-    for (const core::Protocol protocol : protocols) {
-      replay_config.protocol = protocol;
-      farm.Submit(replay_config);
+    // Every protocol replays the workload generated above. The traces are
+    // hashed as they stream, in submission order: the digest below is
+    // invariant in --workers, and a trace is held only while its replay
+    // runs ahead of an earlier one.
+    std::vector<replay::ReplayConfig> configs(protocols.size());
+    for (std::size_t i = 0; i < protocols.size(); ++i) {
+      ReplayWorkload(workload, configs[i]);
+      configs[i].protocol = protocols[i];
     }
-    const std::vector<replay::ReplayMetrics> results = farm.Collect();
+    obs::DigestStreambuf digest;
+    std::ostream jsonl(&digest);
+    const std::vector<replay::ReplayMetrics> results =
+        replay::RunAll(configs, static_cast<unsigned>(*workers), &jsonl);
     for (std::size_t i = 0; i < protocols.size(); ++i) {
       out << core::ToString(protocols[i]) << "\n  " << results[i].Summary()
           << "\n";
     }
-    out << "trace_digest " << obs::DigestJsonl(merged.Text()) << "\n";
+    out << "trace_digest " << digest.digest() << "\n";
   } else if (!print_digest && out_path.empty()) {
     PrintSummary(workload.trace, out);
     out << "write events: " << workload.writes.size() << "\n";

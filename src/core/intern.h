@@ -19,7 +19,7 @@
 // touches the name.
 //
 // Not thread-safe; each replay engine owns its interners (one simulation
-// per thread, no shared mutable state — see replay::Farm).
+// per thread, no shared mutable state — see replay::RunAll).
 #pragma once
 
 #include <cstdint>

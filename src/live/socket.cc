@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -37,34 +36,15 @@ void Fd::Close() {
   }
 }
 
-std::string_view IoErrorName(IoError error) {
-  switch (error) {
-    case IoError::kNone:
-      return "none";
-    case IoError::kPeerReset:
-      return "peer_reset";
-    case IoError::kTimeout:
-      return "timeout";
-    case IoError::kOther:
-      return "other";
-  }
-  return "other";
-}
-
 namespace {
 
+// Every TcpStream wraps a blocking fd, so EAGAIN means an SO_SNDTIMEO or
+// SO_RCVTIMEO expiry: the kernel already waited the configured time.
 IoError ClassifyErrno(int err) {
   if (err == EPIPE || err == ECONNRESET) return IoError::kPeerReset;
   if (err == EAGAIN || err == EWOULDBLOCK) return IoError::kTimeout;
   return IoError::kOther;
 }
-
-// How long WriteAll (ReadLine) waits for POLLOUT (POLLIN) after an EAGAIN
-// from a non-blocking fd before giving up. SO_SNDTIMEO / SO_RCVTIMEO
-// expiries fail immediately instead — the kernel already waited the
-// configured time.
-constexpr int kWritePollMs = 5000;
-constexpr int kReadPollMs = 5000;
 
 // How long a client waits for the reply to one request line.
 constexpr int kReplyTimeoutMs = 5000;
@@ -82,25 +62,6 @@ bool TcpStream::WriteAll(std::string_view data) {
                              data.size() - written, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // A write timeout means the kernel already blocked for the
-        // configured period with the send buffer full: the peer stalled.
-        if (write_timeout_set_) {
-          last_error_ = IoError::kTimeout;
-          return false;
-        }
-        // Non-blocking fd: wait for buffer space, then resume the frame.
-        pollfd pfd{};
-        pfd.fd = fd_.get();
-        pfd.events = POLLOUT;
-        const int ready = ::poll(&pfd, 1, kWritePollMs);
-        if (ready < 0 && errno == EINTR) continue;
-        if (ready <= 0) {
-          last_error_ = ready == 0 ? IoError::kTimeout : IoError::kOther;
-          return false;
-        }
-        continue;
-      }
       last_error_ = ClassifyErrno(errno);
       return false;
     }
@@ -139,30 +100,9 @@ std::optional<std::string> TcpStream::ReadLine() {
     const ssize_t n = ::recv(fd_.get(), chunk, want, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // A read timeout means the kernel already blocked for the
-        // configured period with nothing arriving: the peer stalled.
-        // Buffered bytes stay put — they are a frame prefix, not a line,
-        // and a later call may still complete them.
-        if (read_timeout_set_) {
-          last_error_ = IoError::kTimeout;
-          return std::nullopt;
-        }
-        // Non-blocking fd: wait for data, then resume the frame —
-        // symmetric to WriteAll's POLLOUT resume.
-        pollfd pfd{};
-        pfd.fd = fd_.get();
-        pfd.events = POLLIN;
-        const int ready = ::poll(&pfd, 1, kReadPollMs);
-        if (ready < 0 && errno == EINTR) continue;
-        if (ready <= 0) {
-          last_error_ = ready == 0 ? IoError::kTimeout : IoError::kOther;
-          return std::nullopt;
-        }
-        continue;
-      }
-      // Hard error (reset or otherwise): never surface the partial frame
-      // as if it were a complete final line.
+      // A timeout or a reset: never surface the partial frame as if it
+      // were a complete final line. Buffered bytes stay put, so a read
+      // that timed out can resume the frame on a later call.
       last_error_ = ClassifyErrno(errno);
       return std::nullopt;
     }
@@ -185,9 +125,7 @@ void TcpStream::SetReadTimeout(int milliseconds) {
   timeval tv{};
   tv.tv_sec = milliseconds / 1000;
   tv.tv_usec = (milliseconds % 1000) * 1000;
-  if (::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) == 0) {
-    read_timeout_set_ = true;
-  }
+  ::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
 void TcpStream::SetWriteTimeout(int milliseconds) {
@@ -195,9 +133,7 @@ void TcpStream::SetWriteTimeout(int milliseconds) {
   timeval tv{};
   tv.tv_sec = milliseconds / 1000;
   tv.tv_usec = (milliseconds % 1000) * 1000;
-  if (::setsockopt(fd_.get(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) == 0) {
-    write_timeout_set_ = true;
-  }
+  ::setsockopt(fd_.get(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
 TcpListener::TcpListener(std::uint16_t port) {
@@ -269,15 +205,6 @@ std::optional<std::string> Exchange(std::uint16_t port, std::string_view line) {
   stream.SetReadTimeout(kReplyTimeoutMs);
   if (!stream.WriteAll(line)) return std::nullopt;
   return stream.ReadLine();
-}
-
-IoError SendOneWayClassified(std::uint16_t port, std::string_view line,
-                             int timeout_ms) {
-  TcpStream stream = Connect(port);
-  if (!stream.valid()) return stream.last_error();
-  if (timeout_ms > 0) stream.SetWriteTimeout(timeout_ms);
-  stream.WriteAll(line);
-  return stream.last_error();
 }
 
 std::optional<std::string> ConnectionPool::Exchange(std::string_view line) {

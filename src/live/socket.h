@@ -49,12 +49,9 @@ class Fd {
 enum class IoError {
   kNone,       // last operation succeeded
   kPeerReset,  // EPIPE / ECONNRESET / ECONNREFUSED: the peer closed or vanished
-  kTimeout,    // SO_SNDTIMEO / SO_RCVTIMEO expired, or poll() timed out
+  kTimeout,    // SO_SNDTIMEO / SO_RCVTIMEO expired
   kOther,      // any other errno
 };
-
-// Printable name for logs ("none" / "peer_reset" / "timeout" / "other").
-std::string_view IoErrorName(IoError error);
 
 // A connected TCP stream with line-oriented helpers.
 class TcpStream {
@@ -63,12 +60,12 @@ class TcpStream {
 
   bool valid() const { return fd_.valid(); }
 
-  // Writes the whole buffer, looping over short writes. send() on a socket
-  // may accept fewer bytes than asked (full send buffer) or fail with
-  // EAGAIN (non-blocking fd, or SO_SNDTIMEO expired); both are resumed —
-  // EAGAIN by poll()ing for POLLOUT — so a frame is never silently
-  // truncated mid-line. Returns false on error with last_error() set;
-  // a false return means the peer got a prefix of the frame at most.
+  // Writes the whole buffer, looping over short writes: send() on a socket
+  // may accept fewer bytes than asked, and the rest is resumed so a frame
+  // is never silently truncated mid-line. The fd is blocking, so EAGAIN
+  // means SO_SNDTIMEO expired (kTimeout). Returns false on error with
+  // last_error() set; a false return means the peer got a prefix of the
+  // frame at most.
   bool WriteAll(std::string_view data);
 
   // Reads up to (and including) the next '\n'; empty-line results are
@@ -107,8 +104,6 @@ class TcpStream {
   Fd fd_;
   std::string buffer_;  // bytes read past the last returned line
   IoError last_error_ = IoError::kNone;
-  bool write_timeout_set_ = false;  // SO_SNDTIMEO active on this fd
-  bool read_timeout_set_ = false;   // SO_RCVTIMEO active on this fd
 };
 
 // Listening socket bound to 127.0.0.1, with a SOMAXCONN backlog so a burst
@@ -205,13 +200,5 @@ TcpStream Connect(std::uint16_t port);
 
 // One-shot request/response exchange: connect, send `line`, read one line.
 std::optional<std::string> Exchange(std::uint16_t port, std::string_view line);
-
-// Fire-and-forget on a fresh connection, with the failure classified: kNone
-// on success, kPeerReset when the peer refused or vanished, kTimeout when it
-// stopped draining within `timeout_ms` (0 = no write timeout). Push retry
-// policies branch on this — a timeout is worth retrying, a refused peer
-// revalidates on restart.
-IoError SendOneWayClassified(std::uint16_t port, std::string_view line,
-                             int timeout_ms);
 
 }  // namespace webcc::live

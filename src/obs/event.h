@@ -109,13 +109,13 @@ struct TraceEvent {
   // Trace-time clock when the event has one; -1 = not applicable.
   Time trace_time = -1;
   // Document URL, when the event concerns one.
-  std::string_view url;
+  std::string_view url{};
   // Site / client identifier, when the event addresses one.
-  std::string_view site;
+  std::string_view site{};
   // Type-specific scalar (ServeKind, StaleKind, lease expiry, mod id...).
   std::int64_t detail = 0;
   // Free-form label (run framing events only).
-  std::string_view label;
+  std::string_view label{};
 };
 
 }  // namespace webcc::obs

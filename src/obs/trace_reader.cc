@@ -42,6 +42,14 @@ bool ParseInt64(std::string_view text, std::int64_t& out) {
   return ec == std::errc() && ptr == text.data() + text.size();
 }
 
+std::uint64_t Fnv1a(std::uint64_t hash, std::string_view bytes) {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;  // FNV prime
+  }
+  return hash;
+}
+
 }  // namespace
 
 TraceSummary SummarizeTrace(std::istream& in) {
@@ -138,12 +146,21 @@ void WriteTraceSummary(std::ostream& out, const TraceSummary& summary) {
 }
 
 std::uint64_t DigestJsonl(std::string_view text) {
-  std::uint64_t hash = 14695981039346656037ULL;  // FNV offset basis
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;  // FNV prime
+  return Fnv1a(14695981039346656037ULL, text);  // FNV offset basis
+}
+
+std::streamsize DigestStreambuf::xsputn(const char* data,
+                                        std::streamsize size) {
+  hash_ = Fnv1a(hash_, std::string_view(data, static_cast<std::size_t>(size)));
+  return size;
+}
+
+DigestStreambuf::int_type DigestStreambuf::overflow(int_type c) {
+  if (!traits_type::eq_int_type(c, traits_type::eof())) {
+    const char byte = traits_type::to_char_type(c);
+    hash_ = Fnv1a(hash_, std::string_view(&byte, 1));
   }
-  return hash;
+  return traits_type::not_eof(c);
 }
 
 }  // namespace webcc::obs

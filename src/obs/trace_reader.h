@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <streambuf>
 #include <string>
 #include <string_view>
 
@@ -46,5 +47,20 @@ void WriteTraceSummary(std::ostream& out, const TraceSummary& summary);
 // byte-identical traces produce equal digests; this is what the fault golden
 // corpus locks (`webcc replay --trace-out` + tests/data/fault_plans).
 std::uint64_t DigestJsonl(std::string_view text);
+
+// An output streambuf that hashes the bytes written through it and keeps
+// none: digest() equals DigestJsonl over the same bytes, so a trace can be
+// hashed as it is emitted instead of held (`webcc synth --replay`).
+class DigestStreambuf final : public std::streambuf {
+ public:
+  std::uint64_t digest() const { return hash_; }
+
+ protected:
+  std::streamsize xsputn(const char* data, std::streamsize size) override;
+  int_type overflow(int_type c) override;
+
+ private:
+  std::uint64_t hash_ = DigestJsonl({});
+};
 
 }  // namespace webcc::obs

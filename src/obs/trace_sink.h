@@ -11,15 +11,16 @@
 //    ids are interned per sink: the first sighting of a string emits an
 //    `{"e":"intern","id":N,"n":"..."}` record, subsequent events carry the
 //    dense id. A sink's output is therefore self-contained — concatenating
-//    the outputs of independent sinks (the farm's per-worker merge) yields a
-//    valid stream because id scopes restart at each run_begin.
+//    the outputs of independent sinks (the replay farm's stream, one sink
+//    per replay) yields a valid stream because id scopes restart at each
+//    run_begin.
 //  * NullTraceSink — accepts and discards; for overhead measurement and for
 //    code that wants an always-valid sink reference.
 //
 // Thread safety: Emit() serializes under an internal mutex, so one sink may
 // be shared by the live prototype's threads. The replay engine is single-
-// threaded per run and gives each run its own sink (see replay::Farm), so
-// the lock is uncontended on the replay path.
+// threaded per run and gives each run its own sink (see replay::RunAll),
+// so the lock is uncontended on the replay path.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +44,7 @@ class TraceSink {
   virtual void Emit(const TraceEvent& event) = 0;
 
   // Appends pre-serialized JSONL produced by another sink of the same
-  // format (the farm's deterministic per-worker merge). Sinks that do not
-  // store JSONL ignore it.
+  // format. Sinks that do not store JSONL ignore it.
   virtual void WriteRaw(std::string_view jsonl) = 0;
 };
 
@@ -109,8 +109,7 @@ class JsonlTraceSink final : public TraceSink {
   std::uint64_t events_written_ WEBCC_GUARDED_BY(mu_) = 0;
 };
 
-// A JSONL sink buffering into memory; the farm gives each submitted replay
-// one of these and concatenates the buffers in submission order.
+// A JSONL sink buffering into memory, for reading a run's text back.
 class BufferTraceSink final : public TraceSink {
  public:
   BufferTraceSink() : jsonl_(buffer_) {}

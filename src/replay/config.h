@@ -24,7 +24,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "sim/network.h"
-#include "synth/scenario.h"
 #include "trace/modifier.h"
 #include "trace/record.h"
 #include "util/time.h"
@@ -52,22 +51,15 @@ struct ReplayConfig {
   // The trace to replay (non-owning; must outlive the run).
   const trace::Trace* trace = nullptr;
 
-  // Synthetic input: when `trace` is null and this is set, RunReplay
-  // generates the workload in-process from the scenario (non-owning; must
-  // outlive the run). The scenario's write stream becomes the modification
-  // schedule. Because generation is a pure function of the scenario, farm
-  // workers handed the same scenario regenerate bit-identical workloads
-  // independently — no shared trace needs to cross thread boundaries.
-  const synth::ScenarioConfig* scenario = nullptr;
-
   // Modifier process: mean file lifetime (Tables 3/4 sample 2.5-50 days).
   Time mean_lifetime = 50 * kDay;
   std::uint64_t modifier_seed = 42;
   // When non-empty, replaces the generated modifier schedule.
   std::vector<trace::ModEvent> explicit_modifications;
   // When true, an empty `explicit_modifications` means *no* writes instead
-  // of "derive a modifier schedule from mean_lifetime". The scenario path
-  // sets this so a read-only scenario stays read-only.
+  // of "derive a modifier schedule from mean_lifetime". A generated
+  // scenario replays as its trace plus its write stream with this set, so
+  // a read-only scenario stays read-only.
   bool suppress_generated_modifications = false;
 
   std::uint32_t num_pseudo_clients = 4;

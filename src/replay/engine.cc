@@ -10,7 +10,6 @@
 #include "core/lease.h"
 #include "obs/event.h"
 #include "replay/engine_impl.h"
-#include "synth/generate.h"
 #include "util/distributions.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -668,25 +667,6 @@ bool ParseLeafIndex(std::string_view site, int& index) {
 }
 
 ReplayMetrics RunReplay(const ReplayConfig& config) {
-  if (config.trace == nullptr && config.scenario != nullptr) {
-    // Synthetic input: generate the workload locally. Each farm worker
-    // running this path produces the identical workload (Generate is a pure
-    // function of the scenario), which is what makes scenario replays
-    // worker-count invariant without sharing a trace across threads.
-    const synth::SynthWorkload workload = synth::Generate(*config.scenario);
-    ReplayConfig local = config;
-    local.trace = &workload.trace;
-    local.scenario = nullptr;
-    if (local.explicit_modifications.empty()) {
-      // The scenario's write stream is the whole modification schedule —
-      // even when it is empty (a read-only scenario must not fall back to
-      // the mean-lifetime modifier process).
-      local.explicit_modifications = workload.writes;
-      local.suppress_generated_modifications = true;
-    }
-    detail::Engine engine(local);
-    return engine.Run();
-  }
   detail::Engine engine(config);
   return engine.Run();
 }

@@ -1,96 +1,93 @@
 #include "replay/farm.h"
 
-#include <utility>
+#include <algorithm>
+#include <atomic>
+#include <memory>
+#include <optional>
+#include <ostream>
+#include <sstream>
+#include <thread>
+
+#include "obs/trace_sink.h"
+#include "replay/engine.h"
+#include "util/thread_annotations.h"
 
 namespace webcc::replay {
+namespace {
 
-Farm::Farm(unsigned workers) {
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  threads_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
+// The batch's JSONL in submission order. `written_` replays have reached
+// `out_`; the replay at that index, once it has begun, is the only writer
+// of `out_` outside the lock, and its End() hands the stream on.
+class OrderedStream {
+ public:
+  OrderedStream(std::ostream& out, std::size_t replays)
+      : out_(out), parts_(replays) {}
 
-Farm::~Farm() {
-  {
+  // Where replay `index` writes its trace: `out_` itself when every earlier
+  // replay is written, otherwise a private buffer.
+  std::ostream& Begin(std::size_t index) {
     const util::MutexLock lock(mu_);
-    stop_ = true;
+    if (index == written_) return out_;
+    parts_[index].buffer = std::make_unique<std::ostringstream>();
+    return *parts_[index].buffer;
   }
-  work_cv_.NotifyAll();
-  for (std::thread& t : threads_) t.join();
-}
 
-std::size_t Farm::Submit(ReplayConfig config) {
-  std::size_t index;
-  {
+  // Marks replay `index` finished and writes out every finished buffer
+  // that now follows the written prefix.
+  void End(std::size_t index) {
     const util::MutexLock lock(mu_);
-    index = submitted_++;
-    results_.emplace_back();
-    if (merged_sink_ != nullptr) {
-      // A private buffer per replay: workers write concurrently without
-      // contending, and Collect() concatenates by submission index.
-      job_sinks_.push_back(std::make_unique<obs::BufferTraceSink>());
-      config.trace_sink = job_sinks_.back().get();
-    } else {
-      job_sinks_.push_back(nullptr);
-    }
-    queue_.push_back(Job{index, std::move(config)});
-  }
-  work_cv_.NotifyOne();
-  return index;
-}
-
-std::vector<ReplayMetrics> Farm::Collect() {
-  const util::MutexLock lock(mu_);
-  done_cv_.Wait(mu_, [this]() WEBCC_NO_THREAD_SAFETY_ANALYSIS {
-    return completed_ == submitted_;
-  });
-  if (merged_sink_ != nullptr) {
-    for (std::unique_ptr<obs::BufferTraceSink>& sink : job_sinks_) {
-      if (sink != nullptr) merged_sink_->WriteRaw(sink->TakeText());
+    parts_[index].done = true;
+    for (; written_ < parts_.size() && parts_[written_].done; ++written_) {
+      std::unique_ptr<std::ostringstream>& buffer = parts_[written_].buffer;
+      if (buffer != nullptr) {
+        out_ << std::move(*buffer).str();
+        buffer.reset();
+      }
     }
   }
-  job_sinks_.clear();
-  std::vector<ReplayMetrics> out = std::move(results_);
-  results_.clear();
-  submitted_ = 0;
-  completed_ = 0;
-  return out;
-}
 
-void Farm::WorkerLoop() {
-  for (;;) {
-    Job job;
-    {
-      const util::MutexLock lock(mu_);
-      work_cv_.Wait(mu_, [this]() WEBCC_NO_THREAD_SAFETY_ANALYSIS {
-        return stop_ || !queue_.empty();
-      });
-      // Drain the queue even when stopping, so a destructor racing
-      // submitted work still leaves results_ complete.
-      if (queue_.empty()) return;
-      job = std::move(queue_.front());
-      queue_.pop_front();
+ private:
+  struct Part {
+    std::unique_ptr<std::ostringstream> buffer;  // null when streamed
+    bool done = false;
+  };
+
+  std::ostream& out_;
+  util::Mutex mu_;
+  std::vector<Part> parts_ WEBCC_GUARDED_BY(mu_);
+  std::size_t written_ WEBCC_GUARDED_BY(mu_) = 0;
+};
+
+}  // namespace
+
+std::vector<ReplayMetrics> RunAll(const std::vector<ReplayConfig>& configs,
+                                  unsigned workers, std::ostream* jsonl) {
+  std::vector<ReplayMetrics> results(configs.size());
+  std::optional<OrderedStream> stream;
+  if (jsonl != nullptr) stream.emplace(*jsonl, configs.size());
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < configs.size(); i = next++) {
+      if (!stream.has_value()) {
+        results[i] = RunReplay(configs[i]);
+        continue;
+      }
+      obs::JsonlTraceSink sink(stream->Begin(i));
+      ReplayConfig config = configs[i];
+      config.trace_sink = &sink;
+      results[i] = RunReplay(config);
+      stream->End(i);
     }
-    ReplayMetrics metrics = RunReplay(job.config);
-    {
-      const util::MutexLock lock(mu_);
-      results_[job.index] = std::move(metrics);
-      ++completed_;
-      if (completed_ == submitted_) done_cv_.NotifyAll();
-    }
+  };
+
+  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t threads = std::min<std::size_t>(workers, configs.size());
+  {
+    std::vector<std::jthread> pool;  // joined at the end of this block
+    for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(work);
+    work();
   }
-}
-
-std::vector<ReplayMetrics> Farm::RunAll(
-    const std::vector<ReplayConfig>& configs, unsigned workers) {
-  Farm farm(workers);
-  for (const ReplayConfig& config : configs) farm.Submit(config);
-  return farm.Collect();
+  return results;
 }
 
 }  // namespace webcc::replay

@@ -1,5 +1,4 @@
-// Replay farm: a fixed pool of worker threads executing independent
-// replays concurrently.
+// Replay farm: one batch of independent replays, run concurrently.
 //
 // Parallelism lives strictly *across* replays. Each replay is the same
 // deterministic single-threaded simulation `RunReplay` always was — one
@@ -7,87 +6,34 @@
 // farmed run produces bit-identical ReplayMetrics regardless of worker
 // count or completion order (see SameSimulation). The only sharing is the
 // immutable inputs: configs reference their traces by pointer, so one
-// parsed trace feeds every cell of a table sweep.
-//
-// Callers must keep every submitted config's trace (and any other
-// referenced state) alive until Collect() returns.
+// parsed trace (or one generated scenario) feeds every cell of a sweep.
 #pragma once
 
-#include <cstddef>
-#include <deque>
-#include <memory>
-#include <thread>
+#include <iosfwd>
 #include <vector>
 
-#include "obs/trace_sink.h"
 #include "replay/config.h"
-#include "replay/engine.h"
 #include "replay/metrics.h"
-#include "util/thread_annotations.h"
 
 namespace webcc::replay {
 
-class Farm {
- public:
-  // `workers` = 0 sizes the pool to the hardware concurrency (at least 1).
-  explicit Farm(unsigned workers = 0);
-  ~Farm();
-
-  Farm(const Farm&) = delete;
-  Farm& operator=(const Farm&) = delete;
-
-  // Enqueues one replay and returns its slot: Collect()'s result vector is
-  // ordered by submission, never by completion, so table output built from
-  // it is byte-identical to a serial run.
-  std::size_t Submit(ReplayConfig config);
-
-  // Blocks until every submitted replay has finished and returns their
-  // metrics in submission order. Resets the farm for reuse.
-  std::vector<ReplayMetrics> Collect();
-
-  // Routes every subsequently submitted replay's trace through a private
-  // per-job BufferTraceSink; Collect() then appends the buffers to `sink`
-  // in submission order. Because each run's JSONL stream is self-contained
-  // (intern ids restart at run_begin), the merged stream is byte-identical
-  // for any worker count — the same guarantee SameSimulation gives for
-  // metrics. Overrides any trace_sink already set on a submitted config.
-  // nullptr turns merging off. `sink` must outlive the next Collect().
-  void set_merged_trace_sink(obs::TraceSink* sink) {
-    // Under the lock: workers and Submit() read merged_sink_ concurrently
-    // (found by the thread-safety annotations — the pre-annotation setter
-    // wrote the field bare, a data race when called beside a live batch).
-    const util::MutexLock lock(mu_);
-    merged_sink_ = sink;
-  }
-
-  unsigned workers() const { return static_cast<unsigned>(threads_.size()); }
-
-  // One-shot convenience: submit all configs, collect all results.
-  static std::vector<ReplayMetrics> RunAll(
-      const std::vector<ReplayConfig>& configs, unsigned workers = 0);
-
- private:
-  struct Job {
-    std::size_t index = 0;
-    ReplayConfig config;
-  };
-
-  void WorkerLoop();
-
-  std::vector<std::thread> threads_;  // written only by the constructor
-
-  util::Mutex mu_;
-  util::CondVar work_cv_;  // workers wait here for jobs
-  util::CondVar done_cv_;  // Collect() waits here for completion
-  std::deque<Job> queue_ WEBCC_GUARDED_BY(mu_);
-  std::vector<ReplayMetrics> results_ WEBCC_GUARDED_BY(mu_);
-  // Per-job trace buffers, indexed like results_; merged at Collect().
-  std::vector<std::unique_ptr<obs::BufferTraceSink>> job_sinks_
-      WEBCC_GUARDED_BY(mu_);
-  obs::TraceSink* merged_sink_ WEBCC_GUARDED_BY(mu_) = nullptr;
-  std::size_t submitted_ WEBCC_GUARDED_BY(mu_) = 0;
-  std::size_t completed_ WEBCC_GUARDED_BY(mu_) = 0;
-  bool stop_ WEBCC_GUARDED_BY(mu_) = false;
-};
+// Runs every config and returns the metrics in submission order, never in
+// completion order, so table output built from them is byte-identical to a
+// serial loop. `workers` = 0 uses the hardware concurrency; the calling
+// thread is one of the workers, and no more run than there are configs.
+//
+// With `jsonl` set, each replay writes its trace through its own
+// JsonlTraceSink (overriding any trace_sink on its config), and `jsonl`
+// receives the streams in submission order. A replay that starts once every
+// earlier replay is written streams straight into `jsonl`; one that starts
+// sooner buffers privately until they are. The stream is therefore
+// byte-identical for any worker count, and nothing is buffered at one
+// worker. Every replay's JSONL is self-contained (intern ids restart at
+// run_begin), so the concatenation is a valid stream.
+//
+// Everything the configs point at must stay alive until RunAll returns.
+std::vector<ReplayMetrics> RunAll(const std::vector<ReplayConfig>& configs,
+                                  unsigned workers = 0,
+                                  std::ostream* jsonl = nullptr);
 
 }  // namespace webcc::replay

@@ -1,10 +1,9 @@
 // The trace synthesizer: ScenarioConfig -> SynthWorkload, a pure function.
 //
 // Generate() is deterministic in the config alone (the seed is part of the
-// config), so any process — a farm worker, a bench, a different machine —
-// regenerates the identical workload from the same JSON text. That is the
-// property that lets the replay farm hand workers a scenario instead of a
-// shared trace and still merge bit-identical results at any worker count.
+// config), so any process — a bench, a different machine — regenerates the
+// identical workload from the same JSON text. A replay batch generates a
+// scenario once and shares the workload read-only across its workers.
 //
 // Memory is O(sites + documents + requests): one global recency stack (not
 // per-site state), CDF tables over documents/sites, and the output arrays

@@ -18,7 +18,6 @@
 // names (GUARDED_BY, REQUIRES, ACQUIRE/RELEASE, ...) with a WEBCC_ prefix.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__)
@@ -64,8 +63,6 @@
 
 namespace webcc::util {
 
-class CondVar;
-
 // std::mutex with a capability annotation, so `WEBCC_GUARDED_BY(mu_)`
 // member declarations bind to it. Non-recursive, non-shared: webcc has no
 // reader/writer locking (critical sections are short and metric reads are
@@ -81,7 +78,6 @@ class WEBCC_CAPABILITY("mutex") Mutex {
   bool TryLock() WEBCC_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;  // webcc-lint: allow(raw-mutex) — the annotated wrapper itself
 };
 
@@ -97,33 +93,6 @@ class WEBCC_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// Condition variable bound to the annotated Mutex. Wait() declares that the
-// caller holds `mu` — the analysis then knows the predicate and any state
-// read around the wait are lock-protected. The temporary unique_lock adopts
-// the already-held mutex and releases ownership after the wait, so the
-// capability bookkeeping (caller holds `mu` throughout, modulo the wait's
-// internal unlock window) matches reality.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  template <typename Predicate>
-  void Wait(Mutex& mu, Predicate predicate) WEBCC_REQUIRES(mu) {
-    // webcc-lint: allow(raw-mutex) — adapter between Mutex and std::condition_variable
-    std::unique_lock<std::mutex> adapted(mu.mu_, std::adopt_lock);
-    cv_.wait(adapted, std::move(predicate));
-    adapted.release();  // the caller's MutexLock still owns the mutex
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;  // webcc-lint: allow(raw-mutex)
 };
 
 }  // namespace webcc::util

@@ -97,7 +97,7 @@ TEST(Experiments, ScaledDownRowRunsEndToEnd) {
   }
   // The three protocol cells run concurrently through the replay farm,
   // exactly as the bench binaries drive them.
-  for (const ReplayMetrics& metrics : Farm::RunAll(configs)) {
+  for (const ReplayMetrics& metrics : RunAll(configs)) {
     EXPECT_EQ(metrics.requests_issued, trace.records.size());
     EXPECT_EQ(metrics.strong_violations, 0u);
     EXPECT_GT(metrics.sim_events_executed, trace.records.size());

@@ -1,13 +1,20 @@
-// Tests for the replay farm (determinism across worker counts, reuse) and
-// the string interner backing the proxy-cache and site-list hot paths.
+// Tests for the replay farm (determinism across worker counts, the JSONL
+// stream's submission order) and the string interner backing the
+// proxy-cache and site-list hot paths.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
+#include <ostream>
+#include <sstream>
+#include <streambuf>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/intern.h"
+#include "obs/trace_reader.h"
 #include "obs/trace_sink.h"
 #include "replay/engine.h"
 #include "replay/experiments.h"
@@ -59,8 +66,8 @@ TEST(Farm, WorkerCountDoesNotChangeTheSimulation) {
   const auto traces = ScaledDownTraces(specs);
   const auto configs = AllCells(specs, traces);
 
-  const std::vector<ReplayMetrics> serial = Farm::RunAll(configs, 1);
-  const std::vector<ReplayMetrics> farmed = Farm::RunAll(configs, 8);
+  const std::vector<ReplayMetrics> serial = RunAll(configs, 1);
+  const std::vector<ReplayMetrics> farmed = RunAll(configs, 8);
 
   ASSERT_EQ(serial.size(), configs.size());
   ASSERT_EQ(farmed.size(), configs.size());
@@ -78,7 +85,7 @@ TEST(Farm, MatchesDirectRunReplay) {
       specs[0], core::Protocol::kInvalidation, traces.at(specs[0].trace));
 
   const ReplayMetrics direct = RunReplay(config);
-  const std::vector<ReplayMetrics> farmed = Farm::RunAll({config}, 4);
+  const std::vector<ReplayMetrics> farmed = RunAll({config}, 4);
   ASSERT_EQ(farmed.size(), 1u);
   EXPECT_TRUE(SameSimulation(direct, farmed[0]));
 }
@@ -88,11 +95,7 @@ TEST(Farm, ResultsArriveInSubmissionOrder) {
   const auto traces = ScaledDownTraces(specs);
   const auto configs = AllCells(specs, traces);
 
-  Farm farm(8);
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    EXPECT_EQ(farm.Submit(configs[i]), i);
-  }
-  const std::vector<ReplayMetrics> results = farm.Collect();
+  const std::vector<ReplayMetrics> results = RunAll(configs, 8);
   ASSERT_EQ(results.size(), configs.size());
   // Slot i must hold config i's replay: requests_issued equals that
   // config's trace size, which differs across the three traces.
@@ -100,56 +103,118 @@ TEST(Farm, ResultsArriveInSubmissionOrder) {
     EXPECT_EQ(results[i].requests_issued, configs[i].trace->records.size())
         << "slot " << i;
   }
+  EXPECT_TRUE(RunAll({}, 2).empty());  // an empty batch returns empty
 }
 
-TEST(Farm, ReusableAfterCollect) {
+// Each config's trace, replayed alone into its own JsonlTraceSink.
+std::string OwnSinkTrace(ReplayConfig config) {
+  std::ostringstream text;
+  obs::JsonlTraceSink sink(text);
+  config.trace_sink = &sink;
+  RunReplay(config);
+  return text.str();
+}
+
+TEST(Farm, JsonlStreamConcatenatesEachReplaysOwnTrace) {
+  const auto specs = Table3Experiments();
+  const auto traces = ScaledDownTraces(specs);
+  const auto configs = AllCells(specs, traces);
+  std::string expected;
+  for (const ReplayConfig& config : configs) expected += OwnSinkTrace(config);
+  ASSERT_FALSE(expected.empty());
+
+  for (const unsigned workers : {1u, 8u}) {
+    std::ostringstream streamed;
+    RunAll(configs, workers, &streamed);
+    EXPECT_EQ(streamed.str(), expected) << workers << " workers";
+  }
+}
+
+// Records which thread made each write. The first write stalls: it is the
+// first replay's run_begin (that replay streams straight into the sink), so
+// the stall keeps the first replay running while a short second one ends.
+class RecordingStreambuf final : public std::streambuf {
+ public:
+  struct Write {
+    std::thread::id thread;
+    std::string bytes;
+  };
+  // RunAll hands the stream from writer to writer under its lock, so only
+  // one thread touches this at a time.
+  std::vector<Write> writes;
+
+ protected:
+  std::streamsize xsputn(const char* data, std::streamsize size) override {
+    if (writes.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
+    writes.push_back({std::this_thread::get_id(),
+                      std::string(data, static_cast<std::size_t>(size))});
+    return size;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      const char byte = traits_type::to_char_type(c);
+      xsputn(&byte, 1);
+    }
+    return traits_type::not_eof(c);
+  }
+};
+
+TEST(Farm, LongFirstReplayStillStreamsFirst) {
+  // The first replay runs the whole scaled-down trace, the second its first
+  // 50 requests. Under two workers the second starts beside the first,
+  // buffers, and finishes first; the first replay's thread then writes the
+  // buffer out after its own trace, in one piece.
   const auto specs = Table3Experiments();
   const auto traces = ScaledDownTraces({specs[0]});
-  const ReplayConfig config = MakeReplayConfig(
-      specs[0], core::Protocol::kAdaptiveTtl, traces.at(specs[0].trace));
+  const trace::Trace& full = traces.at(specs[0].trace);
+  trace::Trace head = full;
+  head.records.resize(50);
+  const std::vector<ReplayConfig> configs = {
+      MakeReplayConfig(specs[0], core::Protocol::kInvalidation, full),
+      MakeReplayConfig(specs[0], core::Protocol::kInvalidation, head)};
+  const std::string first = OwnSinkTrace(configs[0]);
+  const std::string second = OwnSinkTrace(configs[1]);
 
-  Farm farm(2);
-  farm.Submit(config);
-  const auto first = farm.Collect();
-  ASSERT_EQ(first.size(), 1u);
-  // Indices restart after Collect(); the second batch is independent.
-  EXPECT_EQ(farm.Submit(config), 0u);
-  farm.Submit(config);
-  const auto second = farm.Collect();
-  ASSERT_EQ(second.size(), 2u);
-  EXPECT_TRUE(SameSimulation(first[0], second[0]));
-  EXPECT_TRUE(SameSimulation(second[0], second[1]));
+  RecordingStreambuf recording;
+  std::ostream jsonl(&recording);
+  RunAll(configs, 2, &jsonl);
+
+  std::string streamed;
+  for (const RecordingStreambuf::Write& write : recording.writes) {
+    streamed += write.bytes;
+  }
+  EXPECT_EQ(streamed, first + second);
+  // The first replay streamed line by line; the second arrived buffered.
+  ASSERT_GT(recording.writes.size(), 2u);
+  EXPECT_EQ(recording.writes.back().bytes, second);
+  for (const RecordingStreambuf::Write& write : recording.writes) {
+    EXPECT_EQ(write.thread, recording.writes.front().thread);
+  }
 }
 
-TEST(Farm, MergedSinkSwapBetweenBatchesRoutesToTheNewSink) {
-  // Regression: the pre-annotation set_merged_trace_sink wrote the field
-  // without the farm lock — a data race against live workers that the
-  // thread-safety annotations flagged. The swap must take effect for the
-  // next batch and leave the previous sink untouched.
+TEST(Farm, DigestStreambufMatchesDigestJsonl) {
   const auto specs = Table3Experiments();
   const auto traces = ScaledDownTraces({specs[0]});
-  const ReplayConfig config = MakeReplayConfig(
-      specs[0], core::Protocol::kAdaptiveTtl, traces.at(specs[0].trace));
+  const auto configs = AllCells({specs[0]}, traces);
+  std::ostringstream text;
+  RunAll(configs, 2, &text);
+  obs::DigestStreambuf digest;
+  std::ostream hashed(&digest);
+  RunAll(configs, 2, &hashed);
+  ASSERT_FALSE(text.str().empty());
+  EXPECT_EQ(digest.digest(), obs::DigestJsonl(text.str()));
 
-  Farm farm(2);
-  obs::BufferTraceSink first_sink;
-  farm.set_merged_trace_sink(&first_sink);
-  farm.Submit(config);
-  farm.Collect();
-  const std::string first = first_sink.Text();
-  EXPECT_FALSE(first.empty());
-
-  obs::BufferTraceSink second_sink;
-  farm.set_merged_trace_sink(&second_sink);  // pool threads are still alive
-  farm.Submit(config);
-  farm.Collect();
-  EXPECT_EQ(first_sink.Text(), first);   // old sink sees nothing new
-  EXPECT_EQ(second_sink.Text(), first);  // same deterministic stream
-}
-
-TEST(Farm, CollectOnEmptyFarmReturnsEmpty) {
-  Farm farm(2);
-  EXPECT_TRUE(farm.Collect().empty());
+  // Single characters (overflow) and blocks (xsputn) hash alike.
+  obs::DigestStreambuf mixed;
+  std::ostream out(&mixed);
+  out.put('{');
+  out << "\"e\":\"run_begin\"";
+  out.put('}');
+  out << '\n';
+  EXPECT_EQ(mixed.digest(), obs::DigestJsonl("{\"e\":\"run_begin\"}\n"));
+  EXPECT_EQ(obs::DigestStreambuf().digest(), obs::DigestJsonl(""));
 }
 
 TEST(Interner, RoundTripsIdsAndNames) {

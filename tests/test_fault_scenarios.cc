@@ -131,12 +131,9 @@ TEST(FaultScenarios, DigestsIdenticalAcrossRunsAndWorkerCounts) {
   };
   const auto run_with_workers = [&make_configs](unsigned workers) {
     RunOutput out;
-    obs::BufferTraceSink merged;
-    Farm farm(workers);
-    farm.set_merged_trace_sink(&merged);
-    for (ReplayConfig& config : make_configs()) farm.Submit(std::move(config));
-    out.metrics = farm.Collect();
-    out.trace_text = merged.TakeText();
+    std::ostringstream merged;
+    out.metrics = RunAll(make_configs(), workers, &merged);
+    out.trace_text = merged.str();
     return out;
   };
 

@@ -99,13 +99,6 @@ TEST(Socket, EchoRoundTrip) {
   EXPECT_EQ(*reply, "echo:hello\n");
 }
 
-TEST(Socket, IoErrorNames) {
-  EXPECT_EQ(IoErrorName(IoError::kNone), "none");
-  EXPECT_EQ(IoErrorName(IoError::kPeerReset), "peer_reset");
-  EXPECT_EQ(IoErrorName(IoError::kTimeout), "timeout");
-  EXPECT_EQ(IoErrorName(IoError::kOther), "other");
-}
-
 TEST(Socket, WriteAllCompletesLargeFrameAcrossShortWrites) {
   // A frame much larger than the socket buffers forces send() to accept it
   // in pieces; WriteAll must deliver every byte of the frame anyway. The
@@ -269,17 +262,6 @@ TEST(Socket, ReadLineFailsAtTheLineCapWithoutGrowingPastIt) {
   reader = TcpStream(Fd());  // close: the blocked writer fails and returns
   peer.join();
   listener.Shutdown();
-}
-
-TEST(Socket, SendOneWayClassifiedRefusedReadsAsPeerReset) {
-  std::uint16_t dead_port = 0;
-  {
-    TcpListener listener(0);
-    ASSERT_TRUE(listener.valid());
-    dead_port = listener.port();
-  }  // destroyed: nothing listens there now
-  EXPECT_EQ(SendOneWayClassified(dead_port, "INVALIDATE /x\n", 100),
-            IoError::kPeerReset);
 }
 
 TEST(LivePush, RefusedPushIsCountedAndNeverRetried) {

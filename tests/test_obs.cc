@@ -251,12 +251,9 @@ std::vector<ReplayConfig> SmallConfigs(const trace::Trace& trace) {
 
 std::string MergedTrace(const std::vector<ReplayConfig>& configs,
                         unsigned workers) {
-  obs::BufferTraceSink merged;
-  Farm farm(workers);
-  farm.set_merged_trace_sink(&merged);
-  for (const ReplayConfig& config : configs) farm.Submit(config);
-  farm.Collect();
-  return merged.TakeText();
+  std::ostringstream merged;
+  RunAll(configs, workers, &merged);
+  return merged.str();
 }
 
 TEST(FarmTrace, MergeIsBitIdenticalAcrossWorkerCounts) {

@@ -57,6 +57,13 @@ TEST_P(ProtocolTest, EveryRequestResolvesExactlyOnce) {
   // Each request ends as a local hit, a validated (304) hit, or a transfer.
   EXPECT_EQ(metrics.local_hits + metrics.validated_hits + metrics.replies_200,
             metrics.requests_issued);
+  // PCV and PSI reach their piggyback paths on this fixture, so these
+  // properties cover those paths too.
+  if (GetParam() == Protocol::kPiggybackValidation) {
+    EXPECT_GT(metrics.pcv_items_piggybacked, 0u);
+  } else if (GetParam() == Protocol::kPiggybackInvalidation) {
+    EXPECT_GT(metrics.psi_notices, 0u);
+  }
 }
 
 TEST_P(ProtocolTest, RepliesMatchRequests) {
@@ -119,7 +126,9 @@ TEST_P(ProtocolTest, QueueHoldsOnlyLiveEvents) {
 INSTANTIATE_TEST_SUITE_P(Protocols, ProtocolTest,
                          ::testing::Values(Protocol::kAdaptiveTtl,
                                            Protocol::kPollEveryTime,
-                                           Protocol::kInvalidation),
+                                           Protocol::kInvalidation,
+                                           Protocol::kPiggybackValidation,
+                                           Protocol::kPiggybackInvalidation),
                          [](const ::testing::TestParamInfo<Protocol>& info) {
                            switch (info.param) {
                              case Protocol::kAdaptiveTtl:

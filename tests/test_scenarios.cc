@@ -45,10 +45,13 @@ const char* Token(Protocol protocol) {
   return "unknown";
 }
 
-replay::ReplayConfig GoldenReplayConfig(const ScenarioConfig& scenario,
+// A generated scenario replays as its trace plus its whole write stream.
+replay::ReplayConfig GoldenReplayConfig(const SynthWorkload& workload,
                                         Protocol protocol) {
   replay::ReplayConfig config;
-  config.scenario = &scenario;
+  config.trace = &workload.trace;
+  config.explicit_modifications = workload.writes;
+  config.suppress_generated_modifications = true;
   config.protocol = protocol;
   return config;
 }
@@ -61,10 +64,11 @@ std::map<std::string, std::string> RunGoldenScenario(
   const auto put = [&actual](const std::string& name, std::uint64_t value) {
     actual[name] = std::to_string(value);
   };
-  put("workload_digest", WorkloadDigest(Generate(scenario)));
+  const SynthWorkload workload = Generate(scenario);
+  put("workload_digest", WorkloadDigest(workload));
   for (const Protocol protocol : kAllProtocols) {
     obs::BufferTraceSink sink;
-    replay::ReplayConfig config = GoldenReplayConfig(scenario, protocol);
+    replay::ReplayConfig config = GoldenReplayConfig(workload, protocol);
     config.trace_sink = &sink;
     const replay::ReplayMetrics metrics = replay::RunReplay(config);
     const std::string prefix = Token(protocol);
@@ -137,10 +141,11 @@ TEST(ScenarioGoldenCorpus, FlashCrowdMidWriteKeepsStrongConsistency) {
   const ScenarioFile file =
       LoadScenario(ScenarioDir() / "flash_crowd_mid_write.json");
   ASSERT_GT(file.config.write_fraction, 0.0);
+  const SynthWorkload workload = Generate(file.config);
   for (const Protocol protocol :
        {Protocol::kPollEveryTime, Protocol::kInvalidation}) {
     const replay::ReplayMetrics metrics =
-        replay::RunReplay(GoldenReplayConfig(file.config, protocol));
+        replay::RunReplay(GoldenReplayConfig(workload, protocol));
     EXPECT_EQ(metrics.strong_violations, 0u) << Token(protocol);
     EXPECT_GT(metrics.modifications_applied, 0u) << Token(protocol);
     // Strong protocols may serve stale only while the write is in flight.
@@ -149,28 +154,27 @@ TEST(ScenarioGoldenCorpus, FlashCrowdMidWriteKeepsStrongConsistency) {
   }
 }
 
-// Whole-corpus worker invariance: every scenario x every protocol submitted
-// through a 1-worker and an 8-worker farm merges to the identical byte
-// stream — workers regenerate their workloads independently.
+// Whole-corpus worker invariance: every scenario x every protocol run
+// through a 1-worker and an 8-worker farm streams the identical bytes —
+// each scenario is generated once and its workload shared read-only.
 TEST(ScenarioGoldenCorpus, CorpusDigestsInvariantAcrossFarmWorkerCounts) {
-  std::vector<ScenarioFile> files;
+  std::vector<SynthWorkload> workloads;
   for (const auto& entry : std::filesystem::directory_iterator(ScenarioDir())) {
     if (entry.path().extension() != ".json") continue;
-    files.push_back(LoadScenario(entry.path()));
+    workloads.push_back(Generate(LoadScenario(entry.path()).config));
   }
-  ASSERT_GE(files.size(), 4u);
-
-  const auto run_with_workers = [&files](unsigned workers) {
-    obs::BufferTraceSink merged;
-    replay::Farm farm(workers);
-    farm.set_merged_trace_sink(&merged);
-    for (const ScenarioFile& file : files) {
-      for (const Protocol protocol : kAllProtocols) {
-        farm.Submit(GoldenReplayConfig(file.config, protocol));
-      }
+  ASSERT_GE(workloads.size(), 4u);
+  std::vector<replay::ReplayConfig> configs;
+  for (const SynthWorkload& workload : workloads) {
+    for (const Protocol protocol : kAllProtocols) {
+      configs.push_back(GoldenReplayConfig(workload, protocol));
     }
-    farm.Collect();
-    return merged.TakeText();
+  }
+
+  const auto run_with_workers = [&configs](unsigned workers) {
+    std::ostringstream merged;
+    replay::RunAll(configs, workers, &merged);
+    return merged.str();
   };
 
   const std::string serial = run_with_workers(1);

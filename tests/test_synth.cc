@@ -11,11 +11,11 @@
 #include <cstddef>
 #include <deque>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/trace_reader.h"
-#include "obs/trace_sink.h"
 #include "replay/engine.h"
 #include "replay/farm.h"
 #include "synth/generate.h"
@@ -72,9 +72,19 @@ TEST(SynthDeterminism, SeedChangesTheWorkload) {
   EXPECT_NE(digest_a, digest_b);
 }
 
-// Farm workers hand the scenario around by pointer and each regenerates the
-// workload locally; the merged JSONL trace and every metric must be
-// invariant in the worker count.
+// A replay of a generated workload: its trace plus its whole write stream.
+replay::ReplayConfig WorkloadReplay(const SynthWorkload& workload,
+                                    core::Protocol protocol) {
+  replay::ReplayConfig config;
+  config.trace = &workload.trace;
+  config.explicit_modifications = workload.writes;
+  config.suppress_generated_modifications = true;
+  config.protocol = protocol;
+  return config;
+}
+
+// The farm's workers share one generated workload read-only; the merged
+// JSONL trace and every metric must be invariant in the worker count.
 TEST(SynthDeterminism, WorkerCountInvariantThroughFarm) {
   ScenarioConfig scenario = BaseConfig();
   scenario.requests = 1500;
@@ -91,19 +101,16 @@ TEST(SynthDeterminism, WorkerCountInvariantThroughFarm) {
   const core::Protocol protocols[] = {core::Protocol::kAdaptiveTtl,
                                       core::Protocol::kInvalidation,
                                       core::Protocol::kPiggybackInvalidation};
-  const auto run_with_workers = [&](unsigned workers) {
-    obs::BufferTraceSink merged;
-    replay::Farm farm(workers);
-    farm.set_merged_trace_sink(&merged);
-    for (const core::Protocol protocol : protocols) {
-      replay::ReplayConfig config;
-      config.scenario = &scenario;
-      config.protocol = protocol;
-      farm.Submit(config);
-    }
+  const SynthWorkload workload = Generate(scenario);
+  std::vector<replay::ReplayConfig> configs;
+  for (const core::Protocol protocol : protocols) {
+    configs.push_back(WorkloadReplay(workload, protocol));
+  }
+  const auto run_with_workers = [&configs](unsigned workers) {
+    std::ostringstream merged;
     std::pair<std::vector<replay::ReplayMetrics>, std::string> out;
-    out.first = farm.Collect();
-    out.second = merged.TakeText();
+    out.first = replay::RunAll(configs, workers, &merged);
+    out.second = merged.str();
     return out;
   };
 
@@ -302,10 +309,10 @@ TEST(SynthModel, ReadOnlyScenarioStaysReadOnlyThroughReplay) {
   ScenarioConfig scenario = BaseConfig();
   scenario.requests = 800;
   scenario.write_fraction = 0.0;
-  replay::ReplayConfig config;
-  config.scenario = &scenario;
-  config.protocol = core::Protocol::kInvalidation;
-  const replay::ReplayMetrics metrics = replay::RunReplay(config);
+  const SynthWorkload workload = Generate(scenario);
+  ASSERT_TRUE(workload.writes.empty());
+  const replay::ReplayMetrics metrics = replay::RunReplay(
+      WorkloadReplay(workload, core::Protocol::kInvalidation));
   // Without the suppress flag the engine would fall back to the
   // mean-lifetime modifier process and invent writes.
   EXPECT_EQ(metrics.modifications_applied, 0u);

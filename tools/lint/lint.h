@@ -29,7 +29,7 @@
 //   naked-send              no direct ::send/::recv/::write/::read syscalls
 //                           outside live/socket.cc — live I/O must flow
 //                           through the classified IoError path (short
-//                           writes, EAGAIN resume, peer-reset vs timeout).
+//                           writes, peer-reset vs timeout).
 //   scan-prune              no iteration-erase prune loops over lease state
 //                           outside core/timer_wheel.h and core/site_list.h
 //                           — expiry must be indexed through the timer

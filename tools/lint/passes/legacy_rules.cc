@@ -109,8 +109,7 @@ struct RuleScan {
         Report(pp.line, kRawMutex,
                "raw '#include " + std::string(header) +
                    "' is invisible to thread-safety analysis; use "
-                   "util::Mutex/MutexLock/CondVar "
-                   "(util/thread_annotations.h)");
+                   "util::Mutex/MutexLock (util/thread_annotations.h)");
         return;
       }
     }
@@ -126,7 +125,7 @@ struct RuleScan {
     Report(Tok(k).line, kRawMutex,
            "raw 'std::" + word +
                "' is invisible to thread-safety analysis; use "
-               "util::Mutex/MutexLock/CondVar (util/thread_annotations.h)");
+               "util::Mutex/MutexLock (util/thread_annotations.h)");
   }
 
   // --- enum-switch-default -----------------------------------------------------
@@ -212,7 +211,8 @@ struct RuleScan {
       Report(Tok(k).line, kNakedSend,
              "unclassified 'SendOneWay(' loses the timeout/refused "
              "distinction the push retry and partition-hold logic depends "
-             "on; use SendOneWayClassified");
+             "on; send through a live/socket.h TcpStream and read its "
+             "last_error()");
     }
   }
 
