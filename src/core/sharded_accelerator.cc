@@ -26,9 +26,7 @@ void ExportStats(const AcceleratorStats& stats,
                       stats.invalidations_generated);
   obs::Histogram* lists = registry.FindOrCreateHistogram(
       MetricName(prefix, "site_list_length_at_modification"));
-  for (const std::size_t length : stats.list_lengths_at_modification) {
-    lists->Record(static_cast<double>(length));
-  }
+  lists->samples.Merge(stats.list_lengths_at_modification);
 }
 
 }  // namespace
@@ -128,7 +126,8 @@ std::vector<net::Invalidation> ShardedAccelerator::DetectAndInvalidate(
 
   std::vector<InvalidationTable::TakenSite> sites =
       shard.table.TakeSitesWithLeases(url_id, now);
-  shard.stats.list_lengths_at_modification.push_back(sites.size());
+  shard.stats.list_lengths_at_modification.Record(
+      static_cast<double>(sites.size()));
   out.reserve(sites.size());
   for (InvalidationTable::TakenSite& taken : sites) {
     net::Invalidation inv;
@@ -319,12 +318,18 @@ AcceleratorStats ShardedAccelerator::AggregateStats() const {
     total.notifies += stats.notifies;
     total.modifications_detected += stats.modifications_detected;
     total.invalidations_generated += stats.invalidations_generated;
-    total.list_lengths_at_modification.insert(
-        total.list_lengths_at_modification.end(),
-        stats.list_lengths_at_modification.begin(),
-        stats.list_lengths_at_modification.end());
+    total.list_lengths_at_modification.Merge(
+        stats.list_lengths_at_modification);
   }
   return total;
+}
+
+std::uint64_t ShardedAccelerator::TableFootprintBytes() const {
+  std::uint64_t bytes = 0;
+  for (const Shard& shard : shards_) {
+    bytes += shard.table.MemoryFootprintBytes();
+  }
+  return bytes;
 }
 
 std::vector<InvalidationTable::Snapshot> ShardedAccelerator::SnapshotEntries()

@@ -53,6 +53,7 @@
 #include "net/message.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
+#include "stats/latency.h"
 
 namespace webcc::core {
 
@@ -63,8 +64,9 @@ struct AcceleratorStats {
   std::uint64_t modifications_detected = 0;
   std::uint64_t invalidations_generated = 0;
   // Site-list length at each detected modification (Table 5's "Avg./Max.
-  // SiteList" statistics are taken over exactly these).
-  std::vector<std::size_t> list_lengths_at_modification;
+  // SiteList" statistics are taken over exactly these). Integer sums stay
+  // exact in the histogram's double sum below 2^53.
+  stats::LatencyStats list_lengths_at_modification;
 };
 
 class ShardedAccelerator {
@@ -150,6 +152,9 @@ class ShardedAccelerator {
   std::size_t TotalEntries() const;
   std::size_t MaxListLength() const;
   AcceleratorStats AggregateStats() const;
+  // Measured heap bytes of the invalidation tables, summed over shards
+  // (InvalidationTable::MemoryFootprintBytes).
+  std::uint64_t TableFootprintBytes() const;
 
   // Merged (url, site)-sorted dump across shards; the fault tests compare
   // this across shard counts to prove recovery rebuilds the same union.

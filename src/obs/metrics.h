@@ -35,7 +35,9 @@ struct Counter {
   void Add(std::uint64_t delta = 1) { value += delta; }
 };
 
-// Scalar distribution: count/sum/min/max/percentiles via stats::LatencyStats.
+// Scalar distribution: a stats::LatencyStats, which keeps exact
+// count/sum/min/max and a fixed-memory log-linear histogram for the
+// percentiles, not the samples themselves.
 struct Histogram {
   stats::LatencyStats samples;
   void Record(double value) { samples.Record(value); }
@@ -73,14 +75,15 @@ class MetricsRegistry {
   }
 
   // Copies every metric of `other` into this registry with `prefix`
-  // prepended to its name (counters add, histograms merge samples, gauges
-  // overwrite). Lets a sweep combine its per-run registries into one dump:
-  // merged.MergeFrom(run_registry, "invalidation.").
+  // prepended to its name (counters add, histograms add bucket counts,
+  // gauges overwrite). Lets a sweep combine its per-run registries into one
+  // dump: merged.MergeFrom(run_registry, "invalidation.").
   void MergeFrom(const MetricsRegistry& other, std::string_view prefix);
 
   // One JSON object, keys sorted lexicographically. Counters serialize as
   // integers, gauges as doubles, histograms as
-  // {"count":..,"mean":..,"min":..,"max":..,"p50":..,"p95":..,"p99":..}.
+  // {"count":..,"mean":..,"min":..,"max":..,"p50":..,"p95":..,"p99":..}:
+  // count, mean, min and max exact, the percentiles within 1%.
   void WriteJson(std::ostream& out) const;
 
  private:

@@ -248,18 +248,9 @@ ReplayMetrics Engine::Run() {
   metrics_.sitelist_entries = accel.TotalEntries();
   metrics_.sitelist_max_len_end = accel.MaxListLength();
   const core::AcceleratorStats accel_stats = accel.AggregateStats();
-  const auto& lengths = accel_stats.list_lengths_at_modification;
-  if (!lengths.empty()) {
-    std::uint64_t sum = 0;
-    std::uint64_t longest = 0;
-    for (std::size_t length : lengths) {
-      sum += length;
-      longest = std::max<std::uint64_t>(longest, length);
-    }
-    metrics_.sitelist_avg_len_at_mod =
-        static_cast<double>(sum) / static_cast<double>(lengths.size());
-    metrics_.sitelist_max_len_at_mod = longest;
-  }
+  const stats::LatencyStats& lengths = accel_stats.list_lengths_at_modification;
+  metrics_.sitelist_avg_len_at_mod = lengths.mean();
+  metrics_.sitelist_max_len_at_mod = static_cast<std::uint64_t>(lengths.max());
   for (const PseudoClient& pc : clients_) {
     metrics_.proxy_evictions += pc.cache->stats().evictions;
     metrics_.proxy_expired_evictions += pc.cache->stats().expired_evictions;
@@ -279,16 +270,32 @@ ReplayMetrics Engine::Run() {
     metrics_.ExportTo(registry);
     accel.ExportMetrics(registry, "accelerator.");
     net_.ExportMetrics(registry, "network.");
+    // Memory attribution: the bytes held at the end of the run by each
+    // structure that grows with the workload.
+    std::uint64_t cache_bytes = 0;
+    std::uint64_t table_bytes = accel.TableFootprintBytes();
+    const std::uint64_t histogram_bytes =
+        metrics_.MemoryFootprintBytes() + lengths.MemoryFootprintBytes();
+    std::uint64_t trace_bytes =
+        trace_.records.capacity() * sizeof(trace::TraceRecord);
     for (const PseudoClient& pc : clients_) {
       pc.cache->ExportMetrics(
           registry, "proxy." + std::to_string(pc.index) + ".cache.");
+      cache_bytes += pc.cache->MemoryFootprintBytes();
+      trace_bytes += pc.records.capacity() * sizeof(pc.records[0]);
     }
     if (parent_cache_ != nullptr) {
       parent_cache_->ExportMetrics(registry, "parent.cache.");
+      cache_bytes += parent_cache_->MemoryFootprintBytes();
     }
     if (parent_table_ != nullptr) {
       parent_table_->ExportMetrics(registry, "parent.table.");
+      table_bytes += parent_table_->MemoryFootprintBytes();
     }
+    registry.SetCounter("memory.proxy_caches.bytes", cache_bytes);
+    registry.SetCounter("memory.site_lists.bytes", table_bytes);
+    registry.SetCounter("memory.histograms.bytes", histogram_bytes);
+    registry.SetCounter("memory.trace.bytes", trace_bytes);
   }
   return std::move(metrics_);
 }

@@ -119,6 +119,15 @@ void ReplayMetrics::ExportTo(obs::MetricsRegistry& registry) const {
       stale_age_ms);
 }
 
+std::uint64_t ReplayMetrics::MemoryFootprintBytes() const {
+  return latency_ms.MemoryFootprintBytes() +
+         invalidation_time_ms.MemoryFootprintBytes() +
+         batch_flush_ms.MemoryFootprintBytes() +
+         write_completion_wall_ms.MemoryFootprintBytes() +
+         write_blocked_trace_ms.MemoryFootprintBytes() +
+         stale_age_ms.MemoryFootprintBytes();
+}
+
 bool SameSimulation(const ReplayMetrics& a, const ReplayMetrics& b) {
   return a.get_requests == b.get_requests &&
          a.ims_requests == b.ims_requests && a.replies_200 == b.replies_200 &&

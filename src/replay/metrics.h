@@ -181,10 +181,16 @@ struct ReplayMetrics {
   // — the registry is the machine-readable superset, so adding metrics can
   // never perturb the table formatting.
   void ExportTo(obs::MetricsRegistry& registry) const;
+
+  // Heap bytes held by the six histograms above; follows their value
+  // ranges, not the request count.
+  std::uint64_t MemoryFootprintBytes() const;
 };
 
 // True when two runs produced the identical simulation: every deterministic
-// counter and latency aggregate matches bit-for-bit. Host timing
+// counter matches bit-for-bit, and every histogram matches in its exact
+// aggregates, its buckets and its sample fingerprint
+// (stats::LatencyStats::SameSamples). Host timing
 // (host_seconds, and the rates derived from it) is deliberately excluded —
 // it is the one field that varies between an N=1 and an N=8 farm run of the
 // same config.

@@ -358,8 +358,8 @@ TEST_F(AcceleratorTest, NotifyAfterTouchInvalidatesRegisteredSites) {
   // Sites are forgotten after invalidation.
   EXPECT_EQ(accel_.table(0).ListLength("/a", 100), 0u);
   EXPECT_EQ(accel_.AggregateStats().invalidations_generated, 2u);
-  EXPECT_EQ(accel_.AggregateStats().list_lengths_at_modification.size(), 1u);
-  EXPECT_EQ(accel_.AggregateStats().list_lengths_at_modification[0], 2u);
+  EXPECT_EQ(accel_.AggregateStats().list_lengths_at_modification.count(), 1u);
+  EXPECT_EQ(accel_.AggregateStats().list_lengths_at_modification.max(), 2);
 }
 
 TEST_F(AcceleratorTest, SecondNotifySameVersionSilent) {

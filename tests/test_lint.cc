@@ -481,6 +481,23 @@ TEST(LintCli, TaintedEmitFailsAndSortedCounterpartIsClean) {
   EXPECT_TRUE(good.out.empty()) << good.out;
 }
 
+TEST(LintCli, TaintedPushFailsAndSortedCounterpartIsClean) {
+  // The live push path's sink is TcpStream::WriteAll.
+  const RunResult bad = RunCli({FixturePath("push_taint_violation.cc")});
+  EXPECT_EQ(bad.exit_code, 1) << bad.out << bad.err;
+  EXPECT_NE(bad.out.find("[determinism-taint]"), std::string::npos) << bad.out;
+  EXPECT_NE(bad.out.find("'WriteAll(' emits values in hash-iteration order"),
+            std::string::npos)
+      << bad.out;
+  EXPECT_NE(bad.out.find("unordered container 'frames_' iterated here"),
+            std::string::npos)
+      << bad.out;
+
+  const RunResult good = RunCli({FixturePath("push_taint_clean.cc")});
+  EXPECT_EQ(good.exit_code, 0) << good.out << good.err;
+  EXPECT_TRUE(good.out.empty()) << good.out;
+}
+
 TEST(LintRules, AccumulatedVectorCarriesTaintAcrossLoops) {
   // Pushing hash-ordered values into a vector and emitting the vector
   // without a sort is still nondeterministic.

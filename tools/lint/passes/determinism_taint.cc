@@ -7,9 +7,9 @@
 // region, a container that accumulates values inside a tainted region
 // (push_back/emplace_back/insert) becomes a tainted name, and
 // `std::sort`/`std::stable_sort` over a tainted name cleanses it. Calling
-// a sink — TraceSink::Emit or a live send — inside a tainted region, or
-// passing a tainted name to one, is a finding whose witness points back
-// at the loop that introduced the nondeterminism.
+// a sink — TraceSink::Emit or a live push's TcpStream::WriteAll — inside a
+// tainted region, or passing a tainted name to one, is a finding whose
+// witness points back at the loop that introduced the nondeterminism.
 //
 // The canonical clean idiom (core/invalidation_table.cc) — collect into a
 // vector inside the hash-map walk, sort, then emit — passes: the sort
@@ -25,9 +25,10 @@
 namespace webcc::lint {
 namespace {
 
+// TraceSink::Emit, and TcpStream::WriteAll: the live stack's push path
+// (LiveServer::PushInvalidations) writes every frame through it.
 bool IsSinkName(std::string_view word) {
-  return word == "Emit" || word == "SendOneWay" ||
-         word == "SendOneWayClassified";
+  return word == "Emit" || word == "WriteAll";
 }
 
 bool IsAccumulatorName(std::string_view word) {

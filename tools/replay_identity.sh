@@ -3,14 +3,15 @@
 # replays with each binary and compares, per replay:
 #   - stdout, without the `wrote ...` lines;
 #   - the --trace-out JSONL streams, byte for byte;
-#   - the --metrics-out JSON, key by key. Keys ending in
+#   - the --metrics-out JSON, key by key, and a histogram field by field
+#     (KEY.count, KEY.mean, KEY.min, KEY.max, KEY.p50, ...). Keys ending in
 #     replay.host_seconds (host timing) and keys ending in an ALLOWED_METRIC
 #     suffix may differ; every other differing key fails the check. Each
 #     differing key except host timing is printed with both values.
 #
 # Usage: tools/replay_identity.sh PARENT_WEBCC CHANGE_WEBCC [ALLOWED_METRIC...]
 #   e.g. tools/replay_identity.sh ../parent/build/tools/webcc \
-#          build/tools/webcc replay.sim_events_executed
+#          build/tools/webcc replay.sim_events_executed .p99
 #
 # Exits 0 when only allowed keys differ, 1 on any other difference or a
 # failed replay, 2 on a usage error.
@@ -81,10 +82,24 @@ import sys
 
 name, parent_path, change_path = sys.argv[1:]
 allowed = os.environ["WEBCC_IDENTITY_ALLOWED"].split()
-with open(parent_path) as f:
-    parent = json.load(f)
-with open(change_path) as f:
-    change = json.load(f)
+
+
+def flatten(path):
+    """The dump's keys, with each histogram object split into KEY.FIELD."""
+    with open(path) as f:
+        dump = json.load(f)
+    flat = {}
+    for key, value in dump.items():
+        if isinstance(value, dict):
+            for field, v in value.items():
+                flat[f"{key}.{field}"] = v
+        else:
+            flat[key] = value
+    return flat
+
+
+parent = flatten(parent_path)
+change = flatten(change_path)
 failed = False
 for key in sorted(set(parent) | set(change)):
     a, b = parent.get(key, "(absent)"), change.get(key, "(absent)")
