@@ -52,7 +52,7 @@ replay::ReplayMetrics Run(const trace::Trace& trace,
   config.protocol = core::Protocol::kInvalidation;
   config.trace = &trace;
   config.mean_lifetime = 8 * kHour;  // frequent modifications
-  config.client_costs.request_timeout = 10 * kSecond;
+  config.request_timeout = 10 * kSecond;
   // This drill demonstrates the paper's blanket INVSRV recovery broadcast;
   // the journaled (targeted) flavour is exercised by `ctest -L fault`.
   config.journaled_recovery = false;

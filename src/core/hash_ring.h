@@ -5,9 +5,9 @@
 // point at or after its own hash. Properties the sharded accelerator
 // relies on:
 //
-//  * deterministic — the mapping is a pure function of (num_shards,
-//    replicas, url), identical across runs, platforms and processes, so
-//    replay digests stay reproducible;
+//  * deterministic — the mapping is a pure function of (num_shards, url),
+//    identical across runs, platforms and processes, so replay digests stay
+//    reproducible;
 //  * stable — growing from N to N+1 shards moves only the URLs whose ring
 //    arc the new shard's points capture (~1/(N+1) of keys), the classic
 //    consistent-hashing bound;
@@ -25,35 +25,24 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace webcc::core {
 
-inline std::uint64_t HashRingFnv1a64(std::string_view text) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 class HashRing {
  public:
-  static constexpr std::uint32_t kDefaultReplicas = 64;
+  static constexpr std::uint32_t kReplicas = 64;  // virtual points per shard
 
-  explicit HashRing(std::uint32_t num_shards,
-                    std::uint32_t replicas = kDefaultReplicas)
-      : num_shards_(num_shards) {
+  explicit HashRing(std::uint32_t num_shards) : num_shards_(num_shards) {
     WEBCC_CHECK_MSG(num_shards > 0, "hash ring needs at least one shard");
-    WEBCC_CHECK_MSG(replicas > 0, "hash ring needs at least one replica");
-    points_.reserve(static_cast<std::size_t>(num_shards) * replicas);
+    points_.reserve(static_cast<std::size_t>(num_shards) * kReplicas);
     for (std::uint32_t shard = 0; shard < num_shards; ++shard) {
-      for (std::uint32_t replica = 0; replica < replicas; ++replica) {
+      for (std::uint32_t replica = 0; replica < kReplicas; ++replica) {
         std::string label = "shard-";
         label += std::to_string(shard);
         label += '#';
         label += std::to_string(replica);
-        points_.push_back({HashRingFnv1a64(label), shard});
+        points_.push_back({util::Fnv1a(label), shard});
       }
     }
     // Sort by (hash, shard) so a hash collision between two shards' points
@@ -65,7 +54,7 @@ class HashRing {
 
   std::uint32_t ShardOf(std::string_view url) const {
     if (num_shards_ == 1) return 0;
-    const std::uint64_t hash = HashRingFnv1a64(url);
+    const std::uint64_t hash = util::Fnv1a(url);
     const auto it = std::lower_bound(
         points_.begin(), points_.end(), Point{hash, 0});
     return it == points_.end() ? points_.front().shard : it->shard;

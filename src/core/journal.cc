@@ -4,23 +4,15 @@
 #include <cstdio>
 
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace webcc::core {
 namespace {
 
-std::uint64_t Fnv1a64(std::string_view text) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 std::string ChecksumHex(std::string_view body) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(Fnv1a64(body)));
+                static_cast<unsigned long long>(util::Fnv1a(body)));
   return buf;
 }
 

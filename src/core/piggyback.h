@@ -21,6 +21,7 @@
 // paper's three approaches.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -32,15 +33,10 @@
 
 namespace webcc::core {
 
-struct PiggybackConfig {
-  // PCV: most stale-candidate entries piggybacked on one request.
-  std::size_t max_validations_per_request = 50;
-  // PSI: most modified-document notices attached to one reply; when the
-  // backlog is larger, the contact cursor only advances past what was sent.
-  std::size_t max_invalidations_per_reply = 100;
-};
-
 // --- PCV ---------------------------------------------------------------------
+
+// Most TTL-expired entries piggybacked on one request.
+inline constexpr std::size_t kMaxPcvBatch = 50;
 
 // Bulk validation against the document store (the server side of PCV): the
 // queried copies whose document changed since their last_modified, or was
@@ -54,6 +50,10 @@ std::uint64_t PcvRequestExtraBytes(const std::vector<net::PcvQuery>& queries);
 std::uint64_t PcvReplyExtraBytes(const std::vector<net::PcvStale>& stale);
 
 // --- PSI ---------------------------------------------------------------------
+
+// Most modified-document notices attached to one reply; when the backlog is
+// larger, the contact cursor only advances past what was sent.
+inline constexpr std::size_t kMaxPsiNotices = 100;
 
 // Append-only log of document modifications in trace-time order; the server
 // side of PSI queries it per proxy contact.

@@ -27,8 +27,8 @@ consistency::ReplyMeta MetaOf(const net::Reply& reply) {
 
 FetchStart StartFetch(http::ProxyCache& cache,
                       const consistency::ConsistencyPolicy& policy,
-                      std::size_t max_pcv_batch, const std::string& url,
-                      const std::string& owner, Time now) {
+                      const std::string& url, const std::string& owner,
+                      Time now) {
   FetchStart start;
   const std::string key = http::ComposeCacheKey(url, owner);
   http::CacheEntry* entry = cache.Lookup(key, now);
@@ -49,7 +49,7 @@ FetchStart StartFetch(http::ProxyCache& cache,
   // PCV: since the server is contacted anyway, piggyback a batch of this
   // proxy's TTL-expired entries for bulk validation.
   if (policy.traits().piggyback_validation) {
-    for (http::CacheEntry* expired : cache.TakeExpired(now, max_pcv_batch)) {
+    for (http::CacheEntry* expired : cache.TakeExpired(now, kMaxPcvBatch)) {
       if (expired->key == key) {
         // The request itself validates this entry; leave it indexed.
         cache.SetTtlExpiry(*expired, expired->ttl_expires);
@@ -125,10 +125,8 @@ http::CacheEntry* Revalidate(http::ProxyCache& cache,
 }
 
 ServerSite::ServerSite(const consistency::Traits& traits, LeaseConfig lease,
-                       std::uint32_t shards, std::string server_name,
-                       const PiggybackConfig& piggyback)
+                       std::uint32_t shards, std::string server_name)
     : traits_(traits),
-      max_psi_notices_(piggyback.max_invalidations_per_reply),
       accel_(docs_, lease, shards > 0 ? shards : 1, std::move(server_name)) {}
 
 std::optional<net::Reply> ServerSite::Serve(const net::Request& request,
@@ -143,7 +141,7 @@ std::optional<net::Reply> ServerSite::Serve(const net::Request& request,
   if (traits_.piggyback_invalidation) {
     WEBCC_CHECK_MSG(psi_cursor != nullptr, "PSI needs the proxy's cursor");
     ModificationLog::Window window =
-        mod_log_.CollectSince(*psi_cursor, now, max_psi_notices_);
+        mod_log_.CollectSince(*psi_cursor, now, kMaxPsiNotices);
     *psi_cursor = std::max(*psi_cursor, window.advanced_to);
     reply->psi_modified = std::move(window.urls);
   }

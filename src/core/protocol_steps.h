@@ -36,13 +36,13 @@ struct FetchStart {
 };
 
 // Looks up `owner`'s copy of `url` and asks OnHit whether to serve it. A
-// request under PCV takes up to `max_pcv_batch` of the cache's other
+// request under PCV takes up to kMaxPcvBatch of the cache's other
 // TTL-expired entries along, consuming their TTL-heap records until the
 // reply's ApplyPiggyback re-arms or drops each.
 FetchStart StartFetch(http::ProxyCache& cache,
                       const consistency::ConsistencyPolicy& policy,
-                      std::size_t max_pcv_batch, const std::string& url,
-                      const std::string& owner, Time now);
+                      const std::string& url, const std::string& owner,
+                      Time now);
 
 struct PiggybackOutcome {
   std::uint64_t pcv_invalidated = 0;  // copies dropped as stale
@@ -80,16 +80,16 @@ http::CacheEntry* Revalidate(http::ProxyCache& cache,
 class ServerSite {
  public:
   ServerSite(const consistency::Traits& traits, LeaseConfig lease,
-             std::uint32_t shards, std::string server_name,
-             const PiggybackConfig& piggyback);
+             std::uint32_t shards, std::string server_name);
   ServerSite(const ServerSite&) = delete;
   ServerSite& operator=(const ServerSite&) = delete;
 
   // Answers a GET or IMS through the accelerator or the origin, as the
   // traits route it; std::nullopt for an unknown document. The reply names
-  // the stale copies of the request's PCV batch and, under PSI, the
-  // documents modified since `*psi_cursor`, the requesting proxy's contact
-  // cursor, which advances. `psi_cursor` may be null except under PSI.
+  // the stale copies of the request's PCV batch and, under PSI, up to
+  // kMaxPsiNotices documents modified since `*psi_cursor`, the requesting
+  // proxy's contact cursor, which advances. `psi_cursor` may be null except
+  // under PSI.
   std::optional<net::Reply> Serve(const net::Request& request, Time now,
                                   Time* psi_cursor);
 
@@ -102,7 +102,6 @@ class ServerSite {
 
  private:
   consistency::Traits traits_;
-  std::size_t max_psi_notices_;
   http::DocumentStore docs_;
   ShardedAccelerator accel_;
   ModificationLog mod_log_;

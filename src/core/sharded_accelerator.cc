@@ -24,9 +24,9 @@ void ExportStats(const AcceleratorStats& stats,
                       stats.modifications_detected);
   registry.SetCounter(MetricName(prefix, "invalidations_generated"),
                       stats.invalidations_generated);
-  obs::Histogram* lists = registry.FindOrCreateHistogram(
-      MetricName(prefix, "site_list_length_at_modification"));
-  lists->samples.Merge(stats.list_lengths_at_modification);
+  registry.MergeHistogram(
+      MetricName(prefix, "site_list_length_at_modification"),
+      stats.list_lengths_at_modification);
 }
 
 }  // namespace

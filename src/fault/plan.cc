@@ -169,15 +169,15 @@ FaultPlan Random(const RandomPlanConfig& config, std::uint64_t seed) {
         rng.NextBelow(static_cast<std::uint64_t>(config.horizon)));
   };
   const auto draw_duration = [&] {
-    return config.min_duration +
+    return kRandomMinDuration +
            static_cast<Time>(rng.NextBelow(static_cast<std::uint64_t>(
-               config.max_duration - config.min_duration + 1)));
+               kRandomMaxDuration - kRandomMinDuration + 1)));
   };
   const auto draw_target = [&] {
     return static_cast<int>(
         rng.NextBelow(static_cast<std::uint64_t>(config.clients)));
   };
-  for (int i = 0; i < config.crash_events; ++i) {
+  for (int i = 0; i < kRandomCrashEvents; ++i) {
     FaultEvent event;
     event.kind = FaultKind::kProxyCrash;
     event.at = draw_start();
@@ -192,7 +192,7 @@ FaultPlan Random(const RandomPlanConfig& config, std::uint64_t seed) {
     event.duration = draw_duration();
     plan.events.push_back(event);
   }
-  for (int i = 0; i < config.partition_events; ++i) {
+  for (int i = 0; i < kRandomPartitionEvents; ++i) {
     FaultEvent event;
     event.kind = FaultKind::kPartition;
     event.at = draw_start();
@@ -201,17 +201,17 @@ FaultPlan Random(const RandomPlanConfig& config, std::uint64_t seed) {
     event.target = rng.NextBool(0.2) ? -1 : draw_target();
     plan.events.push_back(event);
   }
-  for (int i = 0; i < config.link_windows; ++i) {
+  for (int i = 0; i < kRandomLinkWindows; ++i) {
     FaultEvent event;
     event.kind = FaultKind::kLinkFault;
     event.at = draw_start();
     event.duration = draw_duration();
     event.target = rng.NextBool(0.3) ? -1 : draw_target();
-    event.drop = rng.NextDouble() * config.max_drop;
-    event.duplicate = rng.NextDouble() * config.max_duplicate;
+    event.drop = rng.NextDouble() * kRandomMaxDrop;
+    event.duplicate = rng.NextDouble() * kRandomMaxDuplicate;
     if (rng.NextBool(0.5)) {
       event.extra_delay = static_cast<Time>(rng.NextBelow(
-          static_cast<std::uint64_t>(config.max_extra_delay + 1)));
+          static_cast<std::uint64_t>(kRandomMaxExtraDelay + 1)));
     }
     plan.events.push_back(event);
   }

@@ -56,20 +56,26 @@ struct FaultPlan {
   bool empty() const { return events.empty(); }
 };
 
-// Knobs for Random(): how violent a generated plan is. Defaults produce
-// plans that exercise every fault kind within a several-hour trace.
+// The shape of a Random() plan: enough of each fault kind to exercise it
+// within a several-hour trace.
+inline constexpr int kRandomCrashEvents = 2;      // proxy crash/restart pairs
+inline constexpr int kRandomPartitionEvents = 2;  // timed partitions
+inline constexpr int kRandomLinkWindows = 2;      // drop/dup/delay windows
+// Every event lasts between these two.
+inline constexpr Time kRandomMinDuration = 30 * kSecond;
+inline constexpr Time kRandomMaxDuration = 15 * kMinute;
+// A link window's loss and duplication probabilities and added latency stay
+// at or below these.
+inline constexpr double kRandomMaxDrop = 0.3;
+inline constexpr double kRandomMaxDuplicate = 0.15;
+inline constexpr Time kRandomMaxExtraDelay = 50 * kMillisecond;
+
+// Where Random() places a plan: the trace it must fit and the proxies it
+// may target.
 struct RandomPlanConfig {
-  Time horizon = 3 * kHour;    // events start within [0, horizon)
-  int clients = 60;            // proxy indices drawn from [0, clients)
-  int crash_events = 2;        // proxy crash/restart pairs
-  int partition_events = 2;    // timed partitions
-  int link_windows = 2;        // probabilistic drop/dup/delay windows
+  Time horizon = 3 * kHour;        // events start within [0, horizon)
+  int clients = 60;                // proxy indices drawn from [0, clients)
   bool allow_server_crash = true;  // at most one server crash per plan
-  Time min_duration = 30 * kSecond;
-  Time max_duration = 15 * kMinute;
-  double max_drop = 0.3;
-  double max_duplicate = 0.15;
-  Time max_extra_delay = 50 * kMillisecond;
 };
 
 // Deterministic plan generation: the same (config, seed) always yields the

@@ -64,9 +64,7 @@ LiveProxy::FetchResult LiveProxy::Fetch(const std::string& client_name,
   core::FetchStart start;
   {
     const util::MutexLock lock(mutex_);
-    start = core::StartFetch(*cache_, *policy_,
-                             options_.piggyback.max_validations_per_request,
-                             url, client_id, now);
+    start = core::StartFetch(*cache_, *policy_, url, client_id, now);
     if (start.hit != nullptr) {
       obs::Emit(options_.trace_sink,
                 {.type = obs::EventType::kRequestServed,

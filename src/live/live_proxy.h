@@ -22,7 +22,6 @@
 #include <string_view>
 
 #include "core/consistency/policy.h"
-#include "core/piggyback.h"
 #include "core/policy.h"
 #include "http/proxy_cache.h"
 #include "live/socket.h"
@@ -39,7 +38,6 @@ class LiveProxy {
     std::uint16_t server_port = 0;
     core::Protocol protocol = core::Protocol::kInvalidation;
     core::AdaptiveTtlConfig ttl;
-    core::PiggybackConfig piggyback;
     std::uint64_t cache_bytes = 64ull * 1024 * 1024;
     http::eviction::EvictionPolicyKind eviction_policy =
         http::eviction::EvictionPolicyKind::kExpiredFirstLru;

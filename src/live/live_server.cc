@@ -47,7 +47,7 @@ LiveServer::LiveServer(Options options)
       policy_(core::consistency::MakePolicy(options_.protocol,
                                             core::AdaptiveTtlConfig{})),
       site_(policy_->traits(), options_.lease, options_.shards,
-            options_.server_name, options_.piggyback) {
+            options_.server_name) {
   // The accelerator emits lease_grant / notify / invalidate_generated /
   // invalidate_server events itself once it has the sink.
   site_.accelerator().set_trace_sink(options_.trace_sink);

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "core/consistency/policy.h"
-#include "core/piggyback.h"
 #include "core/policy.h"
 #include "core/protocol_steps.h"
 #include "live/socket.h"
@@ -51,7 +50,6 @@ class LiveServer {
     std::uint16_t port = 0;  // 0 = pick an ephemeral port
     core::Protocol protocol = core::Protocol::kInvalidation;
     core::LeaseConfig lease;
-    core::PiggybackConfig piggyback;
     std::string server_name = "origin";
     // Accelerator shard count (consistent-hashed by URL). The observable
     // push stream is shard-invariant; shards only change which internal

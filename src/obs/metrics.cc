@@ -27,42 +27,38 @@ void AppendQuoted(std::string& out, std::string_view name) {
   out += '"';
 }
 
+// The value stored under `name`, value-initialized when absent.
+template <typename Value>
+Value& Slot(std::map<std::string, Value, std::less<>>& map,
+            std::string_view name) {
+  const auto it = map.find(name);
+  if (it != map.end()) return it->second;
+  return map.emplace(std::string(name), Value{}).first->second;
+}
+
 }  // namespace
 
-Counter* MetricsRegistry::FindOrCreateCounter(std::string_view name) {
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) return &it->second;
-  return &counters_.emplace(std::string(name), Counter{}).first->second;
-}
-
-Histogram* MetricsRegistry::FindOrCreateHistogram(std::string_view name) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return &it->second;
-  return &histograms_.emplace(std::string(name), Histogram{}).first->second;
-}
-
-Gauge* MetricsRegistry::FindOrCreateGauge(std::string_view name) {
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) return &it->second;
-  return &gauges_.emplace(std::string(name), Gauge{}).first->second;
-}
-
 void MetricsRegistry::SetCounter(std::string_view name, std::uint64_t value) {
-  FindOrCreateCounter(name)->value = value;
+  Slot(counters_, name) = value;
 }
 
 void MetricsRegistry::SetGauge(std::string_view name, double value) {
-  FindOrCreateGauge(name)->value = value;
+  Slot(gauges_, name) = value;
+}
+
+void MetricsRegistry::MergeHistogram(std::string_view name,
+                                     const stats::LatencyStats& samples) {
+  Slot(histograms_, name).Merge(samples);
 }
 
 std::uint64_t MetricsRegistry::CounterValue(std::string_view name) const {
   const auto it = counters_.find(name);
-  return it != counters_.end() ? it->second.value : 0;
+  return it != counters_.end() ? it->second : 0;
 }
 
 double MetricsRegistry::GaugeValue(std::string_view name) const {
   const auto it = gauges_.find(name);
-  return it != gauges_.end() ? it->second.value : 0.0;
+  return it != gauges_.end() ? it->second : 0.0;
 }
 
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other,
@@ -73,14 +69,14 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other,
     name += leaf;
     return name;
   };
-  for (const auto& [leaf, counter] : other.counters_) {
-    FindOrCreateCounter(prefixed(leaf))->value += counter.value;
+  for (const auto& [leaf, value] : other.counters_) {
+    Slot(counters_, prefixed(leaf)) += value;
   }
-  for (const auto& [leaf, histogram] : other.histograms_) {
-    FindOrCreateHistogram(prefixed(leaf))->samples.Merge(histogram.samples);
+  for (const auto& [leaf, samples] : other.histograms_) {
+    Slot(histograms_, prefixed(leaf)).Merge(samples);
   }
-  for (const auto& [leaf, gauge] : other.gauges_) {
-    FindOrCreateGauge(prefixed(leaf))->value = gauge.value;
+  for (const auto& [leaf, value] : other.gauges_) {
+    Slot(gauges_, prefixed(leaf)) = value;
   }
 }
 
@@ -116,15 +112,15 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
     body += ": ";
     switch (which) {
       case kCounter:
-        body += std::to_string(ci->second.value);
+        body += std::to_string(ci->second);
         ++ci;
         break;
       case kGauge:
-        AppendDouble(body, gi->second.value);
+        AppendDouble(body, gi->second);
         ++gi;
         break;
       case kHistogram: {
-        const stats::LatencyStats& s = hi->second.samples;
+        const stats::LatencyStats& s = hi->second;
         body += "{\"count\":";
         body += std::to_string(s.count());
         body += ",\"mean\":";

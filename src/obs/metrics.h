@@ -14,13 +14,10 @@
 // registry carries a superset of those fields, never a substitute, which is
 // how the regenerated Tables 3/4/5 stay byte-identical.
 //
-// Counters hand out stable pointers, so hot loops may grab a Counter once
-// and bump `->value` with no further lookups. Not thread-safe: one registry
-// per run (the farm gives every submitted replay its own).
+// Not thread-safe: one registry per run.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -30,40 +27,20 @@
 
 namespace webcc::obs {
 
-struct Counter {
-  std::uint64_t value = 0;
-  void Add(std::uint64_t delta = 1) { value += delta; }
-};
-
-// Scalar distribution: a stats::LatencyStats, which keeps exact
-// count/sum/min/max and a fixed-memory log-linear histogram for the
-// percentiles, not the samples themselves.
-struct Histogram {
-  stats::LatencyStats samples;
-  void Record(double value) { samples.Record(value); }
-};
-
-// A gauge for values that are snapshots, not accumulations (bytes used,
-// utilization); stored as double to cover both.
-struct Gauge {
-  double value = 0.0;
-  void Set(double v) { value = v; }
-};
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Find-or-create; returned pointers stay valid for the registry lifetime.
-  Counter* FindOrCreateCounter(std::string_view name);
-  Histogram* FindOrCreateHistogram(std::string_view name);
-  Gauge* FindOrCreateGauge(std::string_view name);
-
-  // Snapshot setters for export paths.
+  // Snapshot setters for export paths; each creates its metric when absent.
+  // A gauge holds a snapshot, not an accumulation (bytes used,
+  // utilization), as a double to cover both.
   void SetCounter(std::string_view name, std::uint64_t value);
   void SetGauge(std::string_view name, double value);
+  // Adds `samples` to a histogram, bucket by bucket.
+  void MergeHistogram(std::string_view name,
+                      const stats::LatencyStats& samples);
 
   // Reads a counter's value; 0 when absent.
   std::uint64_t CounterValue(std::string_view name) const;
@@ -87,11 +64,12 @@ class MetricsRegistry {
   void WriteJson(std::ostream& out) const;
 
  private:
-  // std::map: deterministic iteration order for WriteJson; entry addresses
-  // are stable across inserts, so the hot-path pointers stay valid.
-  std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
-  std::map<std::string, Gauge, std::less<>> gauges_;
+  // std::map: deterministic iteration order for WriteJson. A histogram is
+  // a stats::LatencyStats, which keeps exact count/sum/min/max and a
+  // fixed-memory log-linear histogram for the percentiles, not the samples.
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
+  std::map<std::string, stats::LatencyStats, std::less<>> histograms_;
+  std::map<std::string, double, std::less<>> gauges_;
 };
 
 }  // namespace webcc::obs

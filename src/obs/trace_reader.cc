@@ -7,6 +7,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "util/fnv1a.h"
+
 namespace webcc::obs {
 namespace {
 
@@ -40,14 +42,6 @@ bool ParseInt64(std::string_view text, std::int64_t& out) {
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), out);
   return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-std::uint64_t Fnv1a(std::uint64_t hash, std::string_view bytes) {
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;  // FNV prime
-  }
-  return hash;
 }
 
 }  // namespace
@@ -146,19 +140,20 @@ void WriteTraceSummary(std::ostream& out, const TraceSummary& summary) {
 }
 
 std::uint64_t DigestJsonl(std::string_view text) {
-  return Fnv1a(14695981039346656037ULL, text);  // FNV offset basis
+  return util::Fnv1a(text);
 }
 
 std::streamsize DigestStreambuf::xsputn(const char* data,
                                         std::streamsize size) {
-  hash_ = Fnv1a(hash_, std::string_view(data, static_cast<std::size_t>(size)));
+  hash_ = util::Fnv1a(std::string_view(data, static_cast<std::size_t>(size)),
+                      hash_);
   return size;
 }
 
 DigestStreambuf::int_type DigestStreambuf::overflow(int_type c) {
   if (!traits_type::eq_int_type(c, traits_type::eof())) {
     const char byte = traits_type::to_char_type(c);
-    hash_ = Fnv1a(hash_, std::string_view(&byte, 1));
+    hash_ = util::Fnv1a(std::string_view(&byte, 1), hash_);
   }
   return traits_type::not_eof(c);
 }

@@ -10,15 +10,18 @@
 // compressed relative to trace time; protocol decisions — TTLs, leases,
 // mtime comparisons — run on trace time, while latency and utilization are
 // measured in wall time.
+//
+// The testbed's service costs (server CPU and disk, the replay program's
+// think time, a proxy's hit and forward times) are not settings: the paper
+// measures on one testbed, and the engine charges its costs as constants
+// (replay/engine_impl.h).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/piggyback.h"
 #include "core/policy.h"
 #include "fault/plan.h"
-#include "http/origin.h"
 #include "http/proxy_cache.h"
 #include "net/message.h"
 #include "obs/metrics.h"
@@ -29,21 +32,6 @@
 #include "util/time.h"
 
 namespace webcc::replay {
-
-// Costs at the pseudo-client: replay-program overhead per request (trace
-// parsing, socket setup — this dominates the paper's replay pacing) and the
-// proxy's local serve/forward times.
-struct ClientCosts {
-  Time think_time = 1 * kSecond;
-  Time proxy_hit_time = 1 * kMillisecond;
-  Time proxy_forward_overhead = 1 * kMillisecond;
-  // A request with no reply times out and the closed loop moves on. The
-  // default is deliberately long: the paper's replay programs wait
-  // indefinitely, and a request stalled behind a serialized invalidation
-  // fan-out must complete so its (large) latency is measured. Failure
-  // experiments lower this to ride out dead servers.
-  Time request_timeout = 10 * kMinute;
-};
 
 struct ReplayConfig {
   core::Protocol protocol = core::Protocol::kInvalidation;
@@ -90,12 +78,16 @@ struct ReplayConfig {
   bool hierarchical = false;
 
   sim::NetworkConfig network = sim::NetworkConfig::Lan();
-  http::ServerCosts server_costs;
-  ClientCosts client_costs;
+
+  // A request with no reply times out and the closed loop moves on. The
+  // default is deliberately long: the paper's replay programs wait
+  // indefinitely, and a request stalled behind a serialized invalidation
+  // fan-out must complete so its (large) latency is measured. Failure
+  // experiments lower this to ride out dead servers.
+  Time request_timeout = 10 * kMinute;
 
   core::AdaptiveTtlConfig ttl;
   core::LeaseConfig lease;
-  core::PiggybackConfig piggyback;
 
   // The paper's prototype sends all invalidations for a modification before
   // accepting new requests (shared FIFO CPU); false models the suggested

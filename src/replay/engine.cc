@@ -417,9 +417,8 @@ void Engine::IssueNext(PseudoClient& pc) {
                                  ? proxy_site_names_[pc.index]
                                  : trace_.clients[record.client];
   const Time trace_time = record.timestamp;
-  core::FetchStart start = core::StartFetch(
-      *pc.cache, *policy_, config_.piggyback.max_validations_per_request, url,
-      owner, trace_time);
+  core::FetchStart start =
+      core::StartFetch(*pc.cache, *policy_, url, owner, trace_time);
   if (start.hit != nullptr) {
     LocalServe(pc, *start.hit, trace_time);
     return;
@@ -430,7 +429,7 @@ void Engine::IssueNext(PseudoClient& pc) {
 
 void Engine::FinishRequest(PseudoClient& pc, Time latency) {
   metrics_.latency_ms.Record(ToMillis(latency));
-  sim_.After(config_.client_costs.think_time, [this, &pc] { IssueNext(pc); });
+  sim_.After(kThinkTime, [this, &pc] { IssueNext(pc); });
 }
 
 void Engine::CheckStaleness(const PseudoClient& pc,
@@ -477,7 +476,7 @@ void Engine::LocalServe(PseudoClient& pc, http::CacheEntry& entry,
              .site = entry.owner,
              .detail = static_cast<std::int64_t>(obs::ServeKind::kLocalHit)});
   CheckStaleness(pc, entry, trace_time);
-  FinishRequest(pc, config_.client_costs.proxy_hit_time);
+  FinishRequest(pc, kProxyHitTime);
 }
 
 void Engine::SendToServer(PseudoClient& pc, net::Request request,
@@ -513,23 +512,22 @@ void Engine::SendToServer(PseudoClient& pc, net::Request request,
   // Reply timeout: the closed loop must advance even if the server is dead.
   // DeliverReply cancels it, so it fires only while its request is still in
   // flight.
-  pc.timeout =
-      sim_.After(config_.client_costs.request_timeout, [this, &pc, seq] {
-        WEBCC_CHECK_MSG(pc.outstanding == seq,
-                        "a delivered reply cancels its timeout");
-        pc.outstanding = 0;
-        pc.pcv_batch.clear();
-        ++metrics_.request_timeouts;
-        obs::Emit(sink_, {.type = obs::EventType::kRequestTimeout,
-                          .at = sim_.now(),
-                          .detail = static_cast<std::int64_t>(seq)});
-        FinishRequest(pc, config_.client_costs.request_timeout);
-      });
+  pc.timeout = sim_.After(config_.request_timeout, [this, &pc, seq] {
+    WEBCC_CHECK_MSG(pc.outstanding == seq,
+                    "a delivered reply cancels its timeout");
+    pc.outstanding = 0;
+    pc.pcv_batch.clear();
+    ++metrics_.request_timeouts;
+    obs::Emit(sink_, {.type = obs::EventType::kRequestTimeout,
+                      .at = sim_.now(),
+                      .detail = static_cast<std::int64_t>(seq)});
+    FinishRequest(pc, config_.request_timeout);
+  });
 
   // In hierarchical mode leaf misses go to the parent proxy, not the server.
   const sim::NodeId upstream =
       config_.hierarchical ? ParentNode() : ServerNode();
-  sim_.After(config_.client_costs.proxy_forward_overhead,
+  sim_.After(kProxyForwardOverhead,
              [this, &pc, request = std::move(request), seq, trace_time, wire,
               upstream]() mutable {
                net_.Send(pc.node, upstream, wire,
@@ -553,10 +551,9 @@ void Engine::ServerHandle(net::Request& request, int client_index,
       site_.Serve(request, trace_time, &psi_last_contact_[client_index]);
   WEBCC_CHECK_MSG(reply.has_value(), "trace referenced an unknown document");
 
-  const Time piggyback_cpu =
-      static_cast<Time>(request.pcv_queries.size() +
-                        reply->psi_modified.size()) *
-      config_.server_costs.piggyback_item_cpu;
+  const Time piggyback_cpu = static_cast<Time>(request.pcv_queries.size() +
+                                               reply->psi_modified.size()) *
+                             kPiggybackItemCpu;
   const Time ready = ChargeServe(*reply, piggyback_cpu);
   CountReply(*reply, request.client_id, trace_time);
   const std::uint64_t piggyback_bytes =
@@ -588,17 +585,16 @@ void Engine::ServerHandle(net::Request& request, int client_index,
 
 Time Engine::ChargeServe(const net::Reply& reply, Time extra_cpu) {
   const bool transfer = reply.type == net::MessageType::kReply200;
-  const http::ServerCosts& costs = config_.server_costs;
   // Access log write (all approaches log incoming requests); logging is
   // asynchronous w.r.t. the reply.
   server_disk_.utilization().AddWrite();
-  server_disk_.Enqueue(costs.disk_op);
+  server_disk_.Enqueue(kDiskOp);
   Time ready = server_cpu_.Enqueue(
-      (transfer ? costs.request_cpu_200 : costs.request_cpu_304) + extra_cpu);
+      (transfer ? kRequestCpu200 : kRequestCpu304) + extra_cpu);
   if (transfer) {
     // The file read must complete before the body can be sent.
     server_disk_.utilization().AddRead();
-    ready = std::max(ready, server_disk_.Enqueue(costs.disk_op));
+    ready = std::max(ready, server_disk_.Enqueue(kDiskOp));
   }
   return ready;
 }

@@ -37,8 +37,7 @@ void Engine::ParentHandle(const net::Request& request, int client_index,
     CountReply(reply, request.client_id, trace_time);
     metrics_.message_bytes += net::WireSize(reply);
     const std::uint64_t wire_bytes = TransferBytes(reply);
-    const Time ready =
-        parent_cpu_->Enqueue(config_.client_costs.proxy_hit_time);
+    const Time ready = parent_cpu_->Enqueue(kProxyHitTime);
     sim_.At(ready, [this, client_index, seq, reply = std::move(reply),
                     owner = request.client_id, trace_time,
                     wire_bytes]() mutable {
@@ -156,7 +155,7 @@ void Engine::ParentReceiveReply(net::Reply reply, int client_index,
   CountReply(reply, owner, trace_time);
   metrics_.message_bytes += net::WireSize(reply);
   const std::uint64_t wire_bytes = TransferBytes(reply);
-  const Time ready = parent_cpu_->Enqueue(config_.client_costs.proxy_hit_time);
+  const Time ready = parent_cpu_->Enqueue(kProxyHitTime);
   sim_.At(ready, [this, client_index, seq, reply = std::move(reply),
                   owner = std::move(owner), trace_time,
                   wire_bytes]() mutable {

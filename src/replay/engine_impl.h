@@ -33,8 +33,37 @@
 #include "sim/simulator.h"
 #include "sim/station.h"
 #include "util/check.h"
+#include "util/time.h"
 
 namespace webcc::replay::detail {
+
+// The testbed's costs, fixed like the paper's five SPARC-20s. The server's
+// are calibrated so the replay lands in the paper's utilization band
+// (roughly 26-42% server CPU and a few disk ops per second); like the
+// paper's iostat figures, absolute values only matter for comparison across
+// protocols.
+//
+// CPU to parse and serve a request that returns a body (200), and a
+// validation that returns 304 (no body work).
+inline constexpr Time kRequestCpu200 = 150 * kMillisecond;
+inline constexpr Time kRequestCpu304 = 75 * kMillisecond;
+// CPU to process a check-in notification from the modifier.
+inline constexpr Time kNotifyCpu = 20 * kMillisecond;
+// CPU to build and push one INVALIDATE message onto a TCP connection. The
+// paper's accelerator pays this serially for every site in the list.
+inline constexpr Time kInvalidationSendCpu = 25 * kMillisecond;
+// Disk service time per operation: the access-log write of every request
+// and the file read behind each 200.
+inline constexpr Time kDiskOp = 8 * kMillisecond;
+// CPU per piggybacked item processed (PCV bulk validation, PSI change-list
+// assembly).
+inline constexpr Time kPiggybackItemCpu = 2 * kMillisecond;
+// The pseudo-client's replay-program overhead per request (trace parsing,
+// socket setup; this dominates the paper's replay pacing), and a proxy's
+// time to serve a hit or to forward a miss.
+inline constexpr Time kThinkTime = 1 * kSecond;
+inline constexpr Time kProxyHitTime = 1 * kMillisecond;
+inline constexpr Time kProxyForwardOverhead = 1 * kMillisecond;
 
 // One server->site frame: a single INVALIDATE or multicast copy has one
 // URL, an INVB frame its site's URLs, an INVSRV one empty URL. Delivering a
@@ -58,7 +87,7 @@ class Engine {
         net_(sim_, config.network),
         policy_(core::consistency::MakePolicy(config.protocol, config.ttl)),
         site_(policy_->traits(), config.lease, config.accelerator_shards,
-              "origin", config.piggyback),
+              "origin"),
         server_cpu_(sim_, "server-cpu"),
         server_disk_(sim_, "server-disk") {
     WEBCC_CHECK_MSG(config.trace != nullptr, "replay needs a trace");

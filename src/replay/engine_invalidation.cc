@@ -57,17 +57,15 @@ void Engine::ModifierStep() {
 
   // The check-in utility notifies the accelerator; detection happens when
   // the notify is processed.
-  server_cpu_.Enqueue(config_.server_costs.notify_cpu,
-                      [this, fan_out, url, at = event.at] {
-                        if (fan_out) {
-                          net::Notify notify{url};
-                          FanOutInvalidations(
-                              site_.accelerator().HandleNotify(notify, at),
-                              url, at, [this] { ModifierStep(); });
-                        } else {
-                          ModifierStep();
-                        }
-                      });
+  server_cpu_.Enqueue(kNotifyCpu, [this, fan_out, url, at = event.at] {
+    if (fan_out) {
+      net::Notify notify{url};
+      FanOutInvalidations(site_.accelerator().HandleNotify(notify, at), url,
+                          at, [this] { ModifierStep(); });
+    } else {
+      ModifierStep();
+    }
+  });
 }
 
 void Engine::FanOutInvalidations(std::vector<net::Invalidation> invalidations,
@@ -123,7 +121,7 @@ void Engine::FanOutInvalidations(std::vector<net::Invalidation> invalidations,
     metrics_.invalidations_sent += invalidations.size();
     metrics_.message_bytes += net::WireSize(invalidations.front());
     last_send_done = sender.Enqueue(
-        config_.server_costs.invalidation_send_cpu,
+        kInvalidationSendCpu,
         [this, invalidations = std::move(invalidations), mod_id] {
           for (const net::Invalidation& invalidation : invalidations) {
             SendPush(PushOf(invalidation, mod_id),
@@ -151,7 +149,7 @@ void Engine::FanOutInvalidations(std::vector<net::Invalidation> invalidations,
       const std::uint64_t wire = net::WireSize(invalidation);
       metrics_.message_bytes += wire;
       last_send_done = sender.Enqueue(
-          config_.server_costs.invalidation_send_cpu,
+          kInvalidationSendCpu,
           [this, push = PushOf(invalidation, mod_id), wire]() mutable {
             SendPush(std::move(push), wire);
           });
@@ -199,8 +197,7 @@ void Engine::DrainOutbox(std::uint32_t shard) {
               .urls = std::move(frame.urls),
               .write_ids = std::move(batch.write_ids)};
     inval_senders_[shard]->Enqueue(
-        config_.server_costs.invalidation_send_cpu,
-        [this, push = std::move(push), wire]() mutable {
+        kInvalidationSendCpu, [this, push = std::move(push), wire]() mutable {
           SendPush(std::move(push), wire);
         });
   }
@@ -334,10 +331,9 @@ void Engine::FinishWriteDelivery(PendingMod& pending) {
   WEBCC_DCHECK(delivery.complete());
   ++metrics_.write_completions;
   obs::WriteCompleteKind kind = obs::WriteCompleteKind::kAllAcked;
-  // Every enumerator spelled out (no default:) so -Wswitch flags any future
-  // Completion state this mapping forgets — webcc_lint's enum-switch-default
-  // rule keeps it that way. kPending is unreachable: the DCHECK above
-  // guarantees the delivery completed.
+  // Every enumerator spelled out, so -Wswitch-enum flags any future
+  // Completion state this mapping forgets. kPending is unreachable: the
+  // DCHECK above guarantees the delivery completed.
   switch (delivery.completion()) {
     case core::WriteDelivery::Completion::kLeasesExpired:
       kind = obs::WriteCompleteKind::kLeasesExpired;
@@ -442,7 +438,7 @@ void Engine::ServerRecover(Time trace_time) {
             ? server_cpu_
             : *inval_senders_[targeted ? site_.accelerator().ShardOf(notice.url)
                                        : 0];
-    sender.Enqueue(config_.server_costs.invalidation_send_cpu,
+    sender.Enqueue(kInvalidationSendCpu,
                    [this, push = PushOf(notice, 0), wire]() mutable {
                      SendPush(std::move(push), wire);
                    });

@@ -185,15 +185,18 @@ struct ReplayMetrics {
   // Heap bytes held by the six histograms above; follows their value
   // ranges, not the request count.
   std::uint64_t MemoryFootprintBytes() const;
+
+  // Every field, host_seconds included; SameSimulation is the comparison
+  // that ignores host timing.
+  bool operator==(const ReplayMetrics& other) const = default;
 };
 
-// True when two runs produced the identical simulation: every deterministic
-// counter matches bit-for-bit, and every histogram matches in its exact
-// aggregates, its buckets and its sample fingerprint
-// (stats::LatencyStats::SameSamples). Host timing
+// True when two runs produced the identical simulation: every field but
+// host_seconds is equal, each histogram in its exact aggregates, its buckets
+// and its sample fingerprint (stats::LatencyStats's ==). Host timing
 // (host_seconds, and the rates derived from it) is deliberately excluded —
-// it is the one field that varies between an N=1 and an N=8 farm run of the
-// same config.
-bool SameSimulation(const ReplayMetrics& a, const ReplayMetrics& b);
+// it is the one field that varies between an N=1 and an N=8 replay batch
+// of the same config.
+bool SameSimulation(ReplayMetrics a, ReplayMetrics b);
 
 }  // namespace webcc::replay

@@ -120,13 +120,6 @@ double LatencyStats::mean() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }
 
-bool LatencyStats::SameSamples(const LatencyStats& other) const {
-  return count_ == other.count_ && sum_ == other.sum_ && min() == other.min() &&
-         max() == other.max() && zeros_ == other.zeros_ &&
-         fingerprint_ == other.fingerprint_ &&
-         first_octave_ == other.first_octave_ && counts_ == other.counts_;
-}
-
 double LatencyStats::ValueAtRank(std::uint64_t rank) const {
   if (rank == 0) return min_;
   if (rank + 1 >= count_) return max_;

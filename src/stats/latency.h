@@ -41,8 +41,9 @@ class LatencyStats {
   // Equality of the exact aggregates, the buckets, and an order-independent
   // 64-bit fingerprint of the samples' bits (a wrapping sum of a mixed hash
   // of each), so two different sample sets that share every bucket still
-  // compare unequal (up to a 2^-64 collision).
-  bool SameSamples(const LatencyStats& other) const;
+  // compare unequal (up to a 2^-64 collision). min_ and max_ stay 0 until
+  // the first sample, so two empty histograms compare equal.
+  bool operator==(const LatencyStats& other) const = default;
 
   // Heap bytes held by the bucket counts.
   std::uint64_t MemoryFootprintBytes() const {

@@ -104,7 +104,23 @@ class RecordingSink final : public obs::TraceSink {
       case obs::EventType::kInvalidateDelivered:
       case obs::EventType::kModification:
         break;
-      default:
+      case obs::EventType::kRunBegin:
+      case obs::EventType::kRunEnd:
+      case obs::EventType::kRequestTimeout:
+      case obs::EventType::kStaleHit:
+      case obs::EventType::kLeaseExpiry:
+      case obs::EventType::kInvalidateRefused:
+      case obs::EventType::kInvalidateGaveUp:
+      case obs::EventType::kInvalidateServer:
+      case obs::EventType::kPartition:
+      case obs::EventType::kPartitionHeal:
+      case obs::EventType::kLinkDrop:
+      case obs::EventType::kLinkDelay:
+      case obs::EventType::kLinkDup:
+      case obs::EventType::kNodeCrash:
+      case obs::EventType::kNodeRestart:
+      case obs::EventType::kWriteComplete:
+      case obs::EventType::kJournalRebuild:
         return;
     }
     const std::scoped_lock lock(mu_);

@@ -133,13 +133,13 @@ TEST(FaultPlanRandom, RespectsConfigBounds) {
     for (const fault::FaultEvent& event : plan.events) {
       EXPECT_GE(event.at, 0);
       EXPECT_LT(event.at, config.horizon);
-      EXPECT_GE(event.duration, config.min_duration);
-      EXPECT_LE(event.duration, config.max_duration);
+      EXPECT_GE(event.duration, fault::kRandomMinDuration);
+      EXPECT_LE(event.duration, fault::kRandomMaxDuration);
       EXPECT_LT(event.target, config.clients);
       EXPECT_NE(event.kind, fault::FaultKind::kServerCrash);
-      EXPECT_LE(event.drop, config.max_drop);
-      EXPECT_LE(event.duplicate, config.max_duplicate);
-      EXPECT_LE(event.extra_delay, config.max_extra_delay);
+      EXPECT_LE(event.drop, fault::kRandomMaxDrop);
+      EXPECT_LE(event.duplicate, fault::kRandomMaxDuplicate);
+      EXPECT_LE(event.extra_delay, fault::kRandomMaxExtraDelay);
     }
   }
 }

@@ -53,7 +53,7 @@ ReplayConfig FaultBaseConfig(Protocol protocol) {
   config.trace = &ScenarioTrace();
   config.mean_lifetime = 6 * kHour;  // plenty of writes to race faults with
   // Ride out dead servers and partitions instead of stalling the loop.
-  config.client_costs.request_timeout = 5 * kSecond;
+  config.request_timeout = 5 * kSecond;
   return config;
 }
 
@@ -572,7 +572,7 @@ TEST(FaultScenarios, HierarchyServerNoticeForwardSurvivesLossyLinks) {
   config.protocol = Protocol::kInvalidation;
   config.trace = &trace;
   config.mean_lifetime = 4 * kHour;
-  config.client_costs.request_timeout = 5 * kSecond;
+  config.request_timeout = 5 * kSecond;
   config.hierarchical = true;
   config.serialized_invalidation = false;
   config.accelerator_shards = 3;

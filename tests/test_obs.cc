@@ -118,24 +118,13 @@ TEST(BufferSink, TakeTextDrainsBuffer) {
 
 // --- metrics registry -------------------------------------------------------------
 
-TEST(Metrics, CounterPointersAreStable) {
-  MetricsRegistry registry;
-  Counter* counter = registry.FindOrCreateCounter("a.count");
-  counter->Add();
-  // Insert enough other names that a non-node-based container would move.
-  for (int i = 0; i < 100; ++i) {
-    registry.FindOrCreateCounter("filler." + std::to_string(i));
-  }
-  counter->Add(4);
-  EXPECT_EQ(registry.CounterValue("a.count"), 5u);
-  EXPECT_EQ(registry.FindOrCreateCounter("a.count"), counter);
-}
-
 TEST(Metrics, WriteJsonSortsAcrossKinds) {
   MetricsRegistry registry;
   registry.SetCounter("b.counter", 2);
   registry.SetGauge("a.gauge", 1.5);
-  registry.FindOrCreateHistogram("c.hist")->Record(10.0);
+  stats::LatencyStats hist;
+  hist.Record(10.0);
+  registry.MergeHistogram("c.hist", hist);
   std::ostringstream out;
   registry.WriteJson(out);
   EXPECT_EQ(out.str(),
@@ -151,15 +140,45 @@ TEST(Metrics, MergeFromPrefixesAndAccumulates) {
   MetricsRegistry a;
   a.SetCounter("hits", 3);
   a.SetGauge("util", 0.25);
-  a.FindOrCreateHistogram("lat")->Record(1.0);
+  stats::LatencyStats lat;
+  lat.Record(1.0);
+  a.MergeHistogram("lat", lat);
 
   MetricsRegistry merged;
   merged.MergeFrom(a, "run1.");
   merged.MergeFrom(a, "run1.");  // counters add, gauges overwrite
   EXPECT_EQ(merged.CounterValue("run1.hits"), 6u);
   EXPECT_EQ(merged.GaugeValue("run1.util"), 0.25);
-  EXPECT_EQ(merged.FindOrCreateHistogram("run1.lat")->samples.count(), 2u);
+  std::ostringstream dump;
+  merged.WriteJson(dump);  // histograms add their samples
+  EXPECT_NE(dump.str().find("\"run1.lat\": {\"count\":2,"),
+            std::string::npos)
+      << dump.str();
   EXPECT_EQ(merged.CounterValue("hits"), 0u);  // unprefixed name untouched
+}
+
+TEST(Metrics, MergeHistogramAddsACopyToWhatTheNameHolds) {
+  MetricsRegistry registry;
+  stats::LatencyStats low;
+  low.Record(1.0);
+  low.Record(3.0);
+  stats::LatencyStats high;
+  high.Record(8.0);
+  registry.MergeHistogram("lat", low);
+  registry.MergeHistogram("lat", high);
+  registry.MergeHistogram("idle", {});  // an empty merge still names it
+  // The registry holds values: a later sample in the caller's histogram
+  // does not reach it.
+  low.Record(100.0);
+  EXPECT_EQ(registry.size(), 2u);
+  std::ostringstream out;
+  registry.WriteJson(out);
+  EXPECT_NE(out.str().find("\"idle\": {\"count\":0,"), std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("\"lat\": {\"count\":3,\"mean\":4,\"min\":1,"
+                           "\"max\":8,"),
+            std::string::npos)
+      << out.str();
 }
 
 // --- trace reader -----------------------------------------------------------------

@@ -1,11 +1,15 @@
 // Tests for the piggyback consistency mechanisms (PCV / PSI): the core
-// helpers, the proxy-cache support methods, and the replay-engine behaviour
-// of the two protocols relative to plain adaptive TTL.
+// helpers, the proxy-cache support methods, the caps on one request's PCV
+// batch and one reply's PSI notices, and the replay-engine behaviour of the
+// two protocols relative to plain adaptive TTL.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
+#include "core/consistency/policy.h"
 #include "core/piggyback.h"
+#include "core/protocol_steps.h"
 #include "http/proxy_cache.h"
 #include "replay/engine.h"
 #include "trace/workload.h"
@@ -179,6 +183,54 @@ TEST(ProxyCachePiggyback, TakeExpiredSkipsErasedEntries) {
   EXPECT_EQ(expired[0]->url, "/b");
 }
 
+// --- the piggyback caps ----------------------------------------------------------------
+
+TEST(PiggybackCaps, PcvRequestCarriesAtMostTheBatchCap) {
+  const auto policy = core::consistency::MakePolicy(
+      core::Protocol::kPiggybackValidation, {});
+  http::ProxyCache cache(100000, http::ReplacementPolicy::kLru);
+  const std::size_t overflow = 10;
+  for (std::size_t i = 0; i < core::kMaxPcvBatch + overflow; ++i) {
+    cache.Insert(Entry("/d" + std::to_string(i), "c", 10), 0);
+  }
+  // Each miss takes the next batch of expired copies along.
+  const core::FetchStart first =
+      core::StartFetch(cache, *policy, "/miss", "c", 500);
+  EXPECT_EQ(first.hit, nullptr);
+  EXPECT_EQ(first.request.pcv_queries.size(), core::kMaxPcvBatch);
+  const core::FetchStart second =
+      core::StartFetch(cache, *policy, "/miss", "c", 500);
+  EXPECT_EQ(second.request.pcv_queries.size(), overflow);
+}
+
+TEST(PiggybackCaps, PsiReplyCarriesAtMostTheNoticeCap) {
+  const auto policy = core::consistency::MakePolicy(
+      core::Protocol::kPiggybackInvalidation, {});
+  core::ServerSite site(policy->traits(), core::LeaseConfig{}, 1, "server");
+  const std::size_t overflow = 20;
+  const std::size_t modified = core::kMaxPsiNotices + overflow;
+  for (std::size_t i = 0; i < modified; ++i) {
+    ASSERT_TRUE(site.docs().Add("/d" + std::to_string(i), 100, 0));
+  }
+  for (std::size_t i = 0; i < modified; ++i) {
+    ASSERT_TRUE(site.Touch("/d" + std::to_string(i),
+                           10 + static_cast<Time>(i)));
+  }
+  net::Request request;
+  request.url = "/d0";
+  request.client_id = "c";
+  Time cursor = 0;
+  const std::optional<net::Reply> first = site.Serve(request, 1000, &cursor);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->psi_modified.size(), core::kMaxPsiNotices);
+  // The cursor stops at the last notice sent, so the rest come next time.
+  EXPECT_EQ(cursor, 10 + static_cast<Time>(core::kMaxPsiNotices) - 1);
+  const std::optional<net::Reply> rest = site.Serve(request, 1000, &cursor);
+  ASSERT_TRUE(rest.has_value());
+  EXPECT_EQ(rest->psi_modified.size(), overflow);
+  EXPECT_EQ(cursor, 1000);
+}
+
 // --- replay behaviour ------------------------------------------------------------------
 
 trace::Trace PiggybackTrace() {
@@ -192,8 +244,8 @@ trace::Trace PiggybackTrace() {
   return trace::GenerateTrace(config);
 }
 
-replay::ReplayConfig PiggybackConfigFor(const trace::Trace& trace,
-                                        core::Protocol protocol) {
+replay::ReplayConfig ReplayConfigFor(const trace::Trace& trace,
+                                     core::Protocol protocol) {
   replay::ReplayConfig config;
   config.protocol = protocol;
   config.trace = &trace;
@@ -204,10 +256,10 @@ replay::ReplayConfig PiggybackConfigFor(const trace::Trace& trace,
 
 TEST(ReplayPsi, ReducesStaleServesVersusTtl) {
   const trace::Trace trace = PiggybackTrace();
-  const auto ttl = RunReplay(
-      PiggybackConfigFor(trace, core::Protocol::kAdaptiveTtl));
+  const auto ttl =
+      RunReplay(ReplayConfigFor(trace, core::Protocol::kAdaptiveTtl));
   const auto psi = RunReplay(
-      PiggybackConfigFor(trace, core::Protocol::kPiggybackInvalidation));
+      ReplayConfigFor(trace, core::Protocol::kPiggybackInvalidation));
   EXPECT_GT(ttl.stale_serves, 0u);
   EXPECT_LT(psi.stale_serves, ttl.stale_serves);
   EXPECT_GT(psi.psi_notices, 0u);
@@ -219,7 +271,7 @@ TEST(ReplayPsi, ReducesStaleServesVersusTtl) {
 TEST(ReplayPsi, RequestsStillResolveExactlyOnce) {
   const trace::Trace trace = PiggybackTrace();
   const auto psi = RunReplay(
-      PiggybackConfigFor(trace, core::Protocol::kPiggybackInvalidation));
+      ReplayConfigFor(trace, core::Protocol::kPiggybackInvalidation));
   EXPECT_EQ(psi.local_hits + psi.validated_hits + psi.replies_200,
             psi.requests_issued);
   EXPECT_EQ(psi.strong_violations, 0u);
@@ -229,7 +281,7 @@ TEST(ReplayPcv, ReducesImsVersusTtl) {
   const trace::Trace trace = PiggybackTrace();
   // Short TTLs so entries keep expiring and needing validation.
   auto make = [&trace](core::Protocol protocol) {
-    replay::ReplayConfig config = PiggybackConfigFor(trace, protocol);
+    replay::ReplayConfig config = ReplayConfigFor(trace, protocol);
     config.fixed_initial_age = 2 * kHour;
     config.ttl.min_ttl = kMinute;
     return config;
@@ -245,7 +297,7 @@ TEST(ReplayPcv, ReducesImsVersusTtl) {
 TEST(ReplayPcv, RequestsStillResolveExactlyOnce) {
   const trace::Trace trace = PiggybackTrace();
   const auto pcv = RunReplay(
-      PiggybackConfigFor(trace, core::Protocol::kPiggybackValidation));
+      ReplayConfigFor(trace, core::Protocol::kPiggybackValidation));
   EXPECT_EQ(pcv.local_hits + pcv.validated_hits + pcv.replies_200,
             pcv.requests_issued);
   EXPECT_EQ(pcv.request_timeouts, 0u);
@@ -254,21 +306,18 @@ TEST(ReplayPcv, RequestsStillResolveExactlyOnce) {
 TEST(ReplayPcv, Deterministic) {
   const trace::Trace trace = PiggybackTrace();
   const auto a = RunReplay(
-      PiggybackConfigFor(trace, core::Protocol::kPiggybackValidation));
+      ReplayConfigFor(trace, core::Protocol::kPiggybackValidation));
   const auto b = RunReplay(
-      PiggybackConfigFor(trace, core::Protocol::kPiggybackValidation));
-  EXPECT_EQ(a.total_messages(), b.total_messages());
-  EXPECT_EQ(a.pcv_items_piggybacked, b.pcv_items_piggybacked);
-  EXPECT_EQ(a.pcv_invalidated, b.pcv_invalidated);
-  EXPECT_EQ(a.message_bytes, b.message_bytes);
+      ReplayConfigFor(trace, core::Protocol::kPiggybackValidation));
+  EXPECT_TRUE(replay::SameSimulation(a, b));
 }
 
 TEST(ReplayPiggyback, BothRemainWeakerThanInvalidation) {
   const trace::Trace trace = PiggybackTrace();
   const auto invalidation = RunReplay(
-      PiggybackConfigFor(trace, core::Protocol::kInvalidation));
+      ReplayConfigFor(trace, core::Protocol::kInvalidation));
   const auto psi = RunReplay(
-      PiggybackConfigFor(trace, core::Protocol::kPiggybackInvalidation));
+      ReplayConfigFor(trace, core::Protocol::kPiggybackInvalidation));
   EXPECT_EQ(invalidation.stale_serves,
             invalidation.stale_while_invalidation_in_flight);
   // PSI may still serve stale between contacts; invalidation may not
@@ -279,7 +328,7 @@ TEST(ReplayPiggyback, BothRemainWeakerThanInvalidation) {
 TEST(ReplayMulticast, OneNetworkMessagePerModification) {
   const trace::Trace trace = PiggybackTrace();
   replay::ReplayConfig unicast =
-      PiggybackConfigFor(trace, core::Protocol::kInvalidation);
+      ReplayConfigFor(trace, core::Protocol::kInvalidation);
   replay::ReplayConfig multicast = unicast;
   multicast.multicast_invalidation = true;
   const auto uni = RunReplay(unicast);

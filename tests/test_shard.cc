@@ -53,6 +53,23 @@ TEST(HashRing, DeterministicAcrossInstances) {
   }
 }
 
+TEST(HashRing, PlacementIsPinnedAtThreeAndFourShards) {
+  // Which shard holds a document decides which table and journal it lives
+  // in; a change to the ring's hash or to its point labels moves documents
+  // and with them every sharded digest.
+  const HashRing three(3);
+  const HashRing four(4);
+  const std::vector<std::string> urls = SampleUrls(12);
+  const std::array<std::uint32_t, 12> on_three = {2, 1, 2, 1, 0, 0,
+                                                   0, 2, 2, 1, 2, 1};
+  const std::array<std::uint32_t, 12> on_four = {3, 1, 2, 1, 0, 0,
+                                                  0, 3, 3, 1, 3, 1};
+  for (std::size_t i = 0; i < urls.size(); ++i) {
+    EXPECT_EQ(three.ShardOf(urls[i]), on_three[i]) << urls[i];
+    EXPECT_EQ(four.ShardOf(urls[i]), on_four[i]) << urls[i];
+  }
+}
+
 TEST(HashRing, SingleShardMapsEverythingToZero) {
   const HashRing ring(1);
   for (const std::string& url : SampleUrls(100)) {

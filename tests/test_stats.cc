@@ -103,7 +103,7 @@ TEST(LatencyStats, MergedPercentilesDescribeEverySample) {
   EXPECT_DOUBLE_EQ(low.Percentile(0), 1.0);
   EXPECT_NEAR(low.Percentile(50), 500.5, 0.01 * 500.5);
   EXPECT_DOUBLE_EQ(low.Percentile(100), 1000.0);
-  EXPECT_TRUE(low.SameSamples(whole));
+  EXPECT_EQ(low, whole);
 }
 
 TEST(LatencyStats, MergeEmptyIsNoop) {
@@ -184,9 +184,9 @@ TEST(LatencyStats, MergeIsExactAndOrderIndependent) {
   ab.Merge(b);
   LatencyStats ba = b;
   ba.Merge(a);
-  EXPECT_TRUE(ab.SameSamples(ba));
-  EXPECT_TRUE(ab.SameSamples(whole));
-  EXPECT_FALSE(ab.SameSamples(a));
+  EXPECT_EQ(ab, ba);
+  EXPECT_EQ(ab, whole);
+  EXPECT_NE(ab, a);
   for (const double p : {0.0, 1.0, 25.0, 33.3, 50.0, 90.0, 99.9, 100.0}) {
     EXPECT_EQ(ab.Percentile(p), ba.Percentile(p)) << "p" << p;
     EXPECT_EQ(ab.Percentile(p), whole.Percentile(p)) << "p" << p;
@@ -208,8 +208,31 @@ TEST(LatencyStats, FingerprintTellsApartSetsThatShareEveryBucket) {
   for (const double p : {10.0, 50.0, 90.0}) {
     ASSERT_EQ(a.Percentile(p), b.Percentile(p)) << "p" << p;
   }
-  EXPECT_FALSE(a.SameSamples(b));
-  EXPECT_TRUE(a.SameSamples(a));
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a, a);
+}
+
+TEST(LatencyStats, EqualityIsOverTheSampleSetNotTheRecordOrder) {
+  // min and max read 0 until the first sample, and so do the members
+  // behind them, so two empty histograms are equal.
+  EXPECT_EQ(LatencyStats{}, LatencyStats{});
+  LatencyStats zero;
+  zero.Record(0.0);
+  EXPECT_DOUBLE_EQ(zero.min(), LatencyStats{}.min());
+  EXPECT_DOUBLE_EQ(zero.max(), LatencyStats{}.max());
+  EXPECT_NE(zero, LatencyStats{});  // one sample is not none
+
+  LatencyStats up;
+  LatencyStats down;
+  for (const double v : {1.0, 2.0, 4.0}) up.Record(v);
+  for (const double v : {4.0, 2.0, 1.0}) down.Record(v);
+  EXPECT_EQ(up, down);
+  // Same count, sum and min; only the largest sample differs.
+  LatencyStats flat;
+  for (const double v : {1.0, 3.0, 3.0}) flat.Record(v);
+  ASSERT_EQ(flat.count(), up.count());
+  ASSERT_DOUBLE_EQ(flat.sum(), up.sum());
+  EXPECT_NE(up, flat);
 }
 
 TEST(LatencyStats, FootprintFollowsValueRangeNotSampleCount) {

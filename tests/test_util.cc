@@ -1,5 +1,5 @@
 // Unit tests for util/: RNG, distributions, formatting, time helpers, the
-// mini JSON parser, the indexed heap.
+// mini JSON parser, the indexed heap, FNV-1a.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "util/distributions.h"
+#include "util/fnv1a.h"
 #include "util/format.h"
 #include "util/indexed_heap.h"
 #include "util/mini_json.h"
@@ -283,6 +284,16 @@ TEST(Time, Conversions) {
   EXPECT_DOUBLE_EQ(ToSeconds(kSecond), 1.0);
   EXPECT_DOUBLE_EQ(ToMillis(kSecond), 1000.0);
   EXPECT_EQ(FromSeconds(2.5), 2 * kSecond + 500 * kMillisecond);
+}
+
+// --- FNV-1a ----------------------------------------------------------------------
+
+TEST(Fnv1a, MatchesTheStandardVectors) {
+  EXPECT_EQ(Fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a("foobar"), 0x85944171f73967e8ULL);
+  // A text hashed in pieces hashes as a whole.
+  EXPECT_EQ(Fnv1a("bar", Fnv1a("foo")), Fnv1a("foobar"));
 }
 
 // --- mini JSON parser -----------------------------------------------------------

@@ -252,7 +252,6 @@ std::vector<std::string_view> RuleIds() {
   return {"determinism-clock",
           "unordered-iter-in-dump",
           "raw-mutex",
-          "enum-switch-default",
           "naked-send",
           "scan-prune",
           "naked-evict",

@@ -23,9 +23,6 @@
 //                           outside util/thread_annotations.h — unannotated
 //                           locks are invisible to -Wthread-safety, which
 //                           silently exempts whatever they guard.
-//   enum-switch-default     no `default:` in a switch over a protocol/lease
-//                           enum — spell every enumerator so -Wswitch turns
-//                           a forgotten case into a compile warning.
 //   naked-send              no direct ::send/::recv/::write/::read syscalls
 //                           outside live/socket.cc — live I/O must flow
 //                           through the classified IoError path (short

@@ -1,4 +1,4 @@
-// The seven v1 webcc_lint rules, reimplemented on the token stream. Rule
+// Six of the v1 webcc_lint rules, reimplemented on the token stream. Rule
 // ids, messages and path scoping match the line-scanner version (the
 // fixture suite pins them); what changed is fidelity — string literals,
 // raw strings, comments and member-qualified calls can no longer trip a
@@ -15,7 +15,6 @@ namespace {
 constexpr std::string_view kDeterminismClock = "determinism-clock";
 constexpr std::string_view kUnorderedIter = "unordered-iter-in-dump";
 constexpr std::string_view kRawMutex = "raw-mutex";
-constexpr std::string_view kEnumSwitchDefault = "enum-switch-default";
 constexpr std::string_view kNakedSend = "naked-send";
 constexpr std::string_view kScanPrune = "scan-prune";
 constexpr std::string_view kNakedEvict = "naked-evict";
@@ -128,23 +127,6 @@ struct RuleScan {
                "util::Mutex/MutexLock (util/thread_annotations.h)");
   }
 
-  // --- enum-switch-default -----------------------------------------------------
-
-  void CheckDefault(std::size_t k) {
-    if (!IsPunct(k + 1, ":")) return;
-    for (int s = model.scope_of[k]; s >= 0;
-         s = model.scopes[static_cast<std::size_t>(s)].parent) {
-      const Scope& sc = model.scopes[static_cast<std::size_t>(s)];
-      if (sc.kind != ScopeKind::kSwitch) continue;
-      if (sc.switch_enum) {
-        Report(Tok(k).line, kEnumSwitchDefault,
-               "'default:' in a switch over a protocol enum hides missing "
-               "cases from -Wswitch; enumerate every value");
-      }
-      return;  // innermost switch decides
-    }
-  }
-
   // --- unordered-iter-in-dump --------------------------------------------------
 
   void CheckUnorderedIter(std::size_t k) {
@@ -205,14 +187,6 @@ struct RuleScan {
              "direct socket I/O '::" + word +
                  "(' bypasses the classified IoError path; go through "
                  "live/socket.h");
-      return;
-    }
-    if (word == "SendOneWay" && !PrevIsMemberAccess(k)) {
-      Report(Tok(k).line, kNakedSend,
-             "unclassified 'SendOneWay(' loses the timeout/refused "
-             "distinction the push retry and partition-hold logic depends "
-             "on; send through a live/socket.h TcpStream and read its "
-             "last_error()");
     }
   }
 
@@ -304,7 +278,7 @@ bool RuleAppliesToPath(std::string_view rule, std::string_view path) {
            !ends_with("http/proxy_cache.cc") &&
            !ends_with("http/proxy_cache.h");
   }
-  return true;  // unordered-iter-in-dump, enum-switch-default, new passes
+  return true;  // unordered-iter-in-dump, new passes
 }
 
 std::set<std::string> CollectUnorderedNames(const ScopeModel& model) {
@@ -369,7 +343,6 @@ void RunLegacyRules(const FileContext& file, Reporter& reporter) {
     scan.TrackContext(k);
     if (clock_on) scan.CheckClock(k);
     if (mutex_on) scan.CheckRawMutex(k);
-    if (t.text == "default") scan.CheckDefault(k);
     scan.CheckUnorderedIter(k);
     if (send_on) scan.CheckNakedSend(k);
     if (prune_on) scan.CheckScanPrune(k);

@@ -24,25 +24,6 @@ bool IsAnnotationMacro(std::string_view word) {
   return word.substr(0, 6) == "WEBCC_";
 }
 
-// Enum types whose switches must stay default-free so -Wswitch can prove
-// exhaustiveness (rule config for enum-switch-default). Extend when adding
-// a protocol-level enum.
-bool IsProtocolEnumType(std::string_view word) {
-  static const std::set<std::string, std::less<>> kTypes = {
-      "Protocol",  "LeaseMode",         "MessageType",
-      "EventType", "FaultKind",         "HitAction",
-      "WriteCompleteKind", "ServeKind", "IoError",
-      "TraceName", "ReplacementPolicy", "EvictionPolicyKind",
-      "Completion"};
-  return kTypes.count(word) != 0;
-}
-
-// Bare variable spellings that conventionally hold protocol enums here.
-bool IsEnumishIdentifier(std::string_view word) {
-  return word == "protocol" || word == "mode" || word == "kind" ||
-         word == "name" || word == "type";
-}
-
 struct Builder {
   ScopeModel model;
 
@@ -205,24 +186,6 @@ struct Builder {
     }
     if (HeadHasKeyword(hb, he, "switch")) {
       s.kind = ScopeKind::kSwitch;
-      for (std::size_t k = hb; k < he; ++k) {
-        if (!IsIdent(k, "switch")) continue;
-        if (k + 1 >= he || !IsPunct(k + 1, "(")) break;
-        const std::size_t close = FindClose(k + 1, he, '(', ')');
-        // Enum-typed when the condition names a protocol enum type, or is
-        // exactly one conventionally-enum identifier.
-        std::size_t idents = 0;
-        for (std::size_t j = k + 2; j < close; ++j) {
-          if (!IsIdent(j)) continue;
-          ++idents;
-          if (IsProtocolEnumType(Tok(j).text)) s.switch_enum = true;
-        }
-        if (close == k + 3 && idents == 1 &&
-            IsEnumishIdentifier(Tok(k + 2).text)) {
-          s.switch_enum = true;
-        }
-        break;
-      }
       return s;
     }
     bool no_tsa = false;

@@ -47,8 +47,7 @@ struct Scope {
   bool in_dump = false;    // inside a Dump/Snapshot/Serialize/... function
   bool no_tsa = false;     // WEBCC_NO_THREAD_SAFETY_ANALYSIS on the head
   bool ctor_dtor = false;  // constructor or destructor body
-  bool switch_enum = false;  // kSwitch over a protocol-style enum
-  int line = 0;              // line of the opening '{'
+  int line = 0;            // line of the opening '{'
   // Code-token index ranges (into ScopeModel::code): the statement head
   // [head_begin, head_end) and the brace body [body_begin, body_end).
   std::size_t head_begin = 0, head_end = 0;
