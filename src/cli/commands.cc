@@ -154,6 +154,15 @@ const char* ProtocolToken(core::Protocol protocol) {
   return "unknown";
 }
 
+// A fault-plan event's target must name one of the replay's `proxies`
+// pseudo-clients; a partition or link fault may say -1 for all of them, and
+// a server crash has none.
+bool TargetNamesPseudoClient(const fault::FaultEvent& event, int proxies) {
+  if (event.kind == fault::FaultKind::kServerCrash) return true;
+  const int lowest = event.kind == fault::FaultKind::kProxyCrash ? 0 : -1;
+  return event.target >= lowest && event.target < proxies;
+}
+
 bool RejectUnusedFlags(const Flags& flags, std::ostream& err) {
   const auto unused = flags.UnusedFlags();
   if (unused.empty()) return false;
@@ -382,13 +391,6 @@ int RunReplayCommand(const Flags& flags, std::ostream& out,
         << http::eviction::ValidEvictionPolicyNames() << ")\n";
     return 2;
   }
-  const auto tier2_bytes = flags.GetInt("cache-tier2-bytes", 0);
-  if (!tier2_bytes || *tier2_bytes < 0) {
-    err << "error: invalid --cache-tier2-bytes (must be >= 0)\n";
-    return 2;
-  }
-  config.proxy_tier.tier2_capacity_bytes =
-      static_cast<std::uint64_t>(*tier2_bytes);
   const std::string lease_name = flags.GetString("lease", "");
   const bool two_tier_switch = flags.GetBool("two-tier");
   if (!lease_name.empty()) {
@@ -463,6 +465,19 @@ int RunReplayCommand(const Flags& flags, std::ostream& out,
       ReportInputError(err, fault_plan_path, problem,
                        "fault plans use the JSON dialect `webcc` writes; "
                        "see DESIGN.md section 9");
+      return 2;
+    }
+    const int proxies = static_cast<int>(config.num_pseudo_clients);
+    for (const fault::FaultEvent& event : plan_file.plan.events) {
+      if (TargetNamesPseudoClient(event, proxies)) continue;
+      ReportInputError(err, fault_plan_path,
+                       std::string(fault::FaultKindName(event.kind)) +
+                           " target " + std::to_string(event.target) +
+                           " names no pseudo-client",
+                       "the replay runs " + std::to_string(proxies) +
+                           " pseudo-clients, 0 to " +
+                           std::to_string(proxies - 1) +
+                           "; partition and link_fault also take -1 (all)");
       return 2;
     }
     config.fault_plan = &plan_file.plan;
@@ -776,8 +791,6 @@ void PrintUsage(std::ostream& out) {
          "             --cache-mb (the pressure ablation needs sub-MB steps)\n"
          "             [--cache-policy lru|expired-first|gds]  eviction\n"
          "             policy (default expired-first, Harvest's rule)\n"
-         "             [--cache-tier2-bytes N]  enable a large/cold second\n"
-         "             cache tier with its own byte budget (0 = off)\n"
          "             [--shards N]  consistent-hash the invalidation table\n"
          "             across N accelerator shards (default 1)\n"
          "             [--batch-window MS]  with --decoupled, hold each\n"

@@ -31,7 +31,7 @@ FetchStart StartFetch(http::ProxyCache& cache,
                       Time now) {
   FetchStart start;
   const std::string key = http::ComposeCacheKey(url, owner);
-  http::CacheEntry* entry = cache.Lookup(key, now);
+  http::CacheEntry* entry = cache.Lookup(key);
   if (entry != nullptr) {
     const consistency::HitDecision decision =
         policy.OnHit(MetaOf(*entry), now);

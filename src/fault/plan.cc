@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "util/mini_json.h"
 #include "util/rng.h"
@@ -23,15 +24,11 @@ constexpr KindName kKindNames[] = {
 };
 
 // Formats a Time as fractional seconds with microsecond precision — the
-// exact inverse of SecondsToTime below, so plans round-trip losslessly.
+// exact inverse of util::ParseTimeField, so plans round-trip losslessly.
 std::string TimeToSeconds(Time t) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.6f", ToSeconds(t));
   return buf;
-}
-
-Time SecondsToTime(double seconds) {
-  return static_cast<Time>(std::llround(seconds * 1e6));
 }
 
 std::string DoubleToJson(double v) {
@@ -41,8 +38,12 @@ std::string DoubleToJson(double v) {
 }
 
 // The fixed dialect ToJson emits parses with the shared mini-JSON parser
-// (util/mini_json.h); goldens are written in the same dialect.
+// (util/mini_json.h); goldens are written in the same dialect. Times lie in
+// [0, util::kMaxFieldSeconds], a target is an integer >= -1 and a
+// probability lies in [0, 1]; anything else fails as "<key> out of range".
 using Parser = util::MiniJsonParser;
+using util::ParseNumberField;
+using util::ParseTimeField;
 
 bool ParseEventObject(Parser& p, FaultEvent& event) {
   if (!p.Consume('{')) return false;
@@ -60,25 +61,23 @@ bool ParseEventObject(Parser& p, FaultEvent& event) {
         return p.Fail("unknown fault kind '" + name + "'");
       }
     } else if (key == "at_s") {
-      double v = 0;
-      if (!p.ParseNumber(v)) return false;
-      event.at = SecondsToTime(v);
+      if (!ParseTimeField(p, key, event.at)) return false;
     } else if (key == "duration_s") {
-      double v = 0;
-      if (!p.ParseNumber(v)) return false;
-      event.duration = SecondsToTime(v);
+      if (!ParseTimeField(p, key, event.duration)) return false;
     } else if (key == "target") {
       double v = 0;
-      if (!p.ParseNumber(v)) return false;
+      if (!ParseNumberField(p, key, -1.0, std::numeric_limits<int>::max(),
+                            v)) {
+        return false;
+      }
+      if (v != std::floor(v)) return p.Fail("target out of range");
       event.target = static_cast<int>(v);
     } else if (key == "drop") {
-      if (!p.ParseNumber(event.drop)) return false;
+      if (!ParseNumberField(p, key, 0.0, 1.0, event.drop)) return false;
     } else if (key == "duplicate") {
-      if (!p.ParseNumber(event.duplicate)) return false;
+      if (!ParseNumberField(p, key, 0.0, 1.0, event.duplicate)) return false;
     } else if (key == "extra_delay_s") {
-      double v = 0;
-      if (!p.ParseNumber(v)) return false;
-      event.extra_delay = SecondsToTime(v);
+      if (!ParseTimeField(p, key, event.extra_delay)) return false;
     } else {
       return p.Fail("unknown event key '" + key + "'");
     }

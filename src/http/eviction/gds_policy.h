@@ -6,7 +6,7 @@
 // floor, so recently-useful small objects outlive large cold ones.
 //
 // This is the one policy that keeps per-entry state: one indexed min-heap
-// of (H, order, entry id) credits, exactly one per resident tier-1 entry (a
+// of (H, order, entry id) credits, exactly one per resident entry (a
 // re-credit replaces the entry's credit in place). `order` is a
 // policy-private monotone counter, so credit ties break toward the older
 // credit — the same older-first convention as the TTL index's stamp order —
@@ -33,9 +33,9 @@ class GdsPolicy : public EvictionPolicy {
   void OnErase(const EntryView& entry) override { credits_.Erase(entry.id); }
 
   Victim PickVictim(Time /*now*/, const EvictionHost& /*host*/) override {
-    // PickVictim is only called with a resident tier-1 entry, and each one
-    // holds a credit, so the heap is not empty. The victim's OnErase drops
-    // its credit.
+    // PickVictim is only called with a resident entry, and each one holds a
+    // credit, so the heap is not empty. The victim's OnErase drops its
+    // credit.
     const CreditRecord& lowest = credits_.top();
     inflation_ = lowest.h;
     ++stats_.picks;

@@ -35,12 +35,9 @@ class ExpiredFirstLruPolicy : public EvictionPolicy {
   Victim PickVictim(Time now, const EvictionHost& host) override {
     ++stats_.picks;
     const TtlIndex& ttl = host.Ttl();
-    // The earliest expiry, when it has lapsed — unless it lives in tier 2,
-    // which is not ours to evict (tier-2 cleanup reclaims it): then fall
-    // back to LRU like the still-fresh case. The victim's removal erases
-    // its record.
-    if (!ttl.empty() && ttl.top().expires <= now &&
-        host.InEvictableTier(ttl.top().id)) {
+    // The earliest expiry, when it has lapsed; else the LRU tail. The
+    // victim's removal erases its record.
+    if (!ttl.empty() && ttl.top().expires <= now) {
       ++stats_.expired_picks;
       return Victim{ttl.top().id, /*expired_rule=*/true};
     }

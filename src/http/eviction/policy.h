@@ -75,10 +75,9 @@ struct EvictionPolicyStats {
   std::uint64_t expired_picks = 0;  // ... via the expired-first rule
 };
 
-// One record of the cache's TTL index: a resident entry (either tier) whose
-// TTL is finite and has not been taken by ProxyCache::TakeExpired. `stamp`
-// is the cache's monotone insert/re-arm stamp, so expiry ties go to the
-// older stamp.
+// One record of the cache's TTL index: a resident entry whose TTL is finite
+// and has not been taken by ProxyCache::TakeExpired. `stamp` is the cache's
+// monotone insert/re-arm stamp, so expiry ties go to the older stamp.
 struct TtlRecord {
   Time expires = 0;
   std::uint64_t stamp = 0;
@@ -92,24 +91,16 @@ struct ExpiresBefore {
 using TtlIndex = util::IndexedHeap<TtlRecord, ExpiresBefore>;
 
 // The narrow view of the owning cache a policy may consult while picking a
-// victim. Only tier-1 entries are evictable: the second tier evicts by its
-// own LRU order inside the cache.
+// victim.
 class EvictionHost {
  public:
   virtual ~EvictionHost() = default;
 
-  // Id of the least-recently-used tier-1 entry. Never called on an empty
-  // tier.
+  // Id of the least-recently-used entry. Never called on an empty cache.
   virtual EntryId LruTailId() const = 0;
 
   // The cache's TTL index (shared with TakeExpired).
   virtual const TtlIndex& Ttl() const = 0;
-
-  // True when entry `id` resides in tier 1 and may be returned as a victim. TTL
-  // records cover both tiers (TakeExpired needs them), but only tier-1
-  // entries are the policy's to evict; tier 2 reclaims its own expired
-  // entries. Always true with tiering off.
-  virtual bool InEvictableTier(EntryId id) const = 0;
 };
 
 class EvictionPolicy {
@@ -118,17 +109,16 @@ class EvictionPolicy {
 
   virtual EvictionPolicyKind kind() const = 0;
 
-  // Entry lifecycle in tier 1, driven by the owning cache. OnInsert fires
-  // after the entry is resident (and stamped); OnHit after an LRU
-  // promotion; OnErase before removal — including demotion to tier 2,
-  // which leaves the policy's view of tier 1.
+  // Entry lifecycle, driven by the owning cache. OnInsert fires after the
+  // entry is resident (and stamped); OnHit after an LRU promotion; OnErase
+  // before removal.
   virtual void OnInsert(const EntryView& entry) = 0;
   virtual void OnHit(const EntryView& entry) = 0;
   virtual void OnErase(const EntryView& entry) = 0;
 
-  // Chooses the next tier-1 victim. Only called with at least one resident
-  // tier-1 entry; must return a resident id. The cache then erases or demotes
-  // the victim, so the policy sees its OnErase.
+  // Chooses the next victim. Only called with at least one resident entry;
+  // must return a resident id. The cache then erases the victim, so the
+  // policy sees its OnErase.
   virtual Victim PickVictim(Time now, const EvictionHost& host) = 0;
 
   const EvictionPolicyStats& stats() const { return stats_; }

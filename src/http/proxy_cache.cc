@@ -7,24 +7,12 @@
 
 namespace webcc::http {
 
-CacheEntry* ProxyCache::Lookup(const std::string& key, Time now) {
+CacheEntry* ProxyCache::Lookup(const std::string& key, Time) {
   const LruList::iterator* it = FindResident(key, core::HashName(key));
   if (it == nullptr) return nullptr;
   CacheEntry& entry = **it;
-  if (entry.tier2_) {
-    ++entry.tier2_hits_;
-    // Promote a proven-hot entry back into tier 1 — unless it could never
-    // fit there (it stays a tier-2 resident for its lifetime).
-    if (entry.tier2_hits_ >= tier_.promotion_hits &&
-        entry.size_bytes <= capacity_bytes_) {
-      PromoteFromTier2(*it, now);
-    } else {
-      tier2_lru_.splice(tier2_lru_.begin(), tier2_lru_, *it);
-    }
-  } else {
-    lru_.splice(lru_.begin(), lru_, *it);
-    policy_->OnHit(ViewOf(entry));
-  }
+  lru_.splice(lru_.begin(), lru_, *it);
+  policy_->OnHit(ViewOf(entry));
   return &entry;
 }
 
@@ -39,21 +27,10 @@ void ProxyCache::IndexTtl(CacheEntry& entry) {
   ttl_index_.Push({entry.ttl_expires, entry.heap_stamp_, entry.id_});
 }
 
-std::uint64_t ProxyCache::DemotionWatermark() const {
-  return static_cast<std::uint64_t>(tier_.demotion_pressure *
-                                    static_cast<double>(capacity_bytes_));
-}
-
 void ProxyCache::Insert(CacheEntry entry, Time now) {
   entry.key_hash_ = core::HashName(entry.key);
   EraseKey(entry.key, entry.key_hash_);  // replace semantics
-  if (tier_.enabled()) Tier2TtlCleanup(now);
   if (entry.size_bytes > capacity_bytes_) {
-    // Too large for tier 1; the second tier takes it when it fits there.
-    if (tier_.enabled() && entry.size_bytes <= tier_.tier2_capacity_bytes) {
-      InsertIntoTier2(std::move(entry), now);
-      return;
-    }
     ++stats_.oversize_rejections;
     obs::Emit(trace_sink_, {.type = obs::EventType::kEviction,
                             .at = now,
@@ -62,32 +39,13 @@ void ProxyCache::Insert(CacheEntry entry, Time now) {
                             .detail = 2});
     return;  // uncacheable
   }
-  while (bytes_used_ + entry.size_bytes > capacity_bytes_) DisplaceOne(now);
+  while (bytes_used_ + entry.size_bytes > capacity_bytes_) EvictOne(now);
 
   bytes_used_ += entry.size_bytes;
   ++stats_.insertions;
   lru_.push_front(std::move(entry));
   Admit(lru_.begin());
   policy_->OnInsert(ViewOf(lru_.front()));
-
-  if (tier_.enabled()) {
-    // Demote ahead of the hard limit so the next burst lands in headroom
-    // instead of forcing synchronous evictions.
-    const std::uint64_t watermark = DemotionWatermark();
-    while (bytes_used_ > watermark && !lru_.empty()) DisplaceOne(now);
-  }
-}
-
-void ProxyCache::InsertIntoTier2(CacheEntry entry, Time now) {
-  entry.tier2_ = true;
-  entry.tier2_hits_ = 0;
-  while (tier2_bytes_used_ + entry.size_bytes > tier_.tier2_capacity_bytes) {
-    EvictTier2Tail(now);
-  }
-  tier2_bytes_used_ += entry.size_bytes;
-  ++stats_.insertions;
-  tier2_lru_.push_front(std::move(entry));
-  Admit(tier2_lru_.begin());
 }
 
 void ProxyCache::Admit(LruList::iterator it) {
@@ -126,14 +84,9 @@ void ProxyCache::RemoveEntry(LruList::iterator it) {
   keys_.Erase(it->id_, it->key_hash_);
   index_[it->id_].resident = false;
   free_ids_.push_back(it->id_);
-  if (it->tier2_) {
-    tier2_bytes_used_ -= it->size_bytes;
-    tier2_lru_.erase(it);
-  } else {
-    bytes_used_ -= it->size_bytes;
-    policy_->OnErase(ViewOf(*it));
-    lru_.erase(it);
-  }
+  bytes_used_ -= it->size_bytes;
+  policy_->OnErase(ViewOf(*it));
+  lru_.erase(it);
 }
 
 std::size_t ProxyCache::EraseByUrl(const std::string& url) {
@@ -168,103 +121,19 @@ eviction::EntryId ProxyCache::LruTailId() const {
   return std::prev(lru_.end())->id_;
 }
 
-bool ProxyCache::InEvictableTier(eviction::EntryId id) const {
-  const LruList::iterator* it = FindResident(id);
-  return it != nullptr && !(*it)->tier2_;
-}
-
-void ProxyCache::DisplaceOne(Time now) {
+void ProxyCache::EvictOne(Time now) {
   WEBCC_CHECK_MSG(!lru_.empty(), "eviction from an empty cache");
   const eviction::Victim victim = policy_->PickVictim(now, *this);
-  LruList::iterator* it = FindResident(victim.id);
+  const LruList::iterator* it = FindResident(victim.id);
   WEBCC_CHECK_MSG(it != nullptr, "policy picked a non-resident victim");
-
-  // Pressure demotes instead of evicting when the second tier can hold the
-  // entry — except entries the expired-first rule chose: already-stale
-  // documents are not worth tier-2 space.
-  if (tier_.enabled() && !victim.expired_rule &&
-      (*it)->size_bytes <= tier_.tier2_capacity_bytes) {
-    CacheEntry& entry = **it;
-    policy_->OnErase(ViewOf(entry));
-    bytes_used_ -= entry.size_bytes;
-    entry.tier2_ = true;
-    entry.tier2_hits_ = 0;
-    tier2_bytes_used_ += entry.size_bytes;
-    tier2_lru_.splice(tier2_lru_.begin(), lru_, *it);
-    ++stats_.tier2_demotions;
-    while (tier2_bytes_used_ > tier_.tier2_capacity_bytes) {
-      EvictTier2Tail(now);
-    }
-    return;
-  }
-  EvictEntry(*it, now, victim.expired_rule);
-}
-
-void ProxyCache::EvictEntry(LruList::iterator it, Time now,
-                            bool expired_rule) {
   ++stats_.evictions;
-  if (expired_rule) {
-    ++stats_.expired_evictions;
-    obs::Emit(trace_sink_, {.type = obs::EventType::kEviction,
-                            .at = now,
-                            .url = it->url,
-                            .site = it->owner,
-                            .detail = 1});
-  } else {
-    obs::Emit(trace_sink_, {.type = obs::EventType::kEviction,
-                            .at = now,
-                            .url = it->url,
-                            .site = it->owner});
-  }
-  RemoveEntry(it);
-}
-
-void ProxyCache::EvictTier2Tail(Time now) {
-  WEBCC_CHECK_MSG(!tier2_lru_.empty(), "eviction from an empty tier 2");
-  const auto victim = std::prev(tier2_lru_.end());
-  ++stats_.evictions;
-  ++stats_.tier2_evictions;
+  if (victim.expired_rule) ++stats_.expired_evictions;
   obs::Emit(trace_sink_, {.type = obs::EventType::kEviction,
                           .at = now,
-                          .url = victim->url,
-                          .site = victim->owner,
-                          .detail = 3});
-  RemoveEntry(victim);
-}
-
-void ProxyCache::PromoteFromTier2(LruList::iterator it, Time now) {
-  CacheEntry& entry = *it;
-  entry.tier2_ = false;
-  entry.tier2_hits_ = 0;
-  tier2_bytes_used_ -= entry.size_bytes;
-  bytes_used_ += entry.size_bytes;
-  lru_.splice(lru_.begin(), tier2_lru_, it);
-  policy_->OnInsert(ViewOf(entry));
-  ++stats_.tier2_promotions;
-  // The promotion may overshoot tier 1's budget; resolve like an insert
-  // would (the promoted entry sits at the front, so it is never its own
-  // displacement victim while anything else remains).
-  while (bytes_used_ > capacity_bytes_ && lru_.size() > 1) DisplaceOne(now);
-}
-
-void ProxyCache::Tier2TtlCleanup(Time now) {
-  std::vector<LruList::iterator> dead;
-  auto it = tier2_lru_.end();
-  for (std::size_t scanned = 0;
-       scanned < tier_.ttl_cleanup_per_tick && it != tier2_lru_.begin();
-       ++scanned) {
-    --it;
-    if (it->ttl_expires <= now) dead.push_back(it);
-  }
-  for (const LruList::iterator& victim : dead) {
-    ++stats_.tier2_expired_cleaned;
-    obs::Emit(trace_sink_, {.type = obs::EventType::kEviction,
-                            .at = now,
-                            .url = victim->url,
-                            .site = victim->owner,
-                            .detail = 4});
-    RemoveEntry(victim);
-  }
+                          .url = (*it)->url,
+                          .site = (*it)->owner,
+                          .detail = victim.expired_rule ? 1 : 0});
+  RemoveEntry(*it);
 }
 
 std::uint64_t ProxyCache::MemoryFootprintBytes() const {
@@ -291,32 +160,22 @@ void ProxyCache::ExportMetrics(obs::MetricsRegistry& registry,
   registry.SetCounter(name("expired_evictions"), stats_.expired_evictions);
   registry.SetCounter(name("erased"), stats_.erased);
   registry.SetCounter(name("bytes_used"), bytes_used());
-  registry.SetCounter(name("entries"), lru_.size() + tier2_lru_.size());
+  registry.SetCounter(name("entries"), lru_.size());
   registry.SetCounter(name("oversize_rejections"), stats_.oversize_rejections);
-  registry.SetCounter(name("tier2_promotions"), stats_.tier2_promotions);
-  registry.SetCounter(name("tier2_demotions"), stats_.tier2_demotions);
-  registry.SetCounter(name("tier2_evictions"), stats_.tier2_evictions);
-  registry.SetCounter(name("tier2_expired_cleaned"),
-                      stats_.tier2_expired_cleaned);
-  registry.SetCounter(name("tier2_bytes_used"), tier2_bytes_used_);
-  registry.SetCounter(name("tier2_entries"), tier2_lru_.size());
   policy_->ExportStats(registry, prefix);
 }
 
 void ProxyCache::MarkAllQuestionable() {
   for (CacheEntry& entry : lru_) entry.questionable = true;
-  for (CacheEntry& entry : tier2_lru_) entry.questionable = true;
 }
 
 std::size_t ProxyCache::MarkQuestionableWhere(
     const std::function<bool(const CacheEntry&)>& predicate) {
   std::size_t marked = 0;
-  for (LruList* list : {&lru_, &tier2_lru_}) {
-    for (CacheEntry& entry : *list) {
-      if (!entry.questionable && predicate(entry)) {
-        entry.questionable = true;
-        ++marked;
-      }
+  for (CacheEntry& entry : lru_) {
+    if (!entry.questionable && predicate(entry)) {
+      entry.questionable = true;
+      ++marked;
     }
   }
   return marked;

@@ -13,26 +13,17 @@
 // conservative lifetimes — a freshly modified document gets a short TTL and
 // is evicted first despite being hot), and GreedyDual-Size.
 //
-// An optional second tier (TierConfig) absorbs tier-1 pressure: victims
-// that still fit the tier-2 budget are demoted instead of evicted, and a
-// tier-2 entry is promoted back after `promotion_hits` hits. Consistency
-// state (TTL expiry, lease expiry, questionable flag) lives on the entry
-// and is tier-blind: EraseByUrl, MarkAllQuestionable and TakeExpired see
-// both tiers, so all five consistency protocols run unchanged over a
-// tiered cache. With tiering off (the default) behavior is bit-identical
-// to the single-tier cache.
-//
 // Internally every resident entry has a dense entry id: it is handed out
-// when the entry becomes resident in either tier and goes back to a free
-// list when the entry leaves. The key index is a core::IdTable of (entry
-// id, key hash) slots whose probes compare against the resident entry's
-// own key, so a lookup hashes its string exactly once and no key is stored
-// twice. The entry index, the TTL index and the policy's state are indexed
-// by entry id, so all of them are bounded by peak residency, not by the
-// keys ever inserted. No victim choice depends on an id value: every tie
-// breaks on a stamp or an order counter. URLs are interned (core::Interner)
-// for the per-URL index; that table is bounded by the distinct URLs. The
-// public interface stays string-keyed.
+// when the entry becomes resident and goes back to a free list when the
+// entry leaves. The key index is a core::IdTable of (entry id, key hash)
+// slots whose probes compare against the resident entry's own key, so a
+// lookup hashes its string exactly once and no key is stored twice. The
+// entry index, the TTL index and the policy's state are indexed by entry
+// id, so all of them are bounded by peak residency, not by the keys ever
+// inserted. No victim choice depends on an id value: every tie breaks on a
+// stamp or an order counter. URLs are interned (core::Interner) for the
+// per-URL index; that table is bounded by the distinct URLs. The public
+// interface stays string-keyed.
 //
 // The TTL index is a util::IndexedHeap holding exactly one (expiry, stamp)
 // record per resident entry whose TTL is finite and not yet taken by
@@ -60,22 +51,6 @@ namespace webcc::http {
 // the enum lives in the eviction kernel.
 using ReplacementPolicy = eviction::EvictionPolicyKind;
 
-// Optional large/cold second tier. Disabled (tier2_capacity_bytes == 0) the
-// cache is the classic single-tier LRU structure.
-struct TierConfig {
-  std::uint64_t tier2_capacity_bytes = 0;  // 0 = tiering disabled
-  // Tier-2 hits before an entry is promoted back into tier 1.
-  std::uint32_t promotion_hits = 3;
-  // Insert demotes tier-1 entries until bytes fall under this fraction of
-  // capacity, keeping headroom so bursts demote instead of evicting.
-  double demotion_pressure = 0.90;
-  // Expired tier-2 entries reclaimed per Insert (tier 2 is scanned from the
-  // cold end; tier-1 expiry is the TTL index's job).
-  std::size_t ttl_cleanup_per_tick = 8;
-
-  bool enabled() const { return tier2_capacity_bytes > 0; }
-};
-
 struct CacheEntry {
   std::string key;  // http::ComposeCacheKey(url, owner)
   std::string url;
@@ -92,14 +67,12 @@ struct CacheEntry {
 
  private:
   friend class ProxyCache;
-  // Drawn at every insert, tier-2 insert and re-arm: breaks TTL-index ties
-  // toward the older stamp.
+  // Drawn at every insert and re-arm: breaks TTL-index ties toward the
+  // older stamp.
   std::uint64_t heap_stamp_ = 0;
   eviction::EntryId id_ = eviction::kNoEntryId;
   std::uint32_t key_hash_ = 0;  // core::HashName(key)
   core::InternId url_id_ = core::kNoInternId;
-  bool tier2_ = false;            // resident in the second tier
-  std::uint32_t tier2_hits_ = 0;  // hits since demotion (promotion counter)
 };
 
 struct ProxyCacheStats {
@@ -107,21 +80,15 @@ struct ProxyCacheStats {
   std::uint64_t evictions = 0;
   std::uint64_t expired_evictions = 0;  // evicted via the expired-first rule
   std::uint64_t erased = 0;             // removed by invalidation
-  // Objects larger than every budget that could hold them, dropped at
-  // Insert (kEviction trace detail 2).
+  // Objects larger than the whole cache, dropped at Insert (kEviction
+  // trace detail 2).
   std::uint64_t oversize_rejections = 0;
-  std::uint64_t tier2_promotions = 0;  // tier 2 -> tier 1
-  std::uint64_t tier2_demotions = 0;   // tier 1 -> tier 2 under pressure
-  std::uint64_t tier2_evictions = 0;   // evicted from tier 2 (detail 3)
-  std::uint64_t tier2_expired_cleaned = 0;  // reclaimed by cleanup (detail 4)
 };
 
 class ProxyCache : private eviction::EvictionHost {
  public:
-  ProxyCache(std::uint64_t capacity_bytes, ReplacementPolicy policy,
-             TierConfig tier = TierConfig{})
+  ProxyCache(std::uint64_t capacity_bytes, ReplacementPolicy policy)
       : capacity_bytes_(capacity_bytes),
-        tier_(tier),
         policy_(eviction::MakeEvictionPolicy(policy)) {}
 
   ProxyCache(const ProxyCache&) = delete;
@@ -129,8 +96,7 @@ class ProxyCache : private eviction::EvictionHost {
 
   // Returns the entry and promotes it to most-recently-used, or nullptr.
   // The pointer stays valid until the next Insert/Erase on this cache.
-  // `now` stamps any trace events a tier promotion's pressure resolution
-  // emits; callers without a clock may omit it.
+  // The time argument is unused.
   CacheEntry* Lookup(const std::string& key, Time now = 0);
 
   // Lookup without the LRU promotion (for metrics/tests).
@@ -138,8 +104,8 @@ class ProxyCache : private eviction::EvictionHost {
 
   // Inserts (or replaces) an entry, evicting per the policy until it fits.
   // Objects larger than the whole cache are dropped (counted as
-  // oversize_rejections) unless the second tier can hold them. `now` is the
-  // protocol time used to judge which entries are expired.
+  // oversize_rejections). `now` is the protocol time used to judge which
+  // entries are expired.
   void Insert(CacheEntry entry, Time now);
 
   // Removes an entry (invalidation path). Returns whether it existed.
@@ -153,11 +119,11 @@ class ProxyCache : private eviction::EvictionHost {
   // performs). Returns the number of entries removed.
   std::size_t EraseByUrl(const std::string& url);
 
-  // Collects up to `max_items` live entries (either tier) whose TTL has
-  // expired at `now`, consuming their expiry-index records: the caller must
-  // either erase each returned entry or re-arm it with SetTtlExpiry (PCV
-  // does one or the other after the bulk validation). Pointers stay valid
-  // until the next Insert/Erase.
+  // Collects up to `max_items` live entries whose TTL has expired at `now`,
+  // consuming their expiry-index records: the caller must either erase each
+  // returned entry or re-arm it with SetTtlExpiry (PCV does one or the
+  // other after the bulk validation). Pointers stay valid until the next
+  // Insert/Erase.
   std::vector<CacheEntry*> TakeExpired(Time now, std::size_t max_items);
 
   // Proxy-recovery sweep: every entry must revalidate before serving.
@@ -168,15 +134,11 @@ class ProxyCache : private eviction::EvictionHost {
   std::size_t MarkQuestionableWhere(
       const std::function<bool(const CacheEntry&)>& predicate);
 
-  std::uint64_t bytes_used() const { return bytes_used_ + tier2_bytes_used_; }
-  std::uint64_t tier1_bytes_used() const { return bytes_used_; }
-  std::uint64_t tier2_bytes_used() const { return tier2_bytes_used_; }
+  std::uint64_t bytes_used() const { return bytes_used_; }
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
-  std::size_t entry_count() const { return lru_.size() + tier2_lru_.size(); }
-  std::size_t tier2_entry_count() const { return tier2_lru_.size(); }
+  std::size_t entry_count() const { return lru_.size(); }
   const ProxyCacheStats& stats() const { return stats_; }
   ReplacementPolicy policy_kind() const { return policy_->kind(); }
-  const TierConfig& tier_config() const { return tier_; }
 
   // Records in the TTL index, for the heap-growth regression test.
   std::size_t ttl_heap_size() const { return ttl_index_.size(); }
@@ -192,9 +154,8 @@ class ProxyCache : private eviction::EvictionHost {
 
   // Optional tracing: when set, every eviction emits a kEviction event
   // stamped with the `now` the mutating call received. detail codes:
-  // 0 = policy victim, 1 = expired-first rule, 2 = oversize rejection,
-  // 3 = tier-2 eviction, 4 = tier-2 expired cleanup. nullptr (the default)
-  // disables.
+  // 0 = policy victim, 1 = expired-first rule, 2 = oversize rejection.
+  // nullptr (the default) disables.
   void set_trace_sink(obs::TraceSink* sink) { trace_sink_ = sink; }
 
   // Snapshots the cache's counters and occupancy into `registry`, prefixing
@@ -210,9 +171,6 @@ class ProxyCache : private eviction::EvictionHost {
     if (id >= index_.size() || !index_[id].resident) return nullptr;
     return &index_[id].entry;
   }
-  const LruList::iterator* FindResident(eviction::EntryId id) const {
-    return const_cast<ProxyCache*>(this)->FindResident(id);
-  }
   // The resident entry with `key`, whose core::HashName is `hash`.
   LruList::iterator* FindResident(std::string_view key, std::uint32_t hash) {
     return FindResident(keys_.Find(hash, [this, key](eviction::EntryId id) {
@@ -223,7 +181,6 @@ class ProxyCache : private eviction::EvictionHost {
   // EvictionHost — the policy's window into the indexes.
   eviction::EntryId LruTailId() const override;
   const eviction::TtlIndex& Ttl() const override { return ttl_index_; }
-  bool InEvictableTier(eviction::EntryId id) const override;
 
   static eviction::EntryView ViewOf(const CacheEntry& entry) {
     return eviction::EntryView{entry.id_, entry.size_bytes};
@@ -233,32 +190,22 @@ class ProxyCache : private eviction::EvictionHost {
   // it in every index.
   void Admit(LruList::iterator it);
   bool EraseKey(std::string_view key, std::uint32_t hash);
-  // Frees tier-1 space for one entry: the policy's victim is demoted into
-  // tier 2 when it fits (and is not already expired), evicted otherwise.
-  void DisplaceOne(Time now);
-  void EvictEntry(LruList::iterator it, Time now, bool expired_rule);
-  void EvictTier2Tail(Time now);
-  void InsertIntoTier2(CacheEntry entry, Time now);
-  void PromoteFromTier2(LruList::iterator it, Time now);
-  void Tier2TtlCleanup(Time now);
+  // Evicts the policy's victim to free space for one entry.
+  void EvictOne(Time now);
   void RemoveEntry(LruList::iterator it);
   // Draws `entry`'s next stamp and, when its TTL is finite, queues its
   // TTL-index record. The entry must have no queued record.
   void IndexTtl(CacheEntry& entry);
-  std::uint64_t DemotionWatermark() const;
 
   std::uint64_t capacity_bytes_;
-  TierConfig tier_;
   std::unique_ptr<eviction::EvictionPolicy> policy_;
-  std::uint64_t bytes_used_ = 0;        // tier 1
-  std::uint64_t tier2_bytes_used_ = 0;  // tier 2
+  std::uint64_t bytes_used_ = 0;
   std::uint64_t next_stamp_ = 1;
 
   core::IdTable keys_;  // resident keys -> entry id
   core::Interner urls_;
 
-  LruList lru_;        // tier 1; front = most recently used
-  LruList tier2_lru_;  // tier 2; front = most recently touched
+  LruList lru_;  // front = most recently used
   struct IndexSlot {
     LruList::iterator entry;
     bool resident = false;

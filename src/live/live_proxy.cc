@@ -22,8 +22,7 @@ LiveProxy::~LiveProxy() { Stop(); }
 bool LiveProxy::Start() {
   {
     const util::MutexLock lock(mutex_);
-    cache_.emplace(options_.cache_bytes, options_.eviction_policy,
-                   options_.cache_tier);
+    cache_.emplace(options_.cache_bytes, options_.eviction_policy);
     cache_->set_trace_sink(options_.trace_sink);  // eviction events
   }
   reactor_.emplace(options_.port,

@@ -41,7 +41,6 @@ class LiveProxy {
     std::uint64_t cache_bytes = 64ull * 1024 * 1024;
     http::eviction::EvictionPolicyKind eviction_policy =
         http::eviction::EvictionPolicyKind::kExpiredFirstLru;
-    http::TierConfig cache_tier;
     // Optional structured-event sink (not owned; must outlive the proxy).
     // Must be internally synchronized: Fetch() callers and the reactor
     // emit concurrently.

@@ -53,8 +53,7 @@ enum class EventType : std::uint8_t {
 
   // --- cache / infrastructure ----------------------------------------------
   kEviction,       // proxy cache eviction; detail: 1 = expired-first rule,
-                   // 2 = oversize rejection, 3 = tier-2 eviction,
-                   // 4 = tier-2 expired cleanup
+                   // 2 = oversize rejection
   kModification,   // modifier touched a document == modifications_applied
   kNotify,         // check-in NOTIFY processed   == notifies
   kPartition,      // a link was cut

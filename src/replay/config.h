@@ -53,13 +53,10 @@ struct ReplayConfig {
   std::uint32_t num_pseudo_clients = 4;
 
   // Proxy cache capacity (unscaled bytes) and eviction policy; Harvest's
-  // expired-first policy is the paper's default. `proxy_tier` optionally
-  // adds a large/cold second tier (disabled by default — the paper's
-  // proxies are single-tier).
+  // expired-first policy is the paper's default.
   std::uint64_t proxy_cache_bytes = 128ull * 1024 * 1024;
   http::eviction::EvictionPolicyKind eviction_policy =
       http::eviction::EvictionPolicyKind::kExpiredFirstLru;
-  http::TierConfig proxy_tier;
 
   // The paper replays with *separate* per-client caches (keys namespaced
   // url@client) because real client sites do not share caches. Setting this

@@ -52,9 +52,8 @@ void Engine::Setup() {
     PseudoClient& pc = clients_[i];
     pc.index = static_cast<int>(i);
     pc.node = static_cast<sim::NodeId>(i);
-    pc.cache = std::make_unique<http::ProxyCache>(
-        config_.proxy_cache_bytes, config_.eviction_policy,
-        config_.proxy_tier);
+    pc.cache = std::make_unique<http::ProxyCache>(config_.proxy_cache_bytes,
+                                                  config_.eviction_policy);
     pc.cache->set_trace_sink(sink_);
   }
   psi_last_contact_.assign(config_.num_pseudo_clients, 0);
@@ -186,8 +185,7 @@ void Engine::Setup() {
                     "hierarchical mode is defined for the invalidation "
                     "protocol only");
     parent_cache_ = std::make_unique<http::ProxyCache>(
-        config_.proxy_cache_bytes * 4, config_.eviction_policy,
-        config_.proxy_tier);
+        config_.proxy_cache_bytes * 4, config_.eviction_policy);
     parent_cache_->set_trace_sink(sink_);
     parent_table_ = std::make_unique<core::InvalidationTable>(
         core::LeaseConfig{});
@@ -256,8 +254,6 @@ ReplayMetrics Engine::Run() {
     metrics_.proxy_expired_evictions += pc.cache->stats().expired_evictions;
     metrics_.proxy_oversize_rejections +=
         pc.cache->stats().oversize_rejections;
-    metrics_.proxy_tier2_promotions += pc.cache->stats().tier2_promotions;
-    metrics_.proxy_tier2_demotions += pc.cache->stats().tier2_demotions;
   }
 
   if (sink_ != nullptr) {

@@ -18,8 +18,8 @@ void Engine::ParentHandle(const net::Request& request, int client_index,
   parent_table_->Register(request.url, "leaf-" + std::to_string(client_index),
                           net::MessageType::kGet, trace_time);
 
-  http::CacheEntry* entry = parent_cache_->Lookup(
-      http::ComposeCacheKey(request.url, "parent"), trace_time);
+  http::CacheEntry* entry =
+      parent_cache_->Lookup(http::ComposeCacheKey(request.url, "parent"));
   if (entry != nullptr && !entry->questionable &&
       core::LeaseActive(entry->lease_expires, trace_time) &&
       request.type == net::MessageType::kGet) {

@@ -89,8 +89,6 @@ void ReplayMetrics::ExportTo(obs::MetricsRegistry& registry) const {
                       proxy_expired_evictions);
   registry.SetCounter("replay.proxy_oversize_rejections",
                       proxy_oversize_rejections);
-  registry.SetCounter("replay.proxy_tier2_promotions", proxy_tier2_promotions);
-  registry.SetCounter("replay.proxy_tier2_demotions", proxy_tier2_demotions);
   registry.SetCounter("replay.sim_events_executed", sim_events_executed);
   registry.SetCounter("replay.sim_peak_queue_depth", sim_peak_queue_depth);
 

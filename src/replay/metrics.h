@@ -148,8 +148,6 @@ struct ReplayMetrics {
   std::uint64_t proxy_evictions = 0;
   std::uint64_t proxy_expired_evictions = 0;
   std::uint64_t proxy_oversize_rejections = 0;
-  std::uint64_t proxy_tier2_promotions = 0;
-  std::uint64_t proxy_tier2_demotions = 0;
 
   // --- hot-loop observability -----------------------------------------------
   // Simulator events executed and the event queue's high-water mark: the

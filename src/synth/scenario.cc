@@ -1,7 +1,6 @@
 #include "synth/scenario.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "util/mini_json.h"
@@ -37,42 +36,9 @@ std::string DoubleToJson(double v) {
   return buf;
 }
 
-// Longest trace time the dialect accepts: ~31 years, far past any scenario
-// and comfortably inside both llround() and %.6f-exactness territory.
-constexpr double kMaxSeconds = 1.0e9;
-
-bool SecondsToTime(double seconds, Time& out) {
-  if (!(seconds >= 0.0 && seconds <= kMaxSeconds)) return false;
-  out = static_cast<Time>(std::llround(seconds * 1e6));
-  return true;
-}
-
-bool ToCount(double v, double max, std::uint64_t& out) {
-  if (!(v >= 0.0 && v <= max)) return false;
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
 using Parser = util::MiniJsonParser;
-
-bool ParseTimeField(Parser& p, std::string_view key, Time& out) {
-  double v = 0;
-  if (!p.ParseNumber(v)) return false;
-  if (!SecondsToTime(v, out)) {
-    return p.Fail(std::string(key) + " out of range");
-  }
-  return true;
-}
-
-bool ParseCountField(Parser& p, std::string_view key, double max,
-                     std::uint64_t& out) {
-  double v = 0;
-  if (!p.ParseNumber(v)) return false;
-  if (!ToCount(v, max, out)) {
-    return p.Fail(std::string(key) + " out of range");
-  }
-  return true;
-}
+using util::ParseCountField;
+using util::ParseTimeField;
 
 bool ParsePhaseObject(Parser& p, Phase& phase) {
   if (!p.Consume('{')) return false;

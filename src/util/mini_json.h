@@ -7,13 +7,17 @@
 //
 // Extracted from fault/plan.cc so the ScenarioConfig dialect (synth/) parses
 // through the identical machinery — same error shape ("... at offset N"),
-// same fuzz-hardened string/number handling.
+// same fuzz-hardened string/number handling, same range-checked fields.
 #pragma once
 
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <string_view>
+
+#include "util/time.h"
 
 namespace webcc::util {
 
@@ -140,5 +144,39 @@ class MiniJsonParser {
   std::size_t pos_ = 0;
   std::string error_;
 };
+
+// Reads a number from [min, max] into `out`; any other number (NaN
+// included) fails as "<key> out of range".
+inline bool ParseNumberField(MiniJsonParser& p, std::string_view key,
+                             double min, double max, double& out) {
+  if (!p.ParseNumber(out)) return false;
+  if (!(out >= min && out <= max)) {
+    return p.Fail(std::string(key) + " out of range");
+  }
+  return true;
+}
+
+// Longest trace time the dialects accept: ~31 years, far past any scenario
+// or fault plan and comfortably inside both llround() and %.6f-exactness
+// territory, so a %.6f round trip of an accepted time is exact.
+inline constexpr double kMaxFieldSeconds = 1.0e9;
+
+// Reads a time in seconds from [0, kMaxFieldSeconds].
+inline bool ParseTimeField(MiniJsonParser& p, std::string_view key,
+                           Time& out) {
+  double v = 0;
+  if (!ParseNumberField(p, key, 0.0, kMaxFieldSeconds, v)) return false;
+  out = static_cast<Time>(std::llround(v * 1e6));
+  return true;
+}
+
+// Reads a count from [0, max], dropping any fraction.
+inline bool ParseCountField(MiniJsonParser& p, std::string_view key,
+                            double max, std::uint64_t& out) {
+  double v = 0;
+  if (!ParseNumberField(p, key, 0.0, max, v)) return false;
+  out = static_cast<std::uint64_t>(v);
+  return true;
+}
 
 }  // namespace webcc::util

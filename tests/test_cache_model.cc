@@ -1,14 +1,14 @@
 // Model-based property test: ProxyCache against a deliberately simple
 // reference implementation.
 //
-// The production cache combines per-tier LRU lists, a hash index, a URL
-// index, a lazy-deletion TTL heap and a pluggable eviction policy (with its
-// own credit heap for GreedyDual-Size); the reference below is a pair of
-// plain vectors with O(n) everything. Randomized operation sequences must
-// keep the two in lockstep — membership, per-tier byte accounting, LRU /
-// expired-first / GDS victims, demotions, promotions and tier-2 cleanup
-// included. The GDS credit arithmetic is replicated operation-for-operation
-// (same fixed-order double sums), so even its victims are bit-exact.
+// The production cache combines an LRU list, a hash index, a URL index, an
+// indexed TTL heap and a pluggable eviction policy (with its own credit
+// heap for GreedyDual-Size); the reference below is a plain vector with
+// O(n) everything. Randomized operation sequences must keep the two in
+// lockstep — membership, byte accounting and LRU / expired-first / GDS
+// victims included. The GDS credit arithmetic is replicated
+// operation-for-operation (same fixed-order double sums), so even its
+// victims are bit-exact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,9 +25,8 @@ namespace {
 // The reference: exact semantics, no cleverness.
 class ReferenceCache {
  public:
-  ReferenceCache(std::uint64_t capacity, ReplacementPolicy policy,
-                 TierConfig tier = TierConfig{})
-      : capacity_(capacity), policy_(policy), tier_(tier) {}
+  ReferenceCache(std::uint64_t capacity, ReplacementPolicy policy)
+      : capacity_(capacity), policy_(policy) {}
 
   struct Entry {
     std::string key;
@@ -35,9 +34,7 @@ class ReferenceCache {
     std::uint64_t size = 0;
     Time ttl_expires = kNeverExpires;
     std::uint64_t stamp = 0;  // insertion order, for expiry tie-breaks
-    std::uint32_t hits = 0;   // tier-2 promotion counter
-    // GDS credit (meaningful only while the entry is in tier 1).
-    double h = 0.0;
+    double h = 0.0;           // GDS credit
     std::uint64_t order = 0;
   };
 
@@ -45,60 +42,36 @@ class ReferenceCache {
     std::uint64_t evictions = 0;
     std::uint64_t expired_evictions = 0;
     std::uint64_t oversize_rejections = 0;
-    std::uint64_t tier2_promotions = 0;
-    std::uint64_t tier2_demotions = 0;
-    std::uint64_t tier2_evictions = 0;
-    std::uint64_t tier2_expired_cleaned = 0;
   };
 
-  const Entry* Lookup(const std::string& key, Time now) {
-    for (std::size_t i = 0; i < tier1_.size(); ++i) {
-      if (tier1_[i].key != key) continue;
-      MoveToFront(tier1_, i);
-      if (policy_ == ReplacementPolicy::kGds) GdsCredit(tier1_.front());
-      return &tier1_.front();
-    }
-    for (std::size_t i = 0; i < tier2_.size(); ++i) {
-      if (tier2_[i].key != key) continue;
-      ++tier2_[i].hits;
-      if (tier2_[i].hits >= tier_.promotion_hits &&
-          tier2_[i].size <= capacity_) {
-        return Promote(i, now);
-      }
-      MoveToFront(tier2_, i);
-      return &tier2_.front();
+  const Entry* Lookup(const std::string& key) {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].key != key) continue;
+      Entry entry = std::move(entries_[i]);
+      entries_.erase(entries_.begin() + static_cast<long>(i));
+      entries_.insert(entries_.begin(), std::move(entry));
+      if (policy_ == ReplacementPolicy::kGds) GdsCredit(entries_.front());
+      return &entries_.front();
     }
     return nullptr;
   }
 
   bool Contains(const std::string& key) const {
-    const auto match = [&key](const Entry& e) { return e.key == key; };
-    return std::any_of(tier1_.begin(), tier1_.end(), match) ||
-           std::any_of(tier2_.begin(), tier2_.end(), match);
+    return std::any_of(entries_.begin(), entries_.end(),
+                       [&key](const Entry& e) { return e.key == key; });
   }
 
   void Insert(Entry entry, Time now) {
     Erase(entry.key);
-    if (tier_.enabled()) Tier2TtlCleanup(now);
     if (entry.size > capacity_) {
-      if (tier_.enabled() && entry.size <= tier_.tier2_capacity_bytes) {
-        InsertIntoTier2(std::move(entry));
-        return;
-      }
       ++stats_.oversize_rejections;
       return;
     }
-    while (bytes1_ + entry.size > capacity_) DisplaceOne(now);
+    while (bytes_ + entry.size > capacity_) EvictOne(now);
     entry.stamp = next_stamp_++;
-    bytes1_ += entry.size;
-    tier1_.insert(tier1_.begin(), std::move(entry));
-    if (policy_ == ReplacementPolicy::kGds) GdsCredit(tier1_.front());
-    if (tier_.enabled()) {
-      // Same expression as ProxyCache::DemotionWatermark, double for double.
-      const auto watermark = static_cast<std::uint64_t>(
-          tier_.demotion_pressure * static_cast<double>(capacity_));
-      while (bytes1_ > watermark && !tier1_.empty()) DisplaceOne(now);
-    }
+    bytes_ += entry.size;
+    entries_.insert(entries_.begin(), std::move(entry));
+    if (policy_ == ReplacementPolicy::kGds) GdsCredit(entries_.front());
   }
 
   bool Erase(const std::string& key) {
@@ -109,20 +82,11 @@ class ReferenceCache {
     return EraseIf([&url](const Entry& e) { return e.url == url; });
   }
 
-  std::uint64_t bytes() const { return bytes1_ + bytes2_; }
-  std::uint64_t tier1_bytes() const { return bytes1_; }
-  std::uint64_t tier2_bytes() const { return bytes2_; }
-  std::size_t size() const { return tier1_.size() + tier2_.size(); }
-  std::size_t tier2_size() const { return tier2_.size(); }
+  std::uint64_t bytes() const { return bytes_; }
+  std::size_t size() const { return entries_.size(); }
   const Stats& stats() const { return stats_; }
 
  private:
-  static void MoveToFront(std::vector<Entry>& entries, std::size_t i) {
-    Entry entry = std::move(entries[i]);
-    entries.erase(entries.begin() + static_cast<long>(i));
-    entries.insert(entries.begin(), std::move(entry));
-  }
-
   void GdsCredit(Entry& entry) {
     entry.h = gds_inflation_ +
               1.0 / static_cast<double>(std::max<std::uint64_t>(entry.size, 1));
@@ -132,21 +96,18 @@ class ReferenceCache {
   template <typename Pred>
   std::size_t EraseIf(Pred pred) {
     std::size_t erased = 0;
-    for (std::vector<Entry>* tier : {&tier1_, &tier2_}) {
-      for (std::size_t i = tier->size(); i > 0; --i) {
-        const Entry& entry = (*tier)[i - 1];
-        if (!pred(entry)) continue;
-        (tier == &tier1_ ? bytes1_ : bytes2_) -= entry.size;
-        tier->erase(tier->begin() + static_cast<long>(i - 1));
-        ++erased;
-      }
+    for (std::size_t i = entries_.size(); i > 0; --i) {
+      if (!pred(entries_[i - 1])) continue;
+      bytes_ -= entries_[i - 1].size;
+      entries_.erase(entries_.begin() + static_cast<long>(i - 1));
+      ++erased;
     }
     return erased;
   }
 
-  // Victim choice, mirroring each policy's PickVictim. Returns the tier-1
-  // index plus whether the expired-first rule (rather than plain recency)
-  // chose it.
+  // Victim choice, mirroring each policy's PickVictim. Returns the index
+  // plus whether the expired-first rule (rather than plain recency) chose
+  // it.
   struct Victim {
     std::size_t index = 0;
     bool expired_rule = false;
@@ -154,122 +115,56 @@ class ReferenceCache {
 
   Victim PickVictim(Time now) {
     if (policy_ == ReplacementPolicy::kExpiredFirstLru) {
-      // The production TTL heap is shared across tiers and pops by
-      // (expiry, stamp); if the globally-earliest expired record belongs
-      // to a tier-2 entry the policy falls back to the LRU tail.
+      // The production TTL heap pops by (expiry, stamp).
       bool found = false;
-      bool in_tier1 = false;
       std::size_t index = 0;
-      Time earliest = kNeverExpires;
-      std::uint64_t earliest_stamp = 0;
-      for (const std::vector<Entry>* tier : {&tier1_, &tier2_}) {
-        for (std::size_t i = 0; i < tier->size(); ++i) {
-          const Entry& entry = (*tier)[i];
-          if (entry.ttl_expires > now) continue;
-          if (!found || entry.ttl_expires < earliest ||
-              (entry.ttl_expires == earliest &&
-               entry.stamp < earliest_stamp)) {
-            found = true;
-            in_tier1 = tier == &tier1_;
-            index = i;
-            earliest = entry.ttl_expires;
-            earliest_stamp = entry.stamp;
-          }
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        const Entry& entry = entries_[i];
+        if (entry.ttl_expires > now) continue;
+        const Entry& best = entries_[index];
+        if (!found || entry.ttl_expires < best.ttl_expires ||
+            (entry.ttl_expires == best.ttl_expires &&
+             entry.stamp < best.stamp)) {
+          found = true;
+          index = i;
         }
       }
-      if (found && in_tier1) return {index, true};
-      return {tier1_.size() - 1, false};
+      if (found) return {index, true};
+      return {entries_.size() - 1, false};
     }
     if (policy_ == ReplacementPolicy::kGds) {
       std::size_t index = 0;
-      for (std::size_t i = 1; i < tier1_.size(); ++i) {
-        const Entry& best = tier1_[index];
-        const Entry& candidate = tier1_[i];
+      for (std::size_t i = 1; i < entries_.size(); ++i) {
+        const Entry& best = entries_[index];
+        const Entry& candidate = entries_[i];
         if (candidate.h < best.h ||
             (candidate.h == best.h && candidate.order < best.order)) {
           index = i;
         }
       }
-      gds_inflation_ = tier1_[index].h;
+      gds_inflation_ = entries_[index].h;
       return {index, false};
     }
-    return {tier1_.size() - 1, false};  // plain LRU
+    return {entries_.size() - 1, false};  // plain LRU
   }
 
-  void DisplaceOne(Time now) {
-    ASSERT_FALSE(tier1_.empty());
+  void EvictOne(Time now) {
+    ASSERT_FALSE(entries_.empty());
     const Victim victim = PickVictim(now);
-    Entry entry = std::move(tier1_[victim.index]);
-    tier1_.erase(tier1_.begin() + static_cast<long>(victim.index));
-    bytes1_ -= entry.size;
-    if (tier_.enabled() && !victim.expired_rule &&
-        entry.size <= tier_.tier2_capacity_bytes) {
-      entry.hits = 0;
-      bytes2_ += entry.size;
-      tier2_.insert(tier2_.begin(), std::move(entry));
-      ++stats_.tier2_demotions;
-      while (bytes2_ > tier_.tier2_capacity_bytes) EvictTier2Tail();
-      return;
-    }
+    bytes_ -= entries_[victim.index].size;
+    entries_.erase(entries_.begin() + static_cast<long>(victim.index));
     ++stats_.evictions;
     if (victim.expired_rule) ++stats_.expired_evictions;
   }
 
-  void EvictTier2Tail() {
-    ASSERT_FALSE(tier2_.empty());
-    bytes2_ -= tier2_.back().size;
-    tier2_.pop_back();
-    ++stats_.evictions;
-    ++stats_.tier2_evictions;
-  }
-
-  void InsertIntoTier2(Entry entry) {
-    entry.stamp = next_stamp_++;
-    entry.hits = 0;
-    while (bytes2_ + entry.size > tier_.tier2_capacity_bytes) {
-      EvictTier2Tail();
-    }
-    bytes2_ += entry.size;
-    tier2_.insert(tier2_.begin(), std::move(entry));
-  }
-
-  const Entry* Promote(std::size_t i, Time now) {
-    Entry entry = std::move(tier2_[i]);
-    tier2_.erase(tier2_.begin() + static_cast<long>(i));
-    bytes2_ -= entry.size;
-    entry.hits = 0;
-    bytes1_ += entry.size;
-    tier1_.insert(tier1_.begin(), std::move(entry));
-    if (policy_ == ReplacementPolicy::kGds) GdsCredit(tier1_.front());
-    ++stats_.tier2_promotions;
-    while (bytes1_ > capacity_ && tier1_.size() > 1) DisplaceOne(now);
-    return &tier1_.front();
-  }
-
-  void Tier2TtlCleanup(Time now) {
-    // Production scans up to ttl_cleanup_per_tick entries from the cold end
-    // and reclaims the expired ones among them.
-    std::size_t scanned = 0;
-    for (std::size_t i = tier2_.size();
-         i > 0 && scanned < tier_.ttl_cleanup_per_tick; --i, ++scanned) {
-      if (tier2_[i - 1].ttl_expires > now) continue;
-      bytes2_ -= tier2_[i - 1].size;
-      tier2_.erase(tier2_.begin() + static_cast<long>(i - 1));
-      ++stats_.tier2_expired_cleaned;
-    }
-  }
-
   std::uint64_t capacity_;
   ReplacementPolicy policy_;
-  TierConfig tier_;
-  std::uint64_t bytes1_ = 0;
-  std::uint64_t bytes2_ = 0;
+  std::uint64_t bytes_ = 0;
   std::uint64_t next_stamp_ = 1;
   double gds_inflation_ = 0.0;
   std::uint64_t next_order_ = 0;
   Stats stats_;
-  std::vector<Entry> tier1_;
-  std::vector<Entry> tier2_;
+  std::vector<Entry> entries_;  // front = most recently used
 };
 
 CacheEntry MakeEntry(int doc, int owner, std::uint64_t size, Time ttl) {
@@ -285,24 +180,21 @@ CacheEntry MakeEntry(int doc, int owner, std::uint64_t size, Time ttl) {
 
 struct ModelParams {
   ReplacementPolicy policy;
-  bool tiered;
+  std::uint64_t capacity;
   std::uint64_t seed;
 };
+
+// The roomy cache holds about six of the 100-499-byte objects; the tight
+// one one or two, so most inserts evict several victims at once.
+constexpr std::uint64_t kRoomyCapacity = 2000;
+constexpr std::uint64_t kTightCapacity = 600;
 
 class CacheModelTest : public ::testing::TestWithParam<ModelParams> {};
 
 TEST_P(CacheModelTest, RandomOperationsStayInLockstep) {
   const ModelParams params = GetParam();
-  constexpr std::uint64_t kCapacity = 2000;
-  TierConfig tier;
-  if (params.tiered) {
-    tier.tier2_capacity_bytes = 3000;
-    tier.promotion_hits = 2;
-    tier.demotion_pressure = 0.7;
-    tier.ttl_cleanup_per_tick = 2;  // small: exercises partial sweeps
-  }
-  ProxyCache cache(kCapacity, params.policy, tier);
-  ReferenceCache reference(kCapacity, params.policy, tier);
+  ProxyCache cache(params.capacity, params.policy);
+  ReferenceCache reference(params.capacity, params.policy);
   util::Rng rng(params.seed);
 
   Time now = 0;
@@ -318,7 +210,7 @@ TEST_P(CacheModelTest, RandomOperationsStayInLockstep) {
       case 1: {  // insert
         // Distinct sizes/TTLs exercise both eviction paths; TTLs near `now`
         // flip between fresh and expired as time advances. The occasional
-        // tier-1-oversize object lands in tier 2 (or is rejected untiered).
+        // oversize object is rejected.
         const std::uint64_t size = rng.NextBool(0.05)
                                        ? 2200
                                        : 100 + rng.NextBelow(400);
@@ -336,10 +228,9 @@ TEST_P(CacheModelTest, RandomOperationsStayInLockstep) {
         break;
       }
       case 2:
-      case 3: {  // lookup (promotes in both; the extra weight vs the old
-                 // sweep drives tier-2 hit counters toward promotion)
-        CacheEntry* got = cache.Lookup(key, now);
-        const auto* expected = reference.Lookup(key, now);
+      case 3: {  // lookup (promotes in both)
+        CacheEntry* got = cache.Lookup(key);
+        const auto* expected = reference.Lookup(key);
         ASSERT_EQ(got != nullptr, expected != nullptr) << "step " << step;
         if (got != nullptr) {
           EXPECT_EQ(got->size_bytes, expected->size);
@@ -361,13 +252,7 @@ TEST_P(CacheModelTest, RandomOperationsStayInLockstep) {
 
     ASSERT_EQ(cache.bytes_used(), reference.bytes())
         << "step " << step << " at now=" << now;
-    ASSERT_EQ(cache.tier1_bytes_used(), reference.tier1_bytes())
-        << "step " << step;
-    ASSERT_EQ(cache.tier2_bytes_used(), reference.tier2_bytes())
-        << "step " << step;
     ASSERT_EQ(cache.entry_count(), reference.size()) << "step " << step;
-    ASSERT_EQ(cache.tier2_entry_count(), reference.tier2_size())
-        << "step " << step;
   }
 
   // The whole decision history must match, not just the final occupancy.
@@ -376,10 +261,6 @@ TEST_P(CacheModelTest, RandomOperationsStayInLockstep) {
   EXPECT_EQ(got.evictions, want.evictions);
   EXPECT_EQ(got.expired_evictions, want.expired_evictions);
   EXPECT_EQ(got.oversize_rejections, want.oversize_rejections);
-  EXPECT_EQ(got.tier2_promotions, want.tier2_promotions);
-  EXPECT_EQ(got.tier2_demotions, want.tier2_demotions);
-  EXPECT_EQ(got.tier2_evictions, want.tier2_evictions);
-  EXPECT_EQ(got.tier2_expired_cleaned, want.tier2_expired_cleaned);
 
   // Final membership sweep.
   for (int doc = 0; doc < 12; ++doc) {
@@ -391,15 +272,17 @@ TEST_P(CacheModelTest, RandomOperationsStayInLockstep) {
   }
 }
 
+// Three seeds per policy and capacity: the roomy cache runs 1-3, 7-9 and
+// 13-15, the tight one 4-6, 10-12 and 16-18.
 std::vector<ModelParams> Sweep() {
   std::vector<ModelParams> params;
   std::uint64_t seed = 1;
   for (const ReplacementPolicy policy :
        {ReplacementPolicy::kLru, ReplacementPolicy::kExpiredFirstLru,
         ReplacementPolicy::kGds}) {
-    for (const bool tiered : {false, true}) {
+    for (const std::uint64_t capacity : {kRoomyCapacity, kTightCapacity}) {
       for (int i = 0; i < 3; ++i) {
-        params.push_back(ModelParams{policy, tiered, seed++});
+        params.push_back(ModelParams{policy, capacity, seed++});
       }
     }
   }
@@ -419,7 +302,7 @@ std::string SweepName(const ::testing::TestParamInfo<ModelParams>& info) {
       name = "Gds";
       break;
   }
-  name += info.param.tiered ? "Tiered" : "Flat";
+  name += info.param.capacity == kTightCapacity ? "Tight" : "Flat";
   return name + std::to_string(info.param.seed);
 }
 

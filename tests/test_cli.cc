@@ -144,6 +144,25 @@ class CliCommandTest : public ::testing::Test {
     return RunCli(MakeFlags(std::move(args)), out_, err_);
   }
 
+  // Replays a generated 200-request trace with the invalidation protocol
+  // under the fault plan `plan_json`, written to PlanPath(); returns the
+  // exit code.
+  int ReplayUnderFaultPlan(const std::string& plan_json) {
+    const int generated = Run({"generate", "--requests", "200",
+                               "--documents", "20", "--out", path_.c_str()});
+    if (generated != 0) return generated;
+    const std::string plan_path = PlanPath();
+    {
+      std::ofstream plan(plan_path);
+      plan << plan_json;
+    }
+    const int code = Run({"replay", "--in", path_.c_str(), "--protocol",
+                          "invalidation", "--fault-plan", plan_path.c_str()});
+    std::remove(plan_path.c_str());
+    return code;
+  }
+  std::string PlanPath() const { return path_ + ".plan.json"; }
+
   std::string path_;
   std::ostringstream out_;
   std::ostringstream err_;
@@ -415,6 +434,61 @@ TEST_F(CliCommandTest, ReplayScenarioParseErrorPointsAtOffset) {
       << err_.str();
   EXPECT_NE(err_.str().find("at offset"), std::string::npos) << err_.str();
   EXPECT_NE(err_.str().find("hint: "), std::string::npos) << err_.str();
+}
+
+TEST_F(CliCommandTest, ReplayFaultPlanTargetNamingNoPseudoClientExitsTwo) {
+  // The plan parses (7 is an integer from -1 up), but the replay runs four
+  // pseudo-clients: an input error, not an abort inside the engine.
+  EXPECT_EQ(ReplayUnderFaultPlan(
+                "{\"events\": [{\"kind\": \"proxy_crash\", \"at_s\": 60,"
+                " \"target\": 7, \"duration_s\": 60}]}"),
+            2);
+  EXPECT_NE(err_.str().find("error: " + PlanPath() +
+                            ": proxy_crash target 7 names no pseudo-client"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_NE(err_.str().find("hint: "), std::string::npos) << err_.str();
+}
+
+TEST_F(CliCommandTest, ReplayFaultPlanTargetBeyondIntRangeExitsTwo) {
+  // 1e12 is an integer, but no int holds it: rejected while parsing, before
+  // any conversion.
+  EXPECT_EQ(ReplayUnderFaultPlan(
+                "{\"events\": [{\"kind\": \"proxy_crash\", \"at_s\": 600,"
+                " \"target\": 1e12, \"duration_s\": 120}]}"),
+            2);
+  EXPECT_NE(err_.str().find("error: " + PlanPath() +
+                            ": target out of range at offset "),
+            std::string::npos)
+      << err_.str();
+  EXPECT_TRUE(out_.str().empty()) << out_.str();
+}
+
+TEST_F(CliCommandTest, ReplayFaultPlanNegativePartitionTimesExitTwo) {
+  // A negative duration would heal the partition before its onset and
+  // leave every request to the timeout.
+  EXPECT_EQ(ReplayUnderFaultPlan(
+                "{\"events\": [{\"kind\": \"partition\", \"at_s\": -5,"
+                " \"target\": -1, \"duration_s\": -60}]}"),
+            2);
+  EXPECT_NE(err_.str().find("error: " + PlanPath() +
+                            ": at_s out of range at offset "),
+            std::string::npos)
+      << err_.str();
+  EXPECT_TRUE(out_.str().empty()) << out_.str();
+}
+
+TEST_F(CliCommandTest, ReplayFaultPlanLinkProbabilitiesOutsideUnitExitTwo) {
+  EXPECT_EQ(ReplayUnderFaultPlan(
+                "{\"events\": [{\"kind\": \"link_fault\", \"at_s\": 60,"
+                " \"target\": -1, \"duration_s\": 600, \"drop\": 5.0,"
+                " \"duplicate\": -1}]}"),
+            2);
+  EXPECT_NE(err_.str().find("error: " + PlanPath() +
+                            ": drop out of range at offset "),
+            std::string::npos)
+      << err_.str();
+  EXPECT_TRUE(out_.str().empty()) << out_.str();
 }
 
 TEST_F(CliCommandTest, ReplayRejectsScenarioPlusPreset) {

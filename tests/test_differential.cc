@@ -19,6 +19,7 @@
 // invariant by construction, not by luck.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
@@ -92,7 +93,7 @@ class RecordingSink final : public obs::TraceSink {
     switch (event.type) {
       case obs::EventType::kImsSent:        // lease_renewal flag
       case obs::EventType::kRequestServed:  // ServeKind
-      case obs::EventType::kEviction:       // victim rule / tier detail code
+      case obs::EventType::kEviction:       // victim rule / oversize code
         detail = event.detail;
         break;
       case obs::EventType::kGetSent:
@@ -155,18 +156,9 @@ struct Combo {
   http::ReplacementPolicy policy = http::ReplacementPolicy::kExpiredFirstLru;
   // 0 keeps each stack's roomy default (no eviction pressure); the
   // eviction combos shrink it below kSizeA + kSizeB so every policy has
-  // victims to choose.
+  // victims to choose, and the tight ones below 2 × kSizeA, where the two
+  // clients' copies of /a displace each other and /b never fits.
   std::uint64_t cache_bytes = 0;
-  bool tiered = false;
-
-  http::TierConfig tier() const {
-    http::TierConfig tier;
-    if (tiered) {
-      tier.tier2_capacity_bytes = 70000;  // holds one /b plus an /a
-      tier.promotion_hits = 2;
-    }
-    return tier;
-  }
 };
 
 struct Step {
@@ -190,6 +182,8 @@ constexpr Step kScript[] = {
 
 constexpr std::uint64_t kSizeA = 4096;
 constexpr std::uint64_t kSizeB = 65536;
+constexpr std::uint64_t kPressuredCacheBytes = 66000;  // < kSizeA + kSizeB
+constexpr std::uint64_t kTightCacheBytes = 6000;       // < 2 × kSizeA
 
 // TTL configuration under which trace-time (replay) and wall-time (live)
 // decisions coincide: the whole script spans far less than min_ttl, so a
@@ -251,7 +245,6 @@ std::vector<NormEvent> RunLive(const Combo& combo) {
   proxy_options.ttl = TtlFor(protocol);
   proxy_options.eviction_policy = combo.policy;
   if (combo.cache_bytes > 0) proxy_options.cache_bytes = combo.cache_bytes;
-  proxy_options.cache_tier = combo.tier();
   proxy_options.trace_sink = &sink;
   live::LiveProxy proxy(proxy_options);
   EXPECT_TRUE(proxy.Start());
@@ -314,7 +307,6 @@ std::vector<NormEvent> RunReplayScript(const Combo& combo) {
   config.lease = LeaseFor(combo.lease);
   config.eviction_policy = combo.policy;
   if (combo.cache_bytes > 0) config.proxy_cache_bytes = combo.cache_bytes;
-  config.proxy_tier = combo.tier();
   config.accelerator_shards = TestShards();
   config.lockstep_interval = kStep;
   config.fixed_initial_age = 0;  // documents born at t=0, as in live
@@ -332,7 +324,8 @@ std::string ComboName(const ::testing::TestParamInfo<Combo>& info) {
   if (info.param.cache_bytes > 0) {
     name += "_";
     name += http::eviction::ToString(info.param.policy);
-    name += info.param.tiered ? "_tiered" : "_flat";
+    // The pressured combos keep the "_flat" suffix their names always had.
+    name += info.param.cache_bytes == kTightCacheBytes ? "_tight" : "_flat";
   }
   for (char& c : name) {
     if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
@@ -349,6 +342,21 @@ TEST_P(DifferentialTest, ReplayAndLiveStacksDecideIdentically) {
   // The script exercises real traffic: an empty trace means the harness is
   // broken, not that the stacks agree.
   ASSERT_FALSE(replayed.empty());
+  // Likewise a shrunken cache must reach the paths it exists for: policy
+  // victims (detail 0 or 1) and, when tight, oversize rejections (2).
+  const auto evictions_with = [&replayed](auto detail_matches) {
+    return std::count_if(replayed.begin(), replayed.end(),
+                         [&](const NormEvent& e) {
+                           return e.type == obs::EventType::kEviction &&
+                                  detail_matches(e.detail);
+                         });
+  };
+  if (GetParam().cache_bytes > 0) {
+    EXPECT_GT(evictions_with([](std::int64_t d) { return d < 2; }), 0);
+  }
+  if (GetParam().cache_bytes == kTightCacheBytes) {
+    EXPECT_GT(evictions_with([](std::int64_t d) { return d == 2; }), 0);
+  }
 
   const std::size_t common = std::min(replayed.size(), lived.size());
   for (std::size_t i = 0; i < common; ++i) {
@@ -371,20 +379,21 @@ std::vector<Combo> AllCombos() {
       combos.push_back(Combo{protocol, lease});
     }
   }
-  // Protocol × policy × tiering sweep under eviction pressure: the cache
-  // cannot hold /a plus /b, so every Insert past the first few displaces a
-  // victim, and both stacks must displace the same one (kEviction events
-  // are part of the compared stream).
+  // Protocol × policy × capacity sweep under eviction pressure: the
+  // pressured cache cannot hold /a plus /b, so every Insert past the first
+  // few evicts a victim; the tight one also rejects every copy of /b as
+  // oversize. Both stacks must evict and reject the same entries
+  // (kEviction events are part of the compared stream).
   for (const Protocol protocol : kAllProtocols) {
     for (const http::ReplacementPolicy policy :
          {http::ReplacementPolicy::kLru,
           http::ReplacementPolicy::kExpiredFirstLru,
           http::ReplacementPolicy::kGds}) {
-      for (const bool tiered : {false, true}) {
+      for (const std::uint64_t cache_bytes :
+           {kPressuredCacheBytes, kTightCacheBytes}) {
         Combo combo{protocol, LeaseMode::kNone};
         combo.policy = policy;
-        combo.cache_bytes = 66000;  // < kSizeA + kSizeB
-        combo.tiered = tiered;
+        combo.cache_bytes = cache_bytes;
         combos.push_back(combo);
       }
     }

@@ -1,10 +1,8 @@
 // The eviction kernel's contract: policies pick the documented victims with
 // deterministic tie-breaks, the TTL index stays bounded under renewal
-// churn (the PR 8 stale-record leak), oversize inserts are counted and
-// traced, and the optional second tier preserves every consistency-facing
-// semantic (TakeExpired, EraseByUrl, MarkAllQuestionable) across both
-// tiers. The randomized cross-check against a model cache lives in
-// test_cache_model.cc; these are the targeted unit cases.
+// churn (the PR 8 stale-record leak), and evictions and oversize inserts
+// are counted and traced. The randomized cross-check against a model cache
+// lives in test_cache_model.cc; these are the targeted unit cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -184,7 +182,9 @@ TEST(GdsPolicyTest, EqualCreditTieBreaksToOlderOrder) {
 TEST(ExpiredFirstPolicyTest, TieOnExpiryBreaksToOlderStamp) {
   // Two entries expire at the same instant; the expired-first rule must
   // take the older stamp first (TtlHeapItem's documented ordering).
+  RecordingSink sink;
   ProxyCache cache(1000, EvictionPolicyKind::kExpiredFirstLru);
+  cache.set_trace_sink(&sink);
   cache.Insert(MakeEntry("/x", 400, 50), 0);
   cache.Insert(MakeEntry("/y", 400, 50), 0);
   // Touch /x so LRU would evict /y; the expired rule ignores recency.
@@ -192,6 +192,9 @@ TEST(ExpiredFirstPolicyTest, TieOnExpiryBreaksToOlderStamp) {
   cache.Insert(MakeEntry("/z", 400, kNeverExpires), 100);
   EXPECT_EQ(cache.Peek(ComposeCacheKey("/x", "c")), nullptr);
   EXPECT_NE(cache.Peek(ComposeCacheKey("/y", "c")), nullptr);
+  // The rule's victim is counted and traced as such (detail 1).
+  EXPECT_EQ(cache.stats().expired_evictions, 1u);
+  EXPECT_EQ(sink.CountDetail(1), 1u);
 }
 
 // --- oversize rejections ----------------------------------------------------
@@ -214,162 +217,86 @@ TEST(ProxyCacheOversizeTest, CountsAndTracesRejections) {
   EXPECT_EQ(registry.CounterValue("c.oversize_rejections"), 1u);
 }
 
-// --- tiering ----------------------------------------------------------------
-
-TierConfig SmallTier() {
-  TierConfig tier;
-  tier.tier2_capacity_bytes = 10000;
-  tier.promotion_hits = 2;
-  tier.demotion_pressure = 0.5;
-  tier.ttl_cleanup_per_tick = 8;
-  return tier;
-}
-
-TEST(TieredCacheTest, PressureDemotesInsteadOfEvicting) {
-  ProxyCache cache(1000, EvictionPolicyKind::kExpiredFirstLru, SmallTier());
-  cache.Insert(MakeEntry("/a", 400, kNeverExpires), 0);
-  cache.Insert(MakeEntry("/b", 400, kNeverExpires), 1);
-  // 800 bytes > the 500-byte watermark: /a (LRU tail) demotes, not evicts.
-  EXPECT_EQ(cache.entry_count(), 2u);
-  EXPECT_EQ(cache.tier2_entry_count(), 1u);
-  EXPECT_EQ(cache.stats().tier2_demotions, 1u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_EQ(cache.tier1_bytes_used(), 400u);
-  EXPECT_EQ(cache.tier2_bytes_used(), 400u);
-  EXPECT_NE(cache.Peek(ComposeCacheKey("/a", "c")), nullptr);
-}
-
-TEST(TieredCacheTest, PromotesAfterConfiguredHits) {
-  ProxyCache cache(1000, EvictionPolicyKind::kExpiredFirstLru, SmallTier());
-  cache.Insert(MakeEntry("/a", 400, kNeverExpires), 0);
-  cache.Insert(MakeEntry("/b", 400, kNeverExpires), 1);
-  ASSERT_EQ(cache.tier2_entry_count(), 1u);
-  EXPECT_NE(cache.Lookup(ComposeCacheKey("/a", "c"), 2), nullptr);
-  EXPECT_EQ(cache.stats().tier2_promotions, 0u);  // 1 hit < promotion_hits
-  EXPECT_NE(cache.Lookup(ComposeCacheKey("/a", "c"), 3), nullptr);
-  EXPECT_EQ(cache.stats().tier2_promotions, 1u);
-  EXPECT_EQ(cache.tier2_entry_count(), 0u);
-  EXPECT_EQ(cache.tier1_bytes_used(), 800u);
-}
-
-TEST(TieredCacheTest, Tier2OverflowEvictsItsOwnTail) {
+TEST(ProxyCacheOversizeTest, OversizeReplacementDropsTheOldCopy) {
+  // A new version too large to cache must not leave the old version behind
+  // to be served; the other residents stay, and nothing counts as evicted.
   RecordingSink sink;
-  TierConfig tier = SmallTier();
-  tier.tier2_capacity_bytes = 500;
-  ProxyCache cache(1000, EvictionPolicyKind::kLru, tier);
+  ProxyCache cache(1000, EvictionPolicyKind::kExpiredFirstLru);
   cache.set_trace_sink(&sink);
   cache.Insert(MakeEntry("/a", 400, kNeverExpires), 0);
-  cache.Insert(MakeEntry("/b", 400, kNeverExpires), 1);  // demotes /a
-  cache.Insert(MakeEntry("/c", 400, kNeverExpires), 2);  // demotes /b: full
-  EXPECT_EQ(cache.stats().tier2_evictions, 1u);
-  EXPECT_EQ(sink.CountDetail(3), 1u);
+  cache.Insert(MakeEntry("/b", 300, 50), 0);
+  cache.Insert(MakeEntry("/a", 4000, kNeverExpires), 100);
   EXPECT_EQ(cache.Peek(ComposeCacheKey("/a", "c")), nullptr);
   EXPECT_NE(cache.Peek(ComposeCacheKey("/b", "c")), nullptr);
-}
-
-TEST(TieredCacheTest, ExpiredRuleVictimsAreEvictedNotDemoted) {
-  RecordingSink sink;
-  ProxyCache cache(1000, EvictionPolicyKind::kExpiredFirstLru, SmallTier());
-  cache.set_trace_sink(&sink);
-  cache.Insert(MakeEntry("/stale", 400, 10), 0);
-  cache.Insert(MakeEntry("/live", 400, kNeverExpires), 20);
-  // At now=20 /stale is expired: the expired-first rule evicts it outright
-  // rather than wasting tier-2 space on a dead document.
-  EXPECT_EQ(cache.stats().expired_evictions, 1u);
-  EXPECT_EQ(cache.stats().tier2_demotions, 0u);
-  EXPECT_EQ(sink.CountDetail(1), 1u);
-  EXPECT_EQ(cache.Peek(ComposeCacheKey("/stale", "c")), nullptr);
-}
-
-TEST(TieredCacheTest, Tier2CleanupReclaimsExpiredFromColdEnd) {
-  RecordingSink sink;
-  ProxyCache cache(1000, EvictionPolicyKind::kLru, SmallTier());
-  cache.set_trace_sink(&sink);
-  cache.Insert(MakeEntry("/a", 400, 100), 0);
-  cache.Insert(MakeEntry("/b", 400, kNeverExpires), 1);  // demotes /a
-  ASSERT_EQ(cache.tier2_entry_count(), 1u);
-  cache.Insert(MakeEntry("/c", 100, kNeverExpires), 200);  // cleanup tick
-  EXPECT_EQ(cache.stats().tier2_expired_cleaned, 1u);
-  EXPECT_EQ(sink.CountDetail(4), 1u);
-  EXPECT_EQ(cache.Peek(ComposeCacheKey("/a", "c")), nullptr);
-}
-
-TEST(TieredCacheTest, OversizeForTier1LandsInTier2) {
-  RecordingSink sink;
-  ProxyCache cache(1000, EvictionPolicyKind::kLru, SmallTier());
-  cache.set_trace_sink(&sink);
-  cache.Insert(MakeEntry("/big", 2000, kNeverExpires), 0);
-  EXPECT_EQ(cache.stats().oversize_rejections, 0u);
-  EXPECT_EQ(cache.tier2_entry_count(), 1u);
-  // Hits never promote it: it cannot fit tier 1.
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_NE(cache.Lookup(ComposeCacheKey("/big", "c"), i), nullptr);
-  }
-  EXPECT_EQ(cache.stats().tier2_promotions, 0u);
-  // Larger than both budgets: rejected with the distinguishing detail.
-  cache.Insert(MakeEntry("/colossal", 20000, kNeverExpires), 1);
+  EXPECT_EQ(cache.bytes_used(), 300u);
   EXPECT_EQ(cache.stats().oversize_rejections, 1u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
   EXPECT_EQ(sink.CountDetail(2), 1u);
+  EXPECT_EQ(sink.events.size(), 1u);
 }
 
-TEST(TieredCacheTest, ConsistencySweepsSeeBothTiers) {
-  ProxyCache cache(1000, EvictionPolicyKind::kExpiredFirstLru, SmallTier());
-  cache.Insert(MakeEntry("/doc", 400, 100, "alice"), 0);
-  cache.Insert(MakeEntry("/doc", 400, kNeverExpires, "bob"), 1);
-  ASSERT_EQ(cache.tier2_entry_count(), 1u);  // alice's copy demoted
+// --- trace / counter reconciliation ------------------------------------------
 
-  // TakeExpired finds the demoted copy through the shared TTL heap.
-  const std::vector<CacheEntry*> expired = cache.TakeExpired(150, 10);
-  ASSERT_EQ(expired.size(), 1u);
-  EXPECT_EQ(expired[0]->owner, "alice");
-  cache.SetTtlExpiry(*expired[0], 500);  // re-arm, as PCV does
+class EvictionTraceTest
+    : public ::testing::TestWithParam<EvictionPolicyKind> {};
 
-  // MarkAllQuestionable covers both tiers.
-  cache.MarkAllQuestionable();
-  EXPECT_TRUE(cache.Peek(ComposeCacheKey("/doc", "alice"))->questionable);
-  EXPECT_TRUE(cache.Peek(ComposeCacheKey("/doc", "bob"))->questionable);
-
-  // EraseByUrl removes every owner's copy regardless of tier.
-  EXPECT_EQ(cache.EraseByUrl("/doc"), 2u);
-  EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_EQ(cache.bytes_used(), 0u);
-}
-
-TEST(TieredCacheTest, DisabledTierMatchesSingleTierCache) {
-  // With tiering off the tiered constructor is bit-identical to the classic
-  // cache: same victims, same stats, same occupancy.
-  ProxyCache classic(2000, EvictionPolicyKind::kExpiredFirstLru);
-  ProxyCache tiered(2000, EvictionPolicyKind::kExpiredFirstLru, TierConfig{});
-  for (int i = 0; i < 50; ++i) {
-    const std::string url = "/doc" + std::to_string(i % 7);
-    const Time ttl = (i % 3 == 0) ? kNeverExpires : Time(i * 10);
-    classic.Insert(MakeEntry(url, 300 + (i % 4) * 100, ttl), i);
-    tiered.Insert(MakeEntry(url, 300 + (i % 4) * 100, ttl), i);
-    const std::string probe =
-        ComposeCacheKey("/doc" + std::to_string((i * 3) % 7), "c");
-    EXPECT_EQ(classic.Lookup(probe, i) != nullptr,
-              tiered.Lookup(probe, i) != nullptr);
-    EXPECT_EQ(classic.bytes_used(), tiered.bytes_used());
-    EXPECT_EQ(classic.entry_count(), tiered.entry_count());
+TEST_P(EvictionTraceTest, EventsReconcileWithCounters) {
+  // DESIGN §8's identity at the cache's own level: each policy victim
+  // emits one kEviction event (detail 1 when the expired-first rule chose
+  // it, else 0) and each oversize rejection one with detail 2; no other
+  // path emits one. Mixed sizes, finite and infinite TTLs, erasures and
+  // replacements drive every path.
+  const EvictionPolicyKind kind = GetParam();
+  RecordingSink sink;
+  ProxyCache cache(2000, kind);
+  cache.set_trace_sink(&sink);
+  for (int i = 0; i < 400; ++i) {
+    const std::string url = "/doc" + std::to_string(i % 23);
+    const std::uint64_t size = i % 17 == 0 ? 2500 : 150 + (i * 37) % 400;
+    const Time ttl = i % 3 == 0 ? kNeverExpires : Time(i * 10 + (i % 7) * 40);
+    cache.Insert(MakeEntry(url, size, ttl, "c" + std::to_string(i % 3)),
+                 i * 10);
+    if (i % 11 == 0) cache.EraseByUrl("/doc" + std::to_string(i % 5));
+    if (i % 13 == 0) cache.Erase(ComposeCacheKey(url, "c0"));
   }
-  EXPECT_EQ(classic.stats().evictions, tiered.stats().evictions);
-  EXPECT_EQ(classic.stats().expired_evictions,
-            tiered.stats().expired_evictions);
+  const ProxyCacheStats& stats = cache.stats();
+  ASSERT_GT(stats.evictions, 0u);
+  ASSERT_GT(stats.oversize_rejections, 0u);
+  EXPECT_EQ(sink.events.size(), stats.evictions + stats.oversize_rejections);
+  EXPECT_EQ(sink.CountDetail(0) + sink.CountDetail(1), stats.evictions);
+  EXPECT_EQ(sink.CountDetail(1), stats.expired_evictions);
+  EXPECT_EQ(sink.CountDetail(2), stats.oversize_rejections);
+  if (kind == EvictionPolicyKind::kExpiredFirstLru) {
+    EXPECT_GT(stats.expired_evictions, 0u);
+  } else {
+    EXPECT_EQ(stats.expired_evictions, 0u);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, EvictionTraceTest,
+    ::testing::Values(EvictionPolicyKind::kLru,
+                      EvictionPolicyKind::kExpiredFirstLru,
+                      EvictionPolicyKind::kGds),
+    [](const ::testing::TestParamInfo<EvictionPolicyKind>& info) {
+      std::string name(eviction::ToString(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST(ProxyCacheMetricsTest, ExportsPolicyAndTierCounters) {
-  ProxyCache cache(10000, EvictionPolicyKind::kGds, SmallTier());
+  ProxyCache cache(10000, EvictionPolicyKind::kGds);
   cache.Insert(MakeEntry("/a", 4000, kNeverExpires), 0);
   cache.Insert(MakeEntry("/b", 4000, kNeverExpires), 1);
+  cache.Insert(MakeEntry("/c", 4000, kNeverExpires), 2);
   obs::MetricsRegistry registry;
   cache.ExportMetrics(registry, "c.");
-  EXPECT_EQ(registry.CounterValue("c.insertions"), 2u);
-  EXPECT_EQ(registry.CounterValue("c.tier2_demotions"),
-            cache.stats().tier2_demotions);
-  EXPECT_EQ(registry.CounterValue("c.policy_picks"),
-            cache.stats().tier2_demotions + cache.stats().evictions);
-  EXPECT_EQ(registry.CounterValue("c.tier2_bytes_used"),
-            cache.tier2_bytes_used());
+  EXPECT_EQ(registry.CounterValue("c.insertions"), 3u);
+  EXPECT_EQ(registry.CounterValue("c.evictions"), 1u);
+  // Every policy pick is one eviction.
+  EXPECT_EQ(registry.CounterValue("c.policy_picks"), cache.stats().evictions);
+  EXPECT_EQ(registry.CounterValue("c.bytes_used"), cache.bytes_used());
+  EXPECT_EQ(registry.CounterValue("c.entries"), 2u);
 }
 
 }  // namespace

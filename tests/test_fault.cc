@@ -94,6 +94,70 @@ TEST(FaultPlanJson, RejectsMalformedInput) {
                                parsed, error));
 }
 
+// Parses a one-event plan whose event body is `fields`, through both entry
+// points, and returns FromJson's error ("" when the plan parses).
+std::string EventError(const std::string& fields) {
+  const std::string text = "{\"events\": [{" + fields + "}]}";
+  fault::FaultPlan plan;
+  std::string error;
+  const bool parsed = fault::FromJson(text, plan, error);
+  fault::FaultPlanFile file;
+  std::string file_error;
+  EXPECT_EQ(fault::ParseFaultPlanFile(text, file, file_error), parsed);
+  EXPECT_EQ(file_error, error);
+  return parsed ? "" : error;
+}
+
+TEST(FaultPlanJson, RejectsStartTimeOutOfRange) {
+  EXPECT_EQ(EventError("\"kind\": \"partition\", \"at_s\": -5"),
+            "at_s out of range at offset 44");
+  EXPECT_NE(EventError("\"at_s\": 1e10").find("at_s out of range"),
+            std::string::npos);
+  EXPECT_EQ(EventError("\"at_s\": 1e9"), "");
+}
+
+TEST(FaultPlanJson, RejectsDurationOutOfRange) {
+  // The heal of a negative-duration partition would sort before its onset.
+  EXPECT_NE(EventError("\"kind\": \"partition\", \"duration_s\": -60")
+                .find("duration_s out of range at offset"),
+            std::string::npos);
+  EXPECT_EQ(EventError("\"duration_s\": 0"), "");
+}
+
+TEST(FaultPlanJson, RejectsExtraDelayOutOfRange) {
+  EXPECT_NE(EventError("\"kind\": \"link_fault\", \"extra_delay_s\": -0.1")
+                .find("extra_delay_s out of range at offset"),
+            std::string::npos);
+  EXPECT_EQ(EventError("\"extra_delay_s\": 0.04"), "");
+}
+
+TEST(FaultPlanJson, RejectsTargetThatIsNotAnIntegerFromMinusOne) {
+  for (const char* target : {"-2", "1.5", "1e12"}) {
+    SCOPED_TRACE(target);
+    EXPECT_NE(EventError(std::string("\"target\": ") + target)
+                  .find("target out of range at offset"),
+              std::string::npos);
+  }
+  // Any integer from -1 up parses; whether it names a pseudo-client is the
+  // replay's question.
+  EXPECT_EQ(EventError("\"kind\": \"proxy_crash\", \"target\": 7"), "");
+  EXPECT_EQ(EventError("\"target\": -1"), "");
+}
+
+TEST(FaultPlanJson, RejectsDropOutsideZeroToOne) {
+  EXPECT_NE(EventError("\"kind\": \"link_fault\", \"drop\": 5.0")
+                .find("drop out of range at offset"),
+            std::string::npos);
+  EXPECT_EQ(EventError("\"drop\": 1"), "");
+}
+
+TEST(FaultPlanJson, RejectsDuplicateOutsideZeroToOne) {
+  EXPECT_NE(EventError("\"kind\": \"link_fault\", \"duplicate\": -1")
+                .find("duplicate out of range at offset"),
+            std::string::npos);
+  EXPECT_EQ(EventError("\"duplicate\": 0"), "");
+}
+
 TEST(FaultPlanJson, PlanFileCarriesRawExpectValues) {
   const std::string text =
       "{\"name\": \"golden\", \"events\": ["

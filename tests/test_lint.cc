@@ -39,9 +39,8 @@ bool HasRule(const std::vector<Finding>& findings, std::string_view rule) {
 TEST(LintRules, RuleIdsAreStable) {
   const std::vector<std::string_view> expected = {
       "determinism-clock",   "unordered-iter-in-dump", "raw-mutex",
-      "naked-send",          "scan-prune",             "naked-evict",
-      "guarded-by-unlocked", "lock-order-cycle",       "determinism-taint",
-      "stale-suppression"};
+      "naked-send",          "guarded-by-unlocked",    "lock-order-cycle",
+      "determinism-taint",   "stale-suppression"};
   EXPECT_EQ(RuleIds(), expected);
 }
 
@@ -50,7 +49,7 @@ TEST(LintRules, LegacyRuleIdsSurviveTokenizerRewrite) {
   // pragmas written against v1 keep working.
   const std::vector<std::string_view> legacy = {
       "determinism-clock", "unordered-iter-in-dump", "raw-mutex",
-      "naked-send", "scan-prune", "naked-evict"};
+      "naked-send"};
   const std::vector<std::string_view> ids = RuleIds();
   ASSERT_GE(ids.size(), legacy.size());
   EXPECT_TRUE(std::equal(legacy.begin(), legacy.end(), ids.begin()));
@@ -81,8 +80,6 @@ INSTANTIATE_TEST_SUITE_P(
         FixtureCase{"unordered_dump_violation.cc", "unordered-iter-in-dump"},
         FixtureCase{"raw_mutex_violation.cc", "raw-mutex"},
         FixtureCase{"live_naked_send_violation.cc", "naked-send"},
-        FixtureCase{"scan_prune_violation.cc", "scan-prune"},
-        FixtureCase{"naked_evict_violation.cc", "naked-evict"},
         FixtureCase{"lock_discipline_violation.cc", "guarded-by-unlocked"},
         FixtureCase{"lock_order_violation.cc", "lock-order-cycle"},
         FixtureCase{"taint_violation.cc", "determinism-taint"}),
@@ -93,23 +90,6 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
-
-TEST(LintCli, WheelPruneCounterpartIsClean) {
-  // The pair fixture of scan_prune_violation.cc: the same expiry work
-  // through the wheel's authority callback produces no scan-prune finding.
-  const RunResult result = RunCli({FixturePath("scan_prune_clean.cc")});
-  EXPECT_EQ(result.exit_code, 0) << result.out << result.err;
-  EXPECT_TRUE(result.out.empty()) << result.out;
-}
-
-TEST(LintCli, KernelBackedEvictCounterpartIsClean) {
-  // The pair fixture of naked_evict_violation.cc: the same pressure routed
-  // through the proxy cache's eviction kernel produces no naked-evict
-  // finding.
-  const RunResult result = RunCli({FixturePath("naked_evict_clean.cc")});
-  EXPECT_EQ(result.exit_code, 0) << result.out << result.err;
-  EXPECT_TRUE(result.out.empty()) << result.out;
-}
 
 TEST(LintCli, CleanFileExitsZero) {
   const RunResult result = RunCli({FixturePath("clean.cc")});
@@ -219,71 +199,6 @@ TEST(LintRules, ThreadAnnotationsHeaderMayHoldRawMutex) {
   EXPECT_FALSE(
       HasRule(LintFile("src/util/thread_annotations.h", text), "raw-mutex"));
   EXPECT_TRUE(HasRule(LintFile("src/replay/farm.h", text), "raw-mutex"));
-}
-
-TEST(LintRules, ScanPruneFlagsIterationEraseNearLeaseState) {
-  const std::vector<Finding> findings = LintFile(
-      "src/core/x.cc",
-      "void Prune(long long now) {\n"
-      "  for (auto it = lease_until_.begin(); it != lease_until_.end();) {\n"
-      "    if (it->second <= now) it = lease_until_.erase(it); else ++it;\n"
-      "  }\n"
-      "}\n");
-  EXPECT_TRUE(HasRule(findings, "scan-prune"));
-}
-
-TEST(LintRules, ScanPruneIgnoresIterationEraseWithoutLeaseContext) {
-  // The delivery sweeps erase from bounded pending-write sets; without the
-  // lease-state spellings nearby they are not prune loops.
-  const std::vector<Finding> findings = LintFile(
-      "src/replay/x.cc",
-      "void Sweep() {\n"
-      "  for (auto it = pending_.begin(); it != pending_.end();) {\n"
-      "    if (it->second.done()) it = pending_.erase(it); else ++it;\n"
-      "  }\n"
-      "}\n");
-  EXPECT_FALSE(HasRule(findings, "scan-prune"));
-}
-
-TEST(LintRules, WheelInternalsExemptFromScanPrune) {
-  const std::string text =
-      "void Compact(long long now) {\n"
-      "  for (auto it = by_expiry_.begin(); it != by_expiry_.end();) {\n"
-      "    if (!LeaseActive(it->second, now)) it = by_expiry_.erase(it);\n"
-      "    else ++it;\n"
-      "  }\n"
-      "}\n";
-  EXPECT_FALSE(
-      HasRule(LintFile("src/core/timer_wheel.h", text), "scan-prune"));
-  EXPECT_FALSE(HasRule(LintFile("src/core/site_list.h", text), "scan-prune"));
-  EXPECT_TRUE(HasRule(LintFile("src/core/table.cc", text), "scan-prune"));
-}
-
-TEST(LintRules, NakedEvictFlagsBudgetEraseOutsideKernel) {
-  const std::string text =
-      "void MakeRoom(unsigned long long incoming) {\n"
-      "  while (bytes_used_ + incoming > capacity_bytes_) {\n"
-      "    bytes_used_ -= sizes_[lru_.back()];\n"
-      "    sizes_.erase(lru_.back());\n"
-      "    lru_.pop_back();\n"
-      "  }\n"
-      "}\n";
-  EXPECT_TRUE(HasRule(LintFile("src/replay/x.cc", text), "naked-evict"));
-  // The kernel and its host cache own the sanctioned loop.
-  EXPECT_FALSE(HasRule(LintFile("src/http/proxy_cache.cc", text), "naked-evict"));
-  EXPECT_FALSE(
-      HasRule(LintFile("src/http/eviction/gds_policy.h", text), "naked-evict"));
-}
-
-TEST(LintRules, NakedEvictIgnoresEraseWithoutBudgetContext) {
-  // Plain container maintenance near no byte budget is not an eviction loop.
-  const std::vector<Finding> findings = LintFile(
-      "src/replay/x.cc",
-      "void Forget(const std::string& key) {\n"
-      "  sizes_.erase(key);\n"
-      "  order_.pop_back();\n"
-      "}\n");
-  EXPECT_FALSE(HasRule(findings, "naked-evict"));
 }
 
 TEST(LintRules, AllowOnPreviousLineSuppresses) {

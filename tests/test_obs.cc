@@ -4,10 +4,14 @@
 // identities against ReplayMetrics.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/policy.h"
+#include "http/eviction/policy.h"
 #include "obs/event.h"
 #include "obs/metrics.h"
 #include "obs/trace_reader.h"
@@ -292,46 +296,125 @@ TEST(FarmTrace, MergeIsBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(summary.unknown_events, 0u);
 }
 
+// The `eviction` lines of a JSONL trace whose detail is `detail`.
+std::uint64_t EvictionsWithDetail(const std::string& jsonl, int detail) {
+  const std::string field = ",\"d\":" + std::to_string(detail);
+  std::uint64_t count = 0;
+  std::istringstream in(jsonl);
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t at = line.find(field);
+    if (line.find("\"e\":\"eviction\"") != std::string::npos &&
+        at != std::string::npos &&
+        (line[at + field.size()] == ',' || line[at + field.size()] == '}')) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+// The taxonomy's contract: each mirrored event type is emitted at exactly
+// the site that increments its ReplayMetrics counter. Replays `config` and
+// checks every mirrored pair; returns the metrics.
+ReplayMetrics ExpectEventsMatchCounters(ReplayConfig config) {
+  obs::BufferTraceSink sink;
+  config.trace_sink = &sink;
+  const ReplayMetrics m = RunReplay(config);
+
+  const std::string text = sink.TakeText();
+  std::istringstream in(text);
+  const obs::TraceSummary s = obs::SummarizeTrace(in);
+  EXPECT_EQ(s.runs, 1u);
+  EXPECT_EQ(s.malformed_lines, 0u);
+  EXPECT_EQ(s.undefined_ids, 0u);
+  EXPECT_EQ(s.CountOf(obs::EventType::kGetSent), m.get_requests);
+  EXPECT_EQ(s.CountOf(obs::EventType::kImsSent), m.ims_requests);
+  EXPECT_EQ(s.CountOf(obs::EventType::kReply200), m.replies_200);
+  EXPECT_EQ(s.CountOf(obs::EventType::kReply304), m.replies_304);
+  EXPECT_EQ(s.CountOf(obs::EventType::kStaleHit), m.stale_serves);
+  EXPECT_EQ(s.CountOf(obs::EventType::kModification), m.modifications_applied);
+  EXPECT_EQ(s.CountOf(obs::EventType::kInvalidateGenerated),
+            m.invalidations_sent);
+  EXPECT_EQ(s.CountOf(obs::EventType::kInvalidateDelivered),
+            m.invalidations_delivered);
+  EXPECT_EQ(s.CountOf(obs::EventType::kInvalidateRefused) +
+                s.CountOf(obs::EventType::kInvalidateGaveUp),
+            m.invalidations_refused);
+  // A policy victim (detail 0, or 1 when the expired-first rule chose it)
+  // and an oversize rejection (detail 2) each emit one kEviction event.
+  EXPECT_EQ(s.CountOf(obs::EventType::kEviction),
+            m.proxy_evictions + m.proxy_oversize_rejections);
+  EXPECT_EQ(EvictionsWithDetail(text, 1), m.proxy_expired_evictions);
+  EXPECT_EQ(EvictionsWithDetail(text, 2), m.proxy_oversize_rejections);
+  EXPECT_EQ(s.CountOf(obs::EventType::kRequestTimeout), m.request_timeouts);
+  EXPECT_EQ(s.CountOf(obs::EventType::kInvalidateServer), m.invsrv_sent);
+  // Every issued request resolves as served or timed out.
+  EXPECT_EQ(s.CountOf(obs::EventType::kRequestServed) +
+                s.CountOf(obs::EventType::kRequestTimeout),
+            m.requests_issued);
+  return m;
+}
+
 TEST(Reconciliation, EventCountsMatchReplayCounters) {
-  // The taxonomy's contract: each mirrored event type is emitted at exactly
-  // the site that increments its ReplayMetrics counter.
   const trace::Trace trace = SmallTrace();
   for (const core::Protocol protocol :
        {core::Protocol::kAdaptiveTtl, core::Protocol::kInvalidation}) {
-    ReplayConfig config =
-        MakeReplayConfig(Table3Experiments()[0], protocol, trace);
-    obs::BufferTraceSink sink;
-    config.trace_sink = &sink;
-    const ReplayMetrics m = RunReplay(config);
-
-    std::istringstream in(sink.TakeText());
-    const obs::TraceSummary s = obs::SummarizeTrace(in);
-    EXPECT_EQ(s.runs, 1u);
-    EXPECT_EQ(s.malformed_lines, 0u);
-    EXPECT_EQ(s.undefined_ids, 0u);
-    EXPECT_EQ(s.CountOf(obs::EventType::kGetSent), m.get_requests);
-    EXPECT_EQ(s.CountOf(obs::EventType::kImsSent), m.ims_requests);
-    EXPECT_EQ(s.CountOf(obs::EventType::kReply200), m.replies_200);
-    EXPECT_EQ(s.CountOf(obs::EventType::kReply304), m.replies_304);
-    EXPECT_EQ(s.CountOf(obs::EventType::kStaleHit), m.stale_serves);
-    EXPECT_EQ(s.CountOf(obs::EventType::kModification),
-              m.modifications_applied);
-    EXPECT_EQ(s.CountOf(obs::EventType::kInvalidateGenerated),
-              m.invalidations_sent);
-    EXPECT_EQ(s.CountOf(obs::EventType::kInvalidateDelivered),
-              m.invalidations_delivered);
-    EXPECT_EQ(s.CountOf(obs::EventType::kInvalidateRefused) +
-                  s.CountOf(obs::EventType::kInvalidateGaveUp),
-              m.invalidations_refused);
-    EXPECT_EQ(s.CountOf(obs::EventType::kEviction), m.proxy_evictions);
-    EXPECT_EQ(s.CountOf(obs::EventType::kRequestTimeout), m.request_timeouts);
-    EXPECT_EQ(s.CountOf(obs::EventType::kInvalidateServer), m.invsrv_sent);
-    // Every issued request resolves as served or timed out.
-    EXPECT_EQ(s.CountOf(obs::EventType::kRequestServed) +
-                  s.CountOf(obs::EventType::kRequestTimeout),
-              m.requests_issued);
+    ExpectEventsMatchCounters(
+        MakeReplayConfig(Table3Experiments()[0], protocol, trace));
   }
 }
+
+TEST(Reconciliation, EvictionEventsMatchUnderPressure) {
+  // The default 128 MiB cache never evicts; a small one does under every
+  // policy, and it also rejects the documents larger than itself.
+  const trace::Trace trace = SmallTrace();
+  using http::eviction::EvictionPolicyKind;
+  for (const EvictionPolicyKind policy :
+       {EvictionPolicyKind::kLru, EvictionPolicyKind::kExpiredFirstLru,
+        EvictionPolicyKind::kGds}) {
+    SCOPED_TRACE(std::string(http::eviction::ToString(policy)));
+    ReplayConfig config = MakeReplayConfig(
+        Table3Experiments()[0], core::Protocol::kAdaptiveTtl, trace);
+    config.proxy_cache_bytes = 200000;
+    config.eviction_policy = policy;
+    const ReplayMetrics m = ExpectEventsMatchCounters(config);
+    EXPECT_GT(m.proxy_evictions, 0u);
+    EXPECT_GT(m.proxy_oversize_rejections, 0u);
+    if (policy == EvictionPolicyKind::kExpiredFirstLru) {
+      EXPECT_GT(m.proxy_expired_evictions, 0u);
+    }
+  }
+}
+
+// The other protocols reach the cache through their own paths as well:
+// revalidation on every request, invalidation erasures, PCV's TakeExpired
+// and re-arm, PSI's per-URL erasure. The identity must hold under pressure
+// for each.
+class ReconciliationUnderPressure
+    : public ::testing::TestWithParam<core::Protocol> {};
+
+TEST_P(ReconciliationUnderPressure, EvictionEventsMatchCounters) {
+  const trace::Trace trace = SmallTrace();
+  ReplayConfig config =
+      MakeReplayConfig(Table3Experiments()[0], GetParam(), trace);
+  config.proxy_cache_bytes = 200000;
+  const ReplayMetrics m = ExpectEventsMatchCounters(config);
+  EXPECT_GT(m.proxy_evictions, 0u);
+  EXPECT_GT(m.proxy_oversize_rejections, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OtherProtocols, ReconciliationUnderPressure,
+    ::testing::Values(core::Protocol::kPollEveryTime,
+                      core::Protocol::kInvalidation,
+                      core::Protocol::kPiggybackValidation,
+                      core::Protocol::kPiggybackInvalidation),
+    [](const ::testing::TestParamInfo<core::Protocol>& info) {
+      std::string name = core::ToString(info.param);
+      for (char& c : name) {
+        if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+      }
+      return name;
+    });
 
 TEST(Reconciliation, RegistryExportIsASuperset) {
   const trace::Trace trace = SmallTrace();

@@ -141,6 +141,7 @@ TEST(ProxyCachePiggyback, EraseByUrlAfterReplacement) {
   cache.Insert(Entry("/a", "alice", 200), 0);  // replace
   EXPECT_EQ(cache.EraseByUrl("/a"), 1u);
   EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_EQ(cache.bytes_used(), 0u);
 }
 
 TEST(ProxyCachePiggyback, TakeExpiredReturnsOnlyExpired) {

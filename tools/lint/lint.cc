@@ -253,8 +253,6 @@ std::vector<std::string_view> RuleIds() {
           "unordered-iter-in-dump",
           "raw-mutex",
           "naked-send",
-          "scan-prune",
-          "naked-evict",
           "guarded-by-unlocked",
           "lock-order-cycle",
           "determinism-taint",

@@ -27,13 +27,6 @@
 //                           outside live/socket.cc — live I/O must flow
 //                           through the classified IoError path (short
 //                           writes, peer-reset vs timeout).
-//   scan-prune              no iteration-erase prune loops over lease state
-//                           outside core/timer_wheel.h and core/site_list.h
-//                           — expiry must be indexed through the timer
-//                           wheel so pruning stays O(expired).
-//   naked-evict             no hand-rolled byte-budget eviction outside
-//                           src/http/eviction/ and the proxy cache — victim
-//                           choice belongs to the eviction kernel.
 //
 // Semantic passes (new in v2; findings carry witness chains):
 //

@@ -1,4 +1,4 @@
-// Six of the v1 webcc_lint rules, reimplemented on the token stream. Rule
+// Four of the v1 webcc_lint rules, reimplemented on the token stream. Rule
 // ids, messages and path scoping match the line-scanner version (the
 // fixture suite pins them); what changed is fidelity — string literals,
 // raw strings, comments and member-qualified calls can no longer trip a
@@ -16,15 +16,9 @@ constexpr std::string_view kDeterminismClock = "determinism-clock";
 constexpr std::string_view kUnorderedIter = "unordered-iter-in-dump";
 constexpr std::string_view kRawMutex = "raw-mutex";
 constexpr std::string_view kNakedSend = "naked-send";
-constexpr std::string_view kScanPrune = "scan-prune";
-constexpr std::string_view kNakedEvict = "naked-evict";
 
 bool PathContains(std::string_view path, std::string_view piece) {
   return path.find(piece) != std::string_view::npos;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
 }
 
 struct RuleScan {
@@ -189,61 +183,6 @@ struct RuleScan {
                  "live/socket.h");
     }
   }
-
-  // --- scan-prune / naked-evict (proximity rules) -------------------------------
-
-  int last_lease_line = -1000;
-  int last_budget_line = -1000;
-
-  void TrackContext(std::size_t k) {
-    const std::string& word = Tok(k).text;
-    // Members spell it `lease_until_` / `bytes_used_`, hence prefix match.
-    if (StartsWith(word, "lease_until") || word == "LeaseActive") {
-      last_lease_line = Tok(k).line;
-    }
-    if (StartsWith(word, "bytes_used") || StartsWith(word, "capacity_bytes")) {
-      last_budget_line = Tok(k).line;
-    }
-  }
-
-  void CheckScanPrune(std::size_t k) {
-    // `= chain.erase(it)` — iterator-erase in a full-scan prune loop.
-    if (Tok(k).text != "erase" || !NextIsCall(k) || k < 1 ||
-        !IsPunct(k - 1, ".")) {
-      return;
-    }
-    const std::size_t n = model.code.size();
-    if (k + 2 >= n || Tok(k + 2).kind != TokKind::kIdent ||
-        k + 3 >= n || !IsPunct(k + 3, ")")) {
-      return;  // argument is not a single identifier (not an iterator)
-    }
-    // Walk the object chain back to check it is assigned from.
-    std::size_t j = k - 1;  // the '.'
-    while (j >= 1 && (Tok(j - 1).kind == TokKind::kIdent ||
-                      IsPunct(j - 1, ".") || IsPunct(j - 1, "->") ||
-                      IsPunct(j - 1, "::"))) {
-      --j;
-    }
-    if (j < 1 || !IsPunct(j - 1, "=")) return;
-    if (Tok(k).line - last_lease_line <= 8) {
-      Report(Tok(k).line, kScanPrune,
-             "iteration-erase prune over lease state scans every entry; "
-             "index expiries through core::TimerWheel "
-             "(see core/invalidation_table.cc)");
-    }
-  }
-
-  void CheckNakedEvict(std::size_t k) {
-    const std::string& word = Tok(k).text;
-    if (word != "erase" && word != "pop_back" && word != "pop_front") return;
-    if (!NextIsCall(k) || !PrevIsMemberAccess(k)) return;
-    if (Tok(k).line - last_budget_line <= 8) {
-      Report(Tok(k).line, kNakedEvict,
-             "hand-rolled byte-budget eviction bypasses the eviction "
-             "kernel; route victim choice through http::ProxyCache and "
-             "src/http/eviction/");
-    }
-  }
 };
 
 }  // namespace
@@ -267,16 +206,6 @@ bool RuleAppliesToPath(std::string_view rule, std::string_view path) {
   if (rule == kNakedSend) {
     return PathContains(path, "live") && !ends_with("live/socket.cc") &&
            !ends_with("live/socket.h");
-  }
-  if (rule == kScanPrune) {
-    // The wheel and the compact list own the sanctioned expiry machinery.
-    return !ends_with("core/timer_wheel.h") && !ends_with("core/site_list.h");
-  }
-  if (rule == kNakedEvict) {
-    // The eviction kernel and its host cache own the sanctioned loop.
-    return !PathContains(path, "http/eviction/") &&
-           !ends_with("http/proxy_cache.cc") &&
-           !ends_with("http/proxy_cache.h");
   }
   return true;  // unordered-iter-in-dump, new passes
 }
@@ -328,8 +257,6 @@ void RunLegacyRules(const FileContext& file, Reporter& reporter) {
   const bool clock_on = RuleAppliesToPath(kDeterminismClock, path);
   const bool mutex_on = RuleAppliesToPath(kRawMutex, path);
   const bool send_on = RuleAppliesToPath(kNakedSend, path);
-  const bool prune_on = RuleAppliesToPath(kScanPrune, path);
-  const bool evict_on = RuleAppliesToPath(kNakedEvict, path);
 
   if (mutex_on) {
     for (const Token& t : file.model.tokens) {
@@ -340,13 +267,10 @@ void RunLegacyRules(const FileContext& file, Reporter& reporter) {
   for (std::size_t k = 0; k < n; ++k) {
     const Token& t = file.model.Tok(k);
     if (t.kind != TokKind::kIdent) continue;
-    scan.TrackContext(k);
     if (clock_on) scan.CheckClock(k);
     if (mutex_on) scan.CheckRawMutex(k);
     scan.CheckUnorderedIter(k);
     if (send_on) scan.CheckNakedSend(k);
-    if (prune_on) scan.CheckScanPrune(k);
-    if (evict_on) scan.CheckNakedEvict(k);
   }
 }
 

@@ -63,10 +63,9 @@ std::set<std::string> CollectUnorderedNames(const ScopeModel& model);
 
 void CollectProgramFacts(const FileContext& file, ProgramFacts* facts);
 
-// Six of the v1 rules (determinism-clock, unordered-iter-in-dump,
-// raw-mutex, naked-send, scan-prune, naked-evict), reimplemented on the
-// token stream. Rule ids and suppression pragmas are
-// unchanged from the line-scanner version.
+// Four of the v1 rules (determinism-clock, unordered-iter-in-dump,
+// raw-mutex, naked-send), reimplemented on the token stream. Rule ids and
+// suppression pragmas are unchanged from the line-scanner version.
 void RunLegacyRules(const FileContext& file, Reporter& reporter);
 
 // Intra-procedural lock-discipline dataflow: every access to a

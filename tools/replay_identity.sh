@@ -1,5 +1,5 @@
 #!/bin/sh
-# Checks that two webcc builds replay identically. Runs the same eighteen
+# Checks that two webcc builds replay identically. Runs the same seventeen
 # replays with each binary and compares, per replay:
 #   - stdout, without the `wrote ...` lines;
 #   - the --trace-out JSONL streams, byte for byte;
@@ -146,16 +146,13 @@ replay flash_crowd_batched \
   --fault-seed 2
 replay sdsc_decoupled --preset SDSC --decoupled --shards 3 --fault-seed 6
 # The eviction kernel under pressure: the runs above keep the default
-# 128 MiB cache, which seldom evicts and has no second tier, so these give
-# each proxy 1 MB. They reach the expired-first rule, tier-2 demotion and
-# expired cleanup, GreedyDual-Size, and PCV's TakeExpired over both tiers.
+# 128 MiB cache, which seldom evicts, so these give each proxy 1 MB. They
+# reach the expired-first rule, GreedyDual-Size, and PCV's TakeExpired
+# competing with the expired-first rule for the same TTL index.
 replay sask_small_cache --preset SASK --protocol all --cache-bytes 1000000
-replay sask_tier2 --preset SASK --protocol all --cache-bytes 1000000 \
-  --cache-tier2-bytes 4000000
-replay sask_gds_tier2 --preset SASK --protocol all --cache-bytes 1000000 \
-  --cache-tier2-bytes 4000000 --cache-policy gds
-replay sask_pcv_tier2 --preset SASK --protocol pcv --cache-bytes 1000000 \
-  --cache-tier2-bytes 4000000
+replay sask_gds --preset SASK --protocol all --cache-bytes 1000000 \
+  --cache-policy gds
+replay sask_pcv_small_cache --preset SASK --protocol pcv --cache-bytes 1000000
 # Leases: none of the runs above grants one. These reach lease grants and
 # expiries across shards (two-tier, batched), and the INVSRV broadcast and
 # journal recovery built from three shards' site lists.
