@@ -69,15 +69,6 @@ Time InvalidationTable::Register(InternId url_id, InternId site_id,
   return lease_until;
 }
 
-std::vector<std::string> InvalidationTable::TakeSitesForInvalidation(
-    std::string_view url, Time now) {
-  std::vector<std::string> sites;
-  for (TakenSite& taken : TakeSitesWithLeases(url, now)) {
-    sites.push_back(std::move(taken.site));
-  }
-  return sites;
-}
-
 std::vector<InvalidationTable::TakenSite>
 InvalidationTable::TakeSitesWithLeases(InternId url_id, Time now) {
   std::vector<TakenSite> sites;

@@ -15,9 +15,9 @@
 // this table sits on the server's per-request hot path (Register on every
 // GET/IMS), so the site lists key on integers. The accelerator resolves a
 // request's url and site once (InternUrl/InternSite) and drives the id-keyed
-// core; the string overloads resolve the names and forward, for tests and
-// for the hierarchy's parent table. The site interner survives Clear(), so
-// it is also the set of every site the table has ever been shown.
+// core; the string overloads resolve the names and forward, for tests. The
+// site interner survives Clear(), so it is also the set of every site the
+// table has ever been shown.
 //
 // Million-site scale (ROADMAP item 4): site lists are CompactSiteList —
 // dense open-addressing tables of 12-byte slots keyed on the site id — and
@@ -76,28 +76,20 @@ class InvalidationTable {
   // before the lease check, exactly the sites it has ever served.
   const Interner& sites() const { return clients_; }
 
-  // Collects the sites holding an unexpired lease on `url` and clears the
-  // list (each collected site is about to receive an invalidation, after
-  // which the server forgets it, as in the paper). Entries whose lease
-  // already lapsed are dropped through the same expiry accounting as
-  // PruneExpired — they emit kLeaseExpiry (site-sorted) and count toward
-  // leases_expired(), so the DESIGN §8 event/counter reconciliation holds
-  // no matter which path retires an entry.
-  std::vector<std::string> TakeSitesForInvalidation(std::string_view url,
-                                                    Time now);
-
-  // Like TakeSitesForInvalidation, but keeps each site's lease expiry — the
-  // delivery-state machine needs it to decide when a straggler's lease
-  // lapses and the write may complete without its ack (Section 6 bound).
+  // Collects the sites holding an unexpired lease on `url_id`, site-sorted,
+  // and clears the list (each collected site is about to receive an
+  // invalidation, after which the server forgets it, as in the paper).
+  // Each keeps its lease expiry: the delivery-state machine needs it to
+  // decide when a straggler's lease lapses and the write may complete
+  // without its ack (Section 6 bound). Entries whose lease already lapsed
+  // are dropped through the same expiry accounting as PruneExpired — they
+  // emit kLeaseExpiry (site-sorted) and count toward leases_expired(), so
+  // the DESIGN §8 event/counter reconciliation holds no matter which path
+  // retires an entry.
   struct TakenSite {
     std::string site;
     Time lease_until = net::kNoLease;
   };
-  std::vector<TakenSite> TakeSitesWithLeases(std::string_view url, Time now) {
-    const InternId url_id = FindUrl(url);
-    if (url_id == kNoInternId) return {};
-    return TakeSitesWithLeases(url_id, now);
-  }
   std::vector<TakenSite> TakeSitesWithLeases(InternId url_id, Time now);
 
   // Silently discards `url`'s whole list: journal replay applying an 'I'

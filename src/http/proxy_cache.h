@@ -47,10 +47,6 @@
 
 namespace webcc::http {
 
-// The historical name for the policy selector, kept as an alias now that
-// the enum lives in the eviction kernel.
-using ReplacementPolicy = eviction::EvictionPolicyKind;
-
 struct CacheEntry {
   std::string key;  // http::ComposeCacheKey(url, owner)
   std::string url;
@@ -87,7 +83,7 @@ struct ProxyCacheStats {
 
 class ProxyCache : private eviction::EvictionHost {
  public:
-  ProxyCache(std::uint64_t capacity_bytes, ReplacementPolicy policy)
+  ProxyCache(std::uint64_t capacity_bytes, eviction::EvictionPolicyKind policy)
       : capacity_bytes_(capacity_bytes),
         policy_(eviction::MakeEvictionPolicy(policy)) {}
 
@@ -138,7 +134,7 @@ class ProxyCache : private eviction::EvictionHost {
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
   std::size_t entry_count() const { return lru_.size(); }
   const ProxyCacheStats& stats() const { return stats_; }
-  ReplacementPolicy policy_kind() const { return policy_->kind(); }
+  eviction::EvictionPolicyKind policy_kind() const { return policy_->kind(); }
 
   // Records in the TTL index, for the heap-growth regression test.
   std::size_t ttl_heap_size() const { return ttl_index_.size(); }

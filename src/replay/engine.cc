@@ -1,7 +1,6 @@
 #include "replay/engine.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <memory>
 #include <utility>
@@ -187,10 +186,11 @@ void Engine::Setup() {
     parent_cache_ = std::make_unique<http::ProxyCache>(
         config_.proxy_cache_bytes * 4, config_.eviction_policy);
     parent_cache_->set_trace_sink(sink_);
-    parent_table_ = std::make_unique<core::InvalidationTable>(
-        core::LeaseConfig{});
-    parent_table_->set_trace_sink(sink_);
     parent_cpu_ = std::make_unique<sim::FifoStation>(sim_, "parent-cpu");
+    leaf_names_.reserve(clients_.size());
+    for (const PseudoClient& pc : clients_) {
+      leaf_names_.push_back("leaf-" + std::to_string(pc.index));
+    }
   }
 }
 
@@ -249,12 +249,14 @@ ReplayMetrics Engine::Run() {
   const stats::LatencyStats& lengths = accel_stats.list_lengths_at_modification;
   metrics_.sitelist_avg_len_at_mod = lengths.mean();
   metrics_.sitelist_max_len_at_mod = static_cast<std::uint64_t>(lengths.max());
-  for (const PseudoClient& pc : clients_) {
-    metrics_.proxy_evictions += pc.cache->stats().evictions;
-    metrics_.proxy_expired_evictions += pc.cache->stats().expired_evictions;
-    metrics_.proxy_oversize_rejections +=
-        pc.cache->stats().oversize_rejections;
-  }
+  // Every proxy's cache, the hierarchy's parent included.
+  const auto count_cache = [this](const http::ProxyCache& cache) {
+    metrics_.proxy_evictions += cache.stats().evictions;
+    metrics_.proxy_expired_evictions += cache.stats().expired_evictions;
+    metrics_.proxy_oversize_rejections += cache.stats().oversize_rejections;
+  };
+  for (const PseudoClient& pc : clients_) count_cache(*pc.cache);
+  if (parent_cache_ != nullptr) count_cache(*parent_cache_);
 
   if (sink_ != nullptr) {
     sink_->Emit({.type = obs::EventType::kRunEnd,
@@ -269,7 +271,6 @@ ReplayMetrics Engine::Run() {
     // Memory attribution: the bytes held at the end of the run by each
     // structure that grows with the workload.
     std::uint64_t cache_bytes = 0;
-    std::uint64_t table_bytes = accel.TableFootprintBytes();
     const std::uint64_t histogram_bytes =
         metrics_.MemoryFootprintBytes() + lengths.MemoryFootprintBytes();
     std::uint64_t trace_bytes =
@@ -284,12 +285,9 @@ ReplayMetrics Engine::Run() {
       parent_cache_->ExportMetrics(registry, "parent.cache.");
       cache_bytes += parent_cache_->MemoryFootprintBytes();
     }
-    if (parent_table_ != nullptr) {
-      parent_table_->ExportMetrics(registry, "parent.table.");
-      table_bytes += parent_table_->MemoryFootprintBytes();
-    }
     registry.SetCounter("memory.proxy_caches.bytes", cache_bytes);
-    registry.SetCounter("memory.site_lists.bytes", table_bytes);
+    registry.SetCounter("memory.site_lists.bytes",
+                        accel.TableFootprintBytes());
     registry.SetCounter("memory.histograms.bytes", histogram_bytes);
     registry.SetCounter("memory.trace.bytes", trace_bytes);
   }
@@ -530,7 +528,8 @@ void Engine::SendToServer(PseudoClient& pc, net::Request request,
                          [this, request = std::move(request),
                           index = pc.index, seq, trace_time]() mutable {
                            if (config_.hierarchical) {
-                             ParentHandle(request, index, seq, trace_time);
+                             ParentHandle(
+                                 {std::move(request), index, seq, trace_time});
                            } else {
                              ServerHandle(request, index, seq, trace_time);
                            }
@@ -647,23 +646,6 @@ void Engine::DeliverReply(int client_index, std::uint64_t seq,
 }
 
 }  // namespace detail
-
-bool ParseLeafIndex(std::string_view site, int& index) {
-  constexpr std::string_view kPrefix = "leaf-";
-  if (site.substr(0, kPrefix.size()) != kPrefix) return false;
-  const std::string_view digits = site.substr(kPrefix.size());
-  if (digits.empty()) return false;
-  int parsed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(digits.data(), digits.data() + digits.size(), parsed);
-  // from_chars accepts a leading '-'; site indices are non-negative, and the
-  // whole suffix must be consumed (no "leaf-3x").
-  if (ec != std::errc() || ptr != digits.data() + digits.size() || parsed < 0) {
-    return false;
-  }
-  index = parsed;
-  return true;
-}
 
 ReplayMetrics RunReplay(const ReplayConfig& config) {
   detail::Engine engine(config);

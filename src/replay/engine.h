@@ -18,8 +18,6 @@
 //    replay was.
 #pragma once
 
-#include <string_view>
-
 #include "replay/config.h"
 #include "replay/metrics.h"
 
@@ -27,13 +25,5 @@ namespace webcc::replay {
 
 // Runs a full replay; deterministic for a given config (including seeds).
 ReplayMetrics RunReplay(const ReplayConfig& config);
-
-// Parses the pseudo-client index out of a hierarchy site name of the exact
-// form "leaf-<digits>" (the names the engine registers with the parent's
-// interest table). Returns false — without touching `index` — for any other
-// shape: wrong prefix, empty/non-numeric suffix, trailing garbage, or a
-// value that overflows int. Exposed for testing; the engine treats a parse
-// failure as a corrupted-table invariant violation.
-bool ParseLeafIndex(std::string_view site, int& index);
 
 }  // namespace webcc::replay

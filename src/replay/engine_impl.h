@@ -166,17 +166,24 @@ class Engine {
                     std::string owner, Time trace_time);
 
   // --- hierarchy: parent proxy (engine_hierarchy.cc) ---------------------------
-  void ParentHandle(const net::Request& request, int client_index,
-                    std::uint64_t seq, Time trace_time);
-  void ServerHandleForParent(net::Request request, int client_index,
-                             std::uint64_t seq, std::string owner,
-                             bool leaf_wanted_body, Time trace_time);
-  void ParentReceiveReply(net::Reply reply, int client_index,
-                          std::uint64_t seq, std::string owner,
-                          bool leaf_wanted_body, Time trace_time);
-  void ParentDeliverInvalidation(const std::string& url, std::uint64_t mod_id);
-  // Forwards an INVSRV of `wire` bytes to every leaf.
-  void ParentDeliverServerNotice(std::uint64_t wire);
+  // A leaf's request at the parent, until the parent answers it.
+  struct LeafRequest {
+    net::Request request;  // the leaf's GET, or its IMS with its validator
+    int client_index = 0;
+    std::uint64_t seq = 0;
+    Time trace_time = 0;
+  };
+  // The parent as a proxy: serves from its copy when StartFetch lets it,
+  // otherwise fetches or revalidates through the server as site "parent".
+  void ParentHandle(LeafRequest leaf);
+  void ServerHandleForParent(const net::Request& upstream, LeafRequest leaf);
+  void ParentReceiveReply(net::Reply reply, LeafRequest leaf);
+  // The parent as the leaves' server: answers `leaf` from `copy`, a 200
+  // carrying the parent's copy, and registers the leaf's interest in it.
+  void ParentAnswer(net::Reply copy, LeafRequest leaf);
+  // A push from the server: the parent drops its copy (or marks it
+  // questionable) and forwards the push to the leaves below it.
+  void ParentDeliverPush(const Push& push, std::uint64_t wire);
 
   // --- modifier / invalidation path (engine_invalidation.cc) -------------------
   void ModifierStep();
@@ -192,8 +199,7 @@ class Engine {
   // partitions, a refused connection resolving the site dead. `wire` is
   // the frame's size, computed by the caller for its message format.
   void SendPush(Push push, std::uint64_t wire);
-  // `client_index` is -1 for the parent.
-  void DeliverPush(const Push& push, int client_index, std::uint64_t wire);
+  void DeliverPush(const Push& push, int client_index);
   void RefusePush(const Push& push, Time done_at);
   void ResolveFirstAttempt(std::uint64_t mod_id);
   void CompleteWrite(const std::string& url);
@@ -288,11 +294,14 @@ class Engine {
   std::vector<char> client_routed_;            // by trace client id
   std::vector<std::string> proxy_site_names_;  // shared-proxy site identities
 
-  // Hierarchical mode: the parent proxy's shared cache, its per-document
-  // leaf-interest lists, and its CPU station.
+  // Hierarchical mode: the parent proxy's shared cache, its CPU station,
+  // and per URL the leaves it answered since it last forwarded an
+  // invalidation, as ascending pseudo-client indices. leaf_names_[i] is
+  // leaf i's site name in trace events and write-delivery targets.
   std::unique_ptr<http::ProxyCache> parent_cache_;
-  std::unique_ptr<core::InvalidationTable> parent_table_;
   std::unique_ptr<sim::FifoStation> parent_cpu_;
+  std::unordered_map<std::string, std::vector<int>> leaf_interest_;
+  std::vector<std::string> leaf_names_;
 
   std::vector<trace::ModEvent> modifications_;
   std::size_t mod_cursor_ = 0;

@@ -238,7 +238,11 @@ void Engine::SendPush(Push push, std::uint64_t wire) {
       ServerNode(), target, wire,
       [this, frame, release_gate, gate_released, index, wire] {
         if (!gate_released) release_gate();
-        DeliverPush(*frame, index, wire);
+        if (index < 0) {
+          ParentDeliverPush(*frame, wire);
+        } else {
+          DeliverPush(*frame, index);
+        }
       },
       [this, frame, release_gate, gate_released](
           sim::Network::SendResult result, Time done_at) {
@@ -248,29 +252,16 @@ void Engine::SendPush(Push push, std::uint64_t wire) {
       });
 }
 
-void Engine::DeliverPush(const Push& push, int client_index,
-                         std::uint64_t wire) {
+void Engine::DeliverPush(const Push& push, int client_index) {
   if (push.server_notice) {
-    if (client_index < 0) {
-      ParentDeliverServerNotice(wire);
-    } else {
-      // Server-address invalidation: every entry this real client holds
-      // from that server becomes questionable.
-      clients_[client_index].cache->MarkQuestionableWhere(
-          [&push](const http::CacheEntry& entry) {
-            return entry.owner == push.site;
-          });
-    }
+    // Server-address invalidation: every entry this real client holds from
+    // that server becomes questionable.
+    clients_[client_index].cache->MarkQuestionableWhere(
+        [&push](const http::CacheEntry& entry) {
+          return entry.owner == push.site;
+        });
   } else {
     for (std::size_t i = 0; i < push.urls.size(); ++i) {
-      const std::vector<std::uint64_t>& ids = push.write_ids[i];
-      if (client_index < 0) {
-        // Batching is off under `hierarchical`, so a frame for the parent
-        // carries one write id per URL.
-        WEBCC_DCHECK(ids.size() == 1);
-        ParentDeliverInvalidation(push.urls[i], ids.front());
-        continue;
-      }
       // Deleting (rather than marking) frees cache space for fresh
       // documents — the cache-utilization benefit the paper credits
       // invalidation with.
@@ -283,7 +274,7 @@ void Engine::DeliverPush(const Push& push, int client_index,
                         .site = push.site});
       // A coalesced entry acks every write it absorbed — the one-frame-on-
       // heal guarantee for a site partitioned through multiple writes.
-      for (const std::uint64_t mod_id : ids) {
+      for (const std::uint64_t mod_id : push.write_ids[i]) {
         ResolveWriteTarget(mod_id, push.site, /*dead=*/false);
       }
     }
@@ -405,9 +396,12 @@ void Engine::ServerRecover(Time trace_time) {
     // Write-ahead journal survives the crash: rebuild the site lists from
     // it and send *targeted* invalidations only for documents that changed
     // during the downtime. A damaged journal falls back to the blanket
-    // INVSRV broadcast inside RecoverFromJournal.
+    // INVSRV broadcast inside RecoverFromJournal. The restart fires at the
+    // start of the lock-step window that covers it, before that window's
+    // earlier writes, so leases are restored as of the window start: a
+    // lease those writes still need must survive the rebuild.
     core::ShardedAccelerator::RecoveryOutcome outcome =
-        site_.accelerator().RecoverFromJournal(trace_time);
+        site_.accelerator().RecoverFromJournal(CurrentWindowStart());
     ++metrics_.journal_rebuilds;
     if (outcome.journal_damaged) ++metrics_.journal_damaged_recoveries;
     obs::Emit(sink_, {.type = obs::EventType::kJournalRebuild,

@@ -22,10 +22,12 @@
 namespace webcc::http {
 namespace {
 
+using eviction::EvictionPolicyKind;
+
 // The reference: exact semantics, no cleverness.
 class ReferenceCache {
  public:
-  ReferenceCache(std::uint64_t capacity, ReplacementPolicy policy)
+  ReferenceCache(std::uint64_t capacity, EvictionPolicyKind policy)
       : capacity_(capacity), policy_(policy) {}
 
   struct Entry {
@@ -50,7 +52,7 @@ class ReferenceCache {
       Entry entry = std::move(entries_[i]);
       entries_.erase(entries_.begin() + static_cast<long>(i));
       entries_.insert(entries_.begin(), std::move(entry));
-      if (policy_ == ReplacementPolicy::kGds) GdsCredit(entries_.front());
+      if (policy_ == EvictionPolicyKind::kGds) GdsCredit(entries_.front());
       return &entries_.front();
     }
     return nullptr;
@@ -71,7 +73,7 @@ class ReferenceCache {
     entry.stamp = next_stamp_++;
     bytes_ += entry.size;
     entries_.insert(entries_.begin(), std::move(entry));
-    if (policy_ == ReplacementPolicy::kGds) GdsCredit(entries_.front());
+    if (policy_ == EvictionPolicyKind::kGds) GdsCredit(entries_.front());
   }
 
   bool Erase(const std::string& key) {
@@ -114,7 +116,7 @@ class ReferenceCache {
   };
 
   Victim PickVictim(Time now) {
-    if (policy_ == ReplacementPolicy::kExpiredFirstLru) {
+    if (policy_ == EvictionPolicyKind::kExpiredFirstLru) {
       // The production TTL heap pops by (expiry, stamp).
       bool found = false;
       std::size_t index = 0;
@@ -132,7 +134,7 @@ class ReferenceCache {
       if (found) return {index, true};
       return {entries_.size() - 1, false};
     }
-    if (policy_ == ReplacementPolicy::kGds) {
+    if (policy_ == EvictionPolicyKind::kGds) {
       std::size_t index = 0;
       for (std::size_t i = 1; i < entries_.size(); ++i) {
         const Entry& best = entries_[index];
@@ -158,7 +160,7 @@ class ReferenceCache {
   }
 
   std::uint64_t capacity_;
-  ReplacementPolicy policy_;
+  EvictionPolicyKind policy_;
   std::uint64_t bytes_ = 0;
   std::uint64_t next_stamp_ = 1;
   double gds_inflation_ = 0.0;
@@ -179,7 +181,7 @@ CacheEntry MakeEntry(int doc, int owner, std::uint64_t size, Time ttl) {
 }
 
 struct ModelParams {
-  ReplacementPolicy policy;
+  EvictionPolicyKind policy;
   std::uint64_t capacity;
   std::uint64_t seed;
 };
@@ -277,9 +279,9 @@ TEST_P(CacheModelTest, RandomOperationsStayInLockstep) {
 std::vector<ModelParams> Sweep() {
   std::vector<ModelParams> params;
   std::uint64_t seed = 1;
-  for (const ReplacementPolicy policy :
-       {ReplacementPolicy::kLru, ReplacementPolicy::kExpiredFirstLru,
-        ReplacementPolicy::kGds}) {
+  for (const EvictionPolicyKind policy :
+       {EvictionPolicyKind::kLru, EvictionPolicyKind::kExpiredFirstLru,
+        EvictionPolicyKind::kGds}) {
     for (const std::uint64_t capacity : {kRoomyCapacity, kTightCapacity}) {
       for (int i = 0; i < 3; ++i) {
         params.push_back(ModelParams{policy, capacity, seed++});
@@ -292,13 +294,13 @@ std::vector<ModelParams> Sweep() {
 std::string SweepName(const ::testing::TestParamInfo<ModelParams>& info) {
   std::string name;
   switch (info.param.policy) {
-    case ReplacementPolicy::kLru:
+    case EvictionPolicyKind::kLru:
       name = "Lru";
       break;
-    case ReplacementPolicy::kExpiredFirstLru:
+    case EvictionPolicyKind::kExpiredFirstLru:
       name = "ExpiredFirst";
       break;
-    case ReplacementPolicy::kGds:
+    case EvictionPolicyKind::kGds:
       name = "Gds";
       break;
   }

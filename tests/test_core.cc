@@ -6,7 +6,8 @@
 #include <limits>
 #include <set>
 #include <string>
-
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/adaptive_ttl.h"
@@ -17,6 +18,20 @@
 
 namespace webcc::core {
 namespace {
+
+// The site names TakeSitesWithLeases collects for `url`, in its fan-out
+// order; none for a URL the table has never seen.
+std::vector<std::string> TakeSites(InvalidationTable& table,
+                                   std::string_view url, Time now) {
+  std::vector<std::string> sites;
+  const InternId url_id = table.FindUrl(url);
+  if (url_id == kNoInternId) return sites;
+  for (InvalidationTable::TakenSite& taken :
+       table.TakeSitesWithLeases(url_id, now)) {
+    sites.push_back(std::move(taken.site));
+  }
+  return sites;
+}
 
 // --- adaptive TTL -----------------------------------------------------------------
 
@@ -130,7 +145,7 @@ TEST(InvalidationTable, ExactExpiryExcludedFromFanOut) {
   table.Register("/a", "c1", net::MessageType::kGet, 0);  // expiry: kHour
   EXPECT_EQ(table.ListLength("/a", kHour - 1), 1u);
   EXPECT_EQ(table.ListLength("/a", kHour), 0u);
-  EXPECT_TRUE(table.TakeSitesForInvalidation("/a", kHour).empty());
+  EXPECT_TRUE(TakeSites(table, "/a", kHour).empty());
 }
 
 TEST(InvalidationTable, TwoTierExactExpiryBoundary) {
@@ -143,10 +158,10 @@ TEST(InvalidationTable, TwoTierExactExpiryBoundary) {
   lease.short_duration = kMinute;
   InvalidationTable table(lease);
   table.Register("/a", "c1", net::MessageType::kGet, 0);  // expiry: kMinute
-  EXPECT_EQ(table.TakeSitesForInvalidation("/a", kMinute - 1),
+  EXPECT_EQ(TakeSites(table, "/a", kMinute - 1),
             std::vector<std::string>{"c1"});
   table.Register("/a", "c1", net::MessageType::kGet, 0);
-  EXPECT_TRUE(table.TakeSitesForInvalidation("/a", kMinute).empty());
+  EXPECT_TRUE(TakeSites(table, "/a", kMinute).empty());
   // The IMS tier gets the long lease; same boundary rule at its expiry.
   table.Register("/a", "c1", net::MessageType::kIfModifiedSince, 0);
   EXPECT_EQ(table.ListLength("/a", 3 * kDay - 1), 1u);
@@ -163,7 +178,7 @@ TEST(InvalidationTable, RegisterAndTake) {
   EXPECT_EQ(table.TotalEntries(), 3u);
   EXPECT_EQ(table.ListLength("/a", 0), 2u);
 
-  const auto sites = table.TakeSitesForInvalidation("/a", 10);
+  const auto sites = TakeSites(table, "/a", 10);
   EXPECT_EQ(sites, (std::vector<std::string>{"c1", "c2"}));
   EXPECT_EQ(table.TotalEntries(), 1u);  // "/b" untouched
   EXPECT_EQ(table.ListLength("/a", 10), 0u);
@@ -178,7 +193,7 @@ TEST(InvalidationTable, DuplicateRegistrationIsOneEntry) {
 
 TEST(InvalidationTable, TakeOnUnknownUrlIsEmpty) {
   InvalidationTable table(LeaseConfig{});
-  EXPECT_TRUE(table.TakeSitesForInvalidation("/none", 0).empty());
+  EXPECT_TRUE(TakeSites(table, "/none", 0).empty());
 }
 
 TEST(InvalidationTable, FixedLeaseExpiresEntries) {
@@ -190,7 +205,7 @@ TEST(InvalidationTable, FixedLeaseExpiresEntries) {
   table.Register("/a", "c2", net::MessageType::kGet, 12 * kHour);
   // At t=36h, c1's lease (expiry 24h) lapsed; c2's (36h) is borderline out.
   EXPECT_EQ(table.ListLength("/a", 30 * kHour), 1u);
-  const auto sites = table.TakeSitesForInvalidation("/a", 30 * kHour);
+  const auto sites = TakeSites(table, "/a", 30 * kHour);
   EXPECT_EQ(sites, std::vector<std::string>{"c2"});
 }
 
@@ -299,7 +314,7 @@ TEST(InvalidationTable, FanOutOrderDeterministic) {
   table.Register("/a", "zeta", net::MessageType::kGet, 0);
   table.Register("/a", "alpha", net::MessageType::kGet, 0);
   table.Register("/a", "mid", net::MessageType::kGet, 0);
-  EXPECT_EQ(table.TakeSitesForInvalidation("/a", 0),
+  EXPECT_EQ(TakeSites(table, "/a", 0),
             (std::vector<std::string>{"alpha", "mid", "zeta"}));
 }
 

@@ -43,6 +43,7 @@ namespace {
 
 using core::LeaseMode;
 using core::Protocol;
+using http::eviction::EvictionPolicyKind;
 
 // --- normalized decision events ---------------------------------------------
 
@@ -153,7 +154,7 @@ std::uint32_t TestShards() {
 struct Combo {
   Protocol protocol;
   LeaseMode lease;
-  http::ReplacementPolicy policy = http::ReplacementPolicy::kExpiredFirstLru;
+  EvictionPolicyKind policy = EvictionPolicyKind::kExpiredFirstLru;
   // 0 keeps each stack's roomy default (no eviction pressure); the
   // eviction combos shrink it below kSizeA + kSizeB so every policy has
   // victims to choose, and the tight ones below 2 × kSizeA, where the two
@@ -385,10 +386,9 @@ std::vector<Combo> AllCombos() {
   // oversize. Both stacks must evict and reject the same entries
   // (kEviction events are part of the compared stream).
   for (const Protocol protocol : kAllProtocols) {
-    for (const http::ReplacementPolicy policy :
-         {http::ReplacementPolicy::kLru,
-          http::ReplacementPolicy::kExpiredFirstLru,
-          http::ReplacementPolicy::kGds}) {
+    for (const EvictionPolicyKind policy :
+         {EvictionPolicyKind::kLru, EvictionPolicyKind::kExpiredFirstLru,
+          EvictionPolicyKind::kGds}) {
       for (const std::uint64_t cache_bytes :
            {kPressuredCacheBytes, kTightCacheBytes}) {
         Combo combo{protocol, LeaseMode::kNone};

@@ -10,6 +10,8 @@
 namespace webcc::http {
 namespace {
 
+using eviction::EvictionPolicyKind;
+
 // --- DocumentStore ---------------------------------------------------------------
 
 TEST(DocumentStore, AddAndFind) {
@@ -159,7 +161,7 @@ CacheEntry MakeEntry(const std::string& key, std::uint64_t size,
 }
 
 TEST(ProxyCache, InsertAndLookup) {
-  ProxyCache cache(1000, ReplacementPolicy::kLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a@c", 100), 0);
   CacheEntry* entry = cache.Lookup("/a@c");
   ASSERT_NE(entry, nullptr);
@@ -169,12 +171,12 @@ TEST(ProxyCache, InsertAndLookup) {
 }
 
 TEST(ProxyCache, LookupMissingIsNull) {
-  ProxyCache cache(1000, ReplacementPolicy::kLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kLru);
   EXPECT_EQ(cache.Lookup("/nope@c"), nullptr);
 }
 
 TEST(ProxyCache, InsertReplacesExisting) {
-  ProxyCache cache(1000, ReplacementPolicy::kLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a@c", 100), 0);
   CacheEntry bigger = MakeEntry("/a@c", 300);
   bigger.version = 2;
@@ -185,7 +187,7 @@ TEST(ProxyCache, InsertReplacesExisting) {
 }
 
 TEST(ProxyCache, EvictsLruWhenFull) {
-  ProxyCache cache(300, ReplacementPolicy::kLru);
+  ProxyCache cache(300, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a@c", 100), 0);
   cache.Insert(MakeEntry("/b@c", 100), 0);
   cache.Insert(MakeEntry("/c@c", 100), 0);
@@ -199,7 +201,7 @@ TEST(ProxyCache, EvictsLruWhenFull) {
 }
 
 TEST(ProxyCache, PeekDoesNotPromote) {
-  ProxyCache cache(200, ReplacementPolicy::kLru);
+  ProxyCache cache(200, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a@c", 100), 0);
   cache.Insert(MakeEntry("/b@c", 100), 0);
   cache.Peek("/a@c");                       // must NOT promote /a
@@ -209,14 +211,14 @@ TEST(ProxyCache, PeekDoesNotPromote) {
 }
 
 TEST(ProxyCache, ObjectLargerThanCapacityNotCached) {
-  ProxyCache cache(100, ReplacementPolicy::kLru);
+  ProxyCache cache(100, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/big@c", 5000), 0);
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.bytes_used(), 0u);
 }
 
 TEST(ProxyCache, ExpiredFirstEvictsExpiredBeforeLru) {
-  ProxyCache cache(300, ReplacementPolicy::kExpiredFirstLru);
+  ProxyCache cache(300, EvictionPolicyKind::kExpiredFirstLru);
   cache.Insert(MakeEntry("/fresh@c", 100, /*ttl=*/1000), 0);
   cache.Insert(MakeEntry("/expired@c", 100, /*ttl=*/10), 0);
   cache.Insert(MakeEntry("/strong@c", 100), 0);
@@ -230,7 +232,7 @@ TEST(ProxyCache, ExpiredFirstEvictsExpiredBeforeLru) {
 }
 
 TEST(ProxyCache, ExpiredFirstFallsBackToLruWhenNoneExpired) {
-  ProxyCache cache(200, ReplacementPolicy::kExpiredFirstLru);
+  ProxyCache cache(200, EvictionPolicyKind::kExpiredFirstLru);
   cache.Insert(MakeEntry("/a@c", 100, /*ttl=*/100000), 0);
   cache.Insert(MakeEntry("/b@c", 100, /*ttl=*/100000), 0);
   cache.Insert(MakeEntry("/c@c", 100, /*ttl=*/100000), 50);
@@ -239,7 +241,7 @@ TEST(ProxyCache, ExpiredFirstFallsBackToLruWhenNoneExpired) {
 }
 
 TEST(ProxyCache, SetTtlExpiryReindexes) {
-  ProxyCache cache(200, ReplacementPolicy::kExpiredFirstLru);
+  ProxyCache cache(200, EvictionPolicyKind::kExpiredFirstLru);
   cache.Insert(MakeEntry("/a@c", 100, /*ttl=*/10), 0);
   CacheEntry* entry = cache.Lookup("/a@c");
   ASSERT_NE(entry, nullptr);
@@ -253,7 +255,7 @@ TEST(ProxyCache, SetTtlExpiryReindexes) {
 }
 
 TEST(ProxyCache, EraseRemoves) {
-  ProxyCache cache(1000, ReplacementPolicy::kLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a@c", 100), 0);
   EXPECT_TRUE(cache.Erase("/a@c"));
   EXPECT_FALSE(cache.Erase("/a@c"));
@@ -263,7 +265,7 @@ TEST(ProxyCache, EraseRemoves) {
 }
 
 TEST(ProxyCache, MarkAllQuestionable) {
-  ProxyCache cache(1000, ReplacementPolicy::kLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a@c", 100), 0);
   cache.Insert(MakeEntry("/b@c", 100), 0);
   cache.MarkAllQuestionable();
@@ -272,7 +274,7 @@ TEST(ProxyCache, MarkAllQuestionable) {
 }
 
 TEST(ProxyCache, MarkQuestionableWhereFilters) {
-  ProxyCache cache(1000, ReplacementPolicy::kLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/a@alice", 100), 0);
   cache.Insert(MakeEntry("/a@bob", 100), 0);
   const std::size_t marked = cache.MarkQuestionableWhere(
@@ -283,14 +285,14 @@ TEST(ProxyCache, MarkQuestionableWhereFilters) {
 }
 
 TEST(ProxyCache, ZeroSizeEntriesAllowed) {
-  ProxyCache cache(100, ReplacementPolicy::kLru);
+  ProxyCache cache(100, EvictionPolicyKind::kLru);
   cache.Insert(MakeEntry("/empty@c", 0), 0);
   EXPECT_NE(cache.Peek("/empty@c"), nullptr);
   EXPECT_EQ(cache.bytes_used(), 0u);
 }
 
 TEST(ProxyCache, ManyInsertionsStayWithinCapacity) {
-  ProxyCache cache(1000, ReplacementPolicy::kExpiredFirstLru);
+  ProxyCache cache(1000, EvictionPolicyKind::kExpiredFirstLru);
   for (int i = 0; i < 500; ++i) {
     cache.Insert(MakeEntry("/doc" + std::to_string(i) + "@c", 90,
                            /*ttl=*/i * 10),

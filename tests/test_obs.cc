@@ -227,30 +227,6 @@ TEST(TraceReader, SummaryReportMentionsProblems) {
 namespace webcc::replay {
 namespace {
 
-// --- ParseLeafIndex regression (the old std::stoi would throw or accept
-// --- garbage like "leaf-12abc") -----------------------------------------------
-
-TEST(ParseLeafIndex, AcceptsExactForm) {
-  int index = -1;
-  EXPECT_TRUE(ParseLeafIndex("leaf-0", index));
-  EXPECT_EQ(index, 0);
-  EXPECT_TRUE(ParseLeafIndex("leaf-37", index));
-  EXPECT_EQ(index, 37);
-}
-
-TEST(ParseLeafIndex, RejectsMalformedNames) {
-  int index = 123;
-  EXPECT_FALSE(ParseLeafIndex("", index));
-  EXPECT_FALSE(ParseLeafIndex("leaf-", index));
-  EXPECT_FALSE(ParseLeafIndex("leaf", index));
-  EXPECT_FALSE(ParseLeafIndex("leaf-abc", index));
-  EXPECT_FALSE(ParseLeafIndex("leaf-12abc", index));   // trailing garbage
-  EXPECT_FALSE(ParseLeafIndex("leaf--1", index));      // negative
-  EXPECT_FALSE(ParseLeafIndex("LEAF-1", index));       // wrong case
-  EXPECT_FALSE(ParseLeafIndex("leaf-99999999999999999999", index));  // overflow
-  EXPECT_EQ(index, 123);  // untouched on every failure
-}
-
 // --- replay integration: farm trace merge + reconciliation --------------------
 
 trace::Trace SmallTrace() {
@@ -387,16 +363,27 @@ TEST(Reconciliation, EvictionEventsMatchUnderPressure) {
 
 // The other protocols reach the cache through their own paths as well:
 // revalidation on every request, invalidation erasures, PCV's TakeExpired
-// and re-arm, PSI's per-URL erasure. The identity must hold under pressure
-// for each.
+// and re-arm, PSI's per-URL erasure, and the hierarchy's parent, one more
+// proxy cache. The identity must hold under pressure for each.
+struct PressurePoint {
+  core::Protocol protocol;
+  bool hierarchical;
+};
+
 class ReconciliationUnderPressure
-    : public ::testing::TestWithParam<core::Protocol> {};
+    : public ::testing::TestWithParam<PressurePoint> {};
 
 TEST_P(ReconciliationUnderPressure, EvictionEventsMatchCounters) {
   const trace::Trace trace = SmallTrace();
   ReplayConfig config =
-      MakeReplayConfig(Table3Experiments()[0], GetParam(), trace);
+      MakeReplayConfig(Table3Experiments()[0], GetParam().protocol, trace);
   config.proxy_cache_bytes = 200000;
+  if (GetParam().hierarchical) {
+    // The parent's cache is four leaves' worth, so this is the 200,000
+    // bytes it evicts under.
+    config.hierarchical = true;
+    config.proxy_cache_bytes = 50000;
+  }
   const ReplayMetrics m = ExpectEventsMatchCounters(config);
   EXPECT_GT(m.proxy_evictions, 0u);
   EXPECT_GT(m.proxy_oversize_rejections, 0u);
@@ -404,16 +391,19 @@ TEST_P(ReconciliationUnderPressure, EvictionEventsMatchCounters) {
 
 INSTANTIATE_TEST_SUITE_P(
     OtherProtocols, ReconciliationUnderPressure,
-    ::testing::Values(core::Protocol::kPollEveryTime,
-                      core::Protocol::kInvalidation,
-                      core::Protocol::kPiggybackValidation,
-                      core::Protocol::kPiggybackInvalidation),
-    [](const ::testing::TestParamInfo<core::Protocol>& info) {
-      std::string name = core::ToString(info.param);
+    ::testing::Values(PressurePoint{core::Protocol::kPollEveryTime, false},
+                      PressurePoint{core::Protocol::kInvalidation, false},
+                      PressurePoint{core::Protocol::kPiggybackValidation,
+                                    false},
+                      PressurePoint{core::Protocol::kPiggybackInvalidation,
+                                    false},
+                      PressurePoint{core::Protocol::kInvalidation, true}),
+    [](const ::testing::TestParamInfo<PressurePoint>& info) {
+      std::string name = core::ToString(info.param.protocol);
       for (char& c : name) {
         if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
       }
-      return name;
+      return info.param.hierarchical ? name + "_hierarchical" : name;
     });
 
 TEST(Reconciliation, RegistryExportIsASuperset) {

@@ -17,6 +17,8 @@
 namespace webcc {
 namespace {
 
+using http::eviction::EvictionPolicyKind;
+
 // --- ValidatePiggyback ---------------------------------------------------------
 
 TEST(PcvValidate, SplitsFreshFromChanged) {
@@ -125,7 +127,7 @@ http::CacheEntry Entry(const std::string& url, const std::string& owner,
 }
 
 TEST(ProxyCachePiggyback, EraseByUrlRemovesAllOwners) {
-  http::ProxyCache cache(1000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(Entry("/a", "alice", 100), 0);
   cache.Insert(Entry("/a", "bob", 100), 0);
   cache.Insert(Entry("/b", "alice", 100), 0);
@@ -136,7 +138,7 @@ TEST(ProxyCachePiggyback, EraseByUrlRemovesAllOwners) {
 }
 
 TEST(ProxyCachePiggyback, EraseByUrlAfterReplacement) {
-  http::ProxyCache cache(1000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(Entry("/a", "alice", 100), 0);
   cache.Insert(Entry("/a", "alice", 200), 0);  // replace
   EXPECT_EQ(cache.EraseByUrl("/a"), 1u);
@@ -145,7 +147,7 @@ TEST(ProxyCachePiggyback, EraseByUrlAfterReplacement) {
 }
 
 TEST(ProxyCachePiggyback, TakeExpiredReturnsOnlyExpired) {
-  http::ProxyCache cache(1000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(Entry("/old", "c", 10), 0);
   cache.Insert(Entry("/fresh", "c", 1000), 0);
   const auto expired = cache.TakeExpired(500, 10);
@@ -154,7 +156,7 @@ TEST(ProxyCachePiggyback, TakeExpiredReturnsOnlyExpired) {
 }
 
 TEST(ProxyCachePiggyback, TakeExpiredConsumesRecords) {
-  http::ProxyCache cache(1000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(Entry("/a", "c", 10), 0);
   EXPECT_EQ(cache.TakeExpired(500, 10).size(), 1u);
   // Consumed: a second call finds nothing until re-armed.
@@ -166,7 +168,7 @@ TEST(ProxyCachePiggyback, TakeExpiredConsumesRecords) {
 }
 
 TEST(ProxyCachePiggyback, TakeExpiredHonoursCap) {
-  http::ProxyCache cache(10000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(10000, EvictionPolicyKind::kLru);
   for (int i = 0; i < 20; ++i) {
     cache.Insert(Entry("/d" + std::to_string(i), "c", i + 1), 0);
   }
@@ -175,7 +177,7 @@ TEST(ProxyCachePiggyback, TakeExpiredHonoursCap) {
 }
 
 TEST(ProxyCachePiggyback, TakeExpiredSkipsErasedEntries) {
-  http::ProxyCache cache(1000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(1000, EvictionPolicyKind::kLru);
   cache.Insert(Entry("/a", "c", 10), 0);
   cache.Insert(Entry("/b", "c", 20), 0);
   cache.Erase("/a@c");
@@ -189,7 +191,7 @@ TEST(ProxyCachePiggyback, TakeExpiredSkipsErasedEntries) {
 TEST(PiggybackCaps, PcvRequestCarriesAtMostTheBatchCap) {
   const auto policy = core::consistency::MakePolicy(
       core::Protocol::kPiggybackValidation, {});
-  http::ProxyCache cache(100000, http::ReplacementPolicy::kLru);
+  http::ProxyCache cache(100000, EvictionPolicyKind::kLru);
   const std::size_t overflow = 10;
   for (std::size_t i = 0; i < core::kMaxPcvBatch + overflow; ++i) {
     cache.Insert(Entry("/d" + std::to_string(i), "c", 10), 0);

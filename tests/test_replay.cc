@@ -382,6 +382,39 @@ TEST(ReplayHierarchy, ParentServesOnlyUnderItsLease) {
   }
 }
 
+TEST(ReplayHierarchy, LeafRevalidatesAgainstTheParentsValidCopy) {
+  // One client reads /doc twice, and its leaf proxy crashes in between: the
+  // restart marks the leaf's copy questionable, so the second read is an
+  // IMS. Nothing was written and leases are off, so the parent's copy is
+  // still valid and the parent answers the IMS itself with a 304.
+  trace::Trace trace;
+  trace.name = "revalidate";
+  trace.duration = kHour;
+  trace.documents = {{"/doc", 4096}};
+  trace.clients = {"c0"};
+  trace.records = {trace::TraceRecord{5 * kMinute, 0, 0},
+                   trace::TraceRecord{35 * kMinute, 0, 0}};
+  ReplayConfig config = BaseConfig(trace, Protocol::kInvalidation);
+  config.hierarchical = true;
+  config.suppress_generated_modifications = true;
+  const ReplayMetrics uncrashed = RunReplay(config);
+  EXPECT_EQ(uncrashed.local_hits, 1u);
+  EXPECT_EQ(uncrashed.parent_fetches, 1u);
+
+  fault::FaultPlan plan;
+  plan.events.push_back({.at = 15 * kMinute,
+                         .kind = fault::FaultKind::kProxyCrash,
+                         .target = 0,
+                         .duration = 10 * kMinute});
+  config.fault_plan = &plan;
+  const ReplayMetrics crashed = RunReplay(config);
+  EXPECT_EQ(crashed.requests_skipped, 0u);
+  EXPECT_EQ(crashed.ims_requests, 1u);
+  EXPECT_EQ(crashed.validated_hits, 1u);
+  EXPECT_EQ(crashed.parent_hits, uncrashed.parent_hits + 1);
+  EXPECT_EQ(crashed.parent_fetches, uncrashed.parent_fetches);
+}
+
 // --- conformance with the analytic model ----------------------------------------------
 
 // Builds a single-client single-document trace plus explicit modification

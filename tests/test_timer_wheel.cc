@@ -14,6 +14,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,20 @@
 
 namespace webcc::core {
 namespace {
+
+// The site names TakeSitesWithLeases collects for `url`, in its fan-out
+// order; none for a URL the table has never seen.
+std::vector<std::string> TakeSites(InvalidationTable& table,
+                                   std::string_view url, Time now) {
+  std::vector<std::string> sites;
+  const InternId url_id = table.FindUrl(url);
+  if (url_id == kNoInternId) return sites;
+  for (InvalidationTable::TakenSite& taken :
+       table.TakeSitesWithLeases(url_id, now)) {
+    sites.push_back(std::move(taken.site));
+  }
+  return sites;
+}
 
 // Builds "prefix<n>" without the `const char* + string&&` operator, which
 // GCC 12 flags with a spurious -Wrestrict when inlined.
@@ -332,7 +347,7 @@ TEST(InvalidationTableProperty, WheelPruneMatchesFullScanOver1e5Pairs) {
     // Occasionally a modification takes a whole list on both sides.
     if (pairs % 1700 == 0) {
       const std::string url = Name("/u", url_of(rng));
-      EXPECT_EQ(table.TakeSitesForInvalidation(url, now),
+      EXPECT_EQ(TakeSites(table, url, now),
                 model.Take(url, now));
     }
     // Advance time and prune; the dropped sets must be identical.
@@ -371,7 +386,7 @@ TEST(InvalidationTable, TakePathEmitsLeaseExpiryForLapsedEntries) {
   table.Register("/a", "c-dead", net::MessageType::kGet, 0);  // expires 24h
   table.Register("/a", "c-live", net::MessageType::kGet, 20 * kHour);
 
-  const auto sites = table.TakeSitesForInvalidation("/a", 30 * kHour);
+  const auto sites = TakeSites(table, "/a", 30 * kHour);
   EXPECT_EQ(sites, std::vector<std::string>{"c-live"});
   EXPECT_EQ(table.leases_expired(), 1u);
   const std::string trace = sink.Text();
@@ -393,7 +408,7 @@ TEST(InvalidationTable, ExpiryCounterReconcilesAcrossBothPaths) {
   table.Register("/a", "late", net::MessageType::kGet, 90 * kMinute);
   // /a retires its 6 lapsed entries through the take path, /b through the
   // prune path; the counter and the event stream agree with both.
-  table.TakeSitesForInvalidation("/a", 2 * kHour);
+  TakeSites(table, "/a", 2 * kHour);
   table.PruneExpired(2 * kHour);
   EXPECT_EQ(table.leases_expired(), 12u);
   const std::string trace = sink.Text();
